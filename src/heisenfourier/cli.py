@@ -20,6 +20,7 @@ byte-identical reports apart from the wall-time fields.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -51,6 +52,7 @@ from .group import (
     GroupElement,
     IDENTITY,
     Poly3,
+    SampledFunction3D,
     check_map,
     inv,
     mul,
@@ -126,7 +128,6 @@ class RunConfig:
             "half_width": self.half_width,
             "delta": self.delta,
             "k_max": self.k_max,
-            "fam_shift_abs": abs(self.fam_shift) + 1,
             "dc_n_points": self.dc_n_points,
             "dc_half_width": self.dc_half_width,
             "dc_delta": self.dc_delta,
@@ -402,32 +403,33 @@ def group_suite(cfg: RunConfig) -> list[CheckRecord]:
     ]
 
 
-def representation_suite(cfg: RunConfig) -> list[CheckRecord]:
-    tol = cfg.tol["representation"]
+def _rep_defects(cfg: RunConfig, n: int) -> tuple[float, float]:
+    """Homomorphism defect on a narrow Gaussian and unitarity defect at carrier n."""
     rng = np.random.default_rng(cfg.seed)
     els = _dyadic_elements(rng, 20)
     pairs = [(els[2 * i], els[2 * i + 1]) for i in range(10)]
+    grid = GridSpec1D(n, 10.0)
+    v = np.exp(-grid.nodes**2 / (2 * 0.22**2)).astype(complex)
+    v /= np.linalg.norm(v)
+    hom = 0.0
+    unit = 0.0
+    for t in _REP_TS:
+        for g1, g2 in pairs:
+            m1 = rep_matrix(t, g1, grid)
+            m2 = rep_matrix(t, g2, grid)
+            m12 = rep_matrix(t, mul(g1, g2), grid)
+            hom = max(hom, float(np.linalg.norm((m1 @ m2 - m12) @ v)))
+            gram = m1.conj().T @ m1
+            unit = max(unit, float(np.max(np.abs(gram - np.eye(n)))))
+    return hom, unit
 
-    def defects(n: int):
-        grid = GridSpec1D(n, 10.0)
-        v = np.exp(-grid.nodes**2 / (2 * 0.22**2)).astype(complex)
-        v /= np.linalg.norm(v)
-        hom = 0.0
-        unit = 0.0
-        for t in _REP_TS:
-            for g1, g2 in pairs:
-                m1 = rep_matrix(t, g1, grid)
-                m2 = rep_matrix(t, g2, grid)
-                m12 = rep_matrix(t, mul(g1, g2), grid)
-                hom = max(hom, float(np.linalg.norm((m1 @ m2 - m12) @ v)))
-                gram = m1.conj().T @ m1
-                unit = max(unit, float(np.max(np.abs(gram - np.eye(n)))))
-        return hom, unit
 
+def representation_suite(cfg: RunConfig) -> list[CheckRecord]:
+    tol = cfg.tol["representation"]
     t0 = time.perf_counter()
-    hom256, unit256 = defects(256)
+    hom256, unit256 = _rep_defects(cfg, 256)
     t1 = time.perf_counter()
-    hom512, _ = defects(512)
+    hom512, _ = _rep_defects(cfg, 512)
     t2 = time.perf_counter()
     ratio = hom256 / hom512 if hom512 > 0 else math.inf
     return [
@@ -899,8 +901,6 @@ def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
 
 def _plain_copy(f):
     """Same samples without the closed-form attachments."""
-    from .group import SampledFunction3D
-
     return SampledFunction3D(f.box, f.counts, f.samples.copy())
 
 
@@ -1021,26 +1021,10 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
 
 
 def _converge_representation(cfg, level):
-    if 256 * 2**level > 1024:
-        raise CapacityError("carrier beyond 1024 points is out of convergence range")
-    sub = representation_suite(cfg)
-    if level == 0:
-        return [("homomorphism", sub[1].value)]
-    rng = np.random.default_rng(cfg.seed)
-    els = _dyadic_elements(rng, 20)
-    pairs = [(els[2 * i], els[2 * i + 1]) for i in range(10)]
     n = 256 * 2**level
-    grid = GridSpec1D(n, 10.0)
-    v = np.exp(-grid.nodes**2 / (2 * 0.22**2)).astype(complex)
-    v /= np.linalg.norm(v)
-    hom = 0.0
-    for t in _REP_TS:
-        for g1, g2 in pairs:
-            m1 = rep_matrix(t, g1, grid)
-            m2 = rep_matrix(t, g2, grid)
-            m12 = rep_matrix(t, mul(g1, g2), grid)
-            hom = max(hom, float(np.linalg.norm((m1 @ m2 - m12) @ v)))
-    return [("homomorphism", hom)]
+    if n > 1024:
+        raise CapacityError("carrier beyond 1024 points is out of convergence range")
+    return [("homomorphism", _rep_defects(cfg, n)[0])]
 
 
 def _converge_plancherel(cfg, level):
@@ -1274,8 +1258,6 @@ def main(argv=None) -> int:
         )
 
     args = parser.parse_args(argv)
-    import os
-
     try:
         cfg = load_config(args.config, dict(os.environ))
     except (ValueError, OSError) as err:

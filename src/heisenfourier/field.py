@@ -57,9 +57,13 @@ class TGrid:
         return k + self.k_max if k < 0 else self.k_max + k - 1
 
     def lattice_k(self, t: float) -> Optional[int]:
-        """Integer k with t = k*delta up to rounding noise, else None."""
+        """Integer k with t = k*delta up to rounding noise, else None.
+
+        The noise allowance is relative to the node spacing, so it holds
+        for every delta, however small.
+        """
         k = round(t / self.delta)
-        if abs(t - k * self.delta) <= _LATTICE_RTOL * max(1.0, abs(t)):
+        if abs(t - k * self.delta) <= _LATTICE_RTOL * self.delta * max(1, abs(k)):
             return k
         return None
 

@@ -25,23 +25,25 @@ the exact-shear matrix.
 
 theta1 and dual_convolution never materialize W.  For a separable input
 kron(A, B), fusing the partial trace into the shear conjugation
-contracts each term in O(N^4).  Shift stacks are cached per exact ratio
-s/(r+s), held as a Fraction, so lattice pairs sharing a ratio share
-cache entries bit for bit.
+contracts each term in O(N^4).  The shear blocks are grid's circulant
+shifts.  Shear stacks and sampling defects sit in bounded LRU caches
+keyed by the grid and the exact ratio s/(r+s), held as a Fraction, so
+lattice pairs sharing a ratio share entries bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .field import OperatorField, TGrid, zero_field
-from .grid import GridSpec1D, schatten_norm
+from .grid import GridSpec1D, circulant, schatten_norm, shift_kernel
+from .schrodinger import forward_field
 
 _DOMAIN_MSG = "fusion needs r, s, r + s all nonzero"
 
@@ -85,62 +87,29 @@ def _exact_ratio(r: float, s: float) -> Fraction:
 # shift stacks are small (N^3 complex entries), defect entries are floats
 _CACHE_CAP = 512
 
-_TL_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_TU_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_DEFECT_CACHE: "OrderedDict[tuple, float]" = OrderedDict()
-
 
 def clear_intertwiner_cache() -> None:
-    _TL_CACHE.clear()
-    _TU_CACHE.clear()
-    _DEFECT_CACHE.clear()
+    _tl_stack.cache_clear()
+    _tu_stack.cache_clear()
+    _sampling_defect.cache_clear()
 
 
-def _cache_get(cache: OrderedDict, key):
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    return None
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # cached arrays are handed to every caller
+    a.setflags(write=False)
+    return a
 
 
-def _cache_put(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > _CACHE_CAP:
-        cache.popitem(last=False)
-
-
-def _grid_key(grid: GridSpec1D) -> tuple:
-    return (grid.n_points, grid.half_width)
-
-
-def _shift_stack(grid: GridSpec1D, shifts: np.ndarray) -> np.ndarray:
-    """Stack of band-limited shift matrices, stack[i] shifts by shifts[i]."""
-    dft = np.fft.fft(np.eye(grid.n_points, dtype=complex), axis=0)
-    phases = np.exp(-2j * np.pi * np.outer(shifts, grid.frequencies))
-    return np.fft.ifft(phases[:, :, None] * dft[None, :, :], axis=1)
-
-
+@lru_cache(maxsize=_CACHE_CAP)
 def _tl_stack(grid: GridSpec1D) -> np.ndarray:
     # second-variable shear: the block at first-variable node w shifts by -w
-    key = _grid_key(grid)
-    got = _cache_get(_TL_CACHE, key)
-    if got is None:
-        got = _shift_stack(grid, -grid.nodes)
-        got.setflags(write=False)
-        _cache_put(_TL_CACHE, key, got)
-    return got
+    return _frozen(circulant(shift_kernel(grid, -grid.nodes)))
 
 
+@lru_cache(maxsize=_CACHE_CAP)
 def _tu_stack(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
     # first-variable shear: the block at second-variable node w shifts by ratio*w
-    key = (_grid_key(grid), ratio)
-    got = _cache_get(_TU_CACHE, key)
-    if got is None:
-        got = _shift_stack(grid, float(ratio) * grid.nodes)
-        got.setflags(write=False)
-        _cache_put(_TU_CACHE, key, got)
-    return got
+    return _frozen(circulant(shift_kernel(grid, float(ratio) * grid.nodes)))
 
 
 def _dense_w(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
@@ -184,15 +153,11 @@ def _sampled_composition(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
     return w.reshape(n * n, n * n)
 
 
+@lru_cache(maxsize=_CACHE_CAP)
 def _sampling_defect(ratio: Fraction, grid: GridSpec1D) -> float:
-    key = (_grid_key(grid), ratio)
-    got = _cache_get(_DEFECT_CACHE, key)
-    if got is None:
-        w = _sampled_composition(ratio, grid)
-        gram = np.linalg.eigvalsh(w.conj().T @ w)
-        got = float(np.max(np.abs(gram - 1.0)))
-        _cache_put(_DEFECT_CACHE, key, got)
-    return got
+    w = _sampled_composition(ratio, grid)
+    gram = np.linalg.eigvalsh(w.conj().T @ w)
+    return float(np.max(np.abs(gram - 1.0)))
 
 
 def intertwiner(
@@ -359,8 +324,6 @@ def product_coefficient_defect(
     the direct side.  Raises ValueError when the direct side vanishes
     identically while the convolution side does not.
     """
-    from .schrodinger import forward_field
-
     f_one = forward_field(f1, tgrid, grid)
     f_two = forward_field(f2, tgrid, grid)
     direct = forward_field(f1 * f2, tgrid, grid)

@@ -9,6 +9,11 @@ representation identities built from these blocks degrade only through
 aliasing of whatever vectors they are applied to, never through the
 blocks themselves.
 
+A translation is also circulant, T_x[m, n] = c_x[(m - n) mod N], so it
+is fixed by one kernel row c_x.  shift_kernel and circulant are the only
+shift builders in the package; every other module takes its shifts from
+them.
+
 Operators are plain complex numpy matrices.  Schatten norms always go
 through a full singular value decomposition; nothing is estimated.
 """
@@ -60,18 +65,39 @@ class GridSpec1D:
         return xi
 
 
+def shift_kernel(grid: GridSpec1D, shifts) -> np.ndarray:
+    """First columns of the band-limited shifts, one kernel row per shift.
+
+    Row x is ifft(exp(-2*pi*i*xi*x)) over the grid frequencies xi; the
+    shift matrix itself is circulant(row).
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    if not np.all(np.isfinite(shifts)):
+        raise ValueError("shift amounts must be finite")
+    phases = np.exp(-2j * np.pi * shifts[..., None] * grid.frequencies)
+    return np.fft.ifft(phases, axis=-1)
+
+
+def circulant_index(n: int) -> np.ndarray:
+    """Table idx[m, j] = (m - j) mod n, the circulant layout of a kernel row."""
+    ar = np.arange(n)
+    return (ar[:, None] - ar[None, :]) % n
+
+
+def circulant(kernel: np.ndarray) -> np.ndarray:
+    """Circulant matrices C[..., m, n] = kernel[..., (m - n) mod N], C-contiguous."""
+    return np.take(kernel, circulant_index(kernel.shape[-1]), axis=-1)
+
+
 def fractional_shift_op(grid: GridSpec1D, x: float) -> np.ndarray:
     """Matrix of f |-> f(. - x) under band-limited periodic interpolation.
 
     Diagonal in the DFT basis with unimodular entries, hence exactly
     unitary, and fractional_shift_op(x1) @ fractional_shift_op(x2)
-    equals fractional_shift_op(x1 + x2) up to roundoff.
+    equals fractional_shift_op(x1 + x2) up to roundoff.  Circulant, so
+    it is built from its kernel row alone.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"shift amount must be finite, got {x}")
-    phase = np.exp(-2j * np.pi * grid.frequencies * x)
-    eye = np.eye(grid.n_points, dtype=complex)
-    return np.fft.ifft(phase[:, None] * np.fft.fft(eye, axis=0), axis=0)
+    return circulant(shift_kernel(grid, x))
 
 
 def modulation_op(grid: GridSpec1D, beta: float) -> np.ndarray:

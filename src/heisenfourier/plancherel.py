@@ -19,7 +19,7 @@ import numpy as np
 from .field import OperatorField, TGrid, load_field, save_field, zero_field
 from .grid import GridSpec1D, schatten_norm
 from .group import SampledFunction3D, check_map
-from .schrodinger import _plan_for, fourier_coefficient, forward_field, rep_matrix
+from .schrodinger import _TransformPlan, fourier_coefficient, forward_field, rep_matrix
 
 __all__ = [
     "TGrid",
@@ -59,7 +59,7 @@ def inverse_transform_grid(
     """
     if F.dim != grid.n_points:
         raise ValueError("field dimension does not match the carrier grid")
-    plan = _plan_for(grid, tuple(box), tuple(counts))
+    plan = _TransformPlan(grid, box, counts)
     out = np.zeros(tuple(counts), dtype=complex)
     for pos, t in enumerate(F.tgrid.nodes):
         out += F.tgrid.delta * plan.invert_node(F.mats[pos], t)
@@ -95,7 +95,7 @@ def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> f
     rhs = f.l2_norm_sq()
     if rhs == 0.0:
         raise ValueError("relative defect undefined for the zero function")
-    plan = _plan_for(grid, f.box, f.counts)
+    plan = _TransformPlan(grid, f.box, f.counts)
     lhs = 0.0
     for t in tgrid.nodes:
         coef = plan.coefficient(f.samples, t, f.cell_volume)
@@ -114,7 +114,7 @@ def adjoint_pairing_sides(
     values = inverse_transform_grid(F, g.box, g.counts, grid)
     lhs = complex(np.sum(g.samples * values) * g.cell_volume)
     gc = check_map(g)
-    plan = _plan_for(grid, gc.box, gc.counts)
+    plan = _TransformPlan(grid, gc.box, gc.counts)
     rhs = 0.0 + 0.0j
     for pos, t in enumerate(F.tgrid.nodes):
         coef = plan.coefficient(gc.samples, t, gc.cell_volume)

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 
 import numpy as np
 
 from .field import OperatorField, TGrid
-from .grid import GridSpec1D, fractional_shift_op
+from .grid import GridSpec1D, circulant_index, fractional_shift_op, shift_kernel
 from .group import GroupElement, SampledFunction3D, box_axes
 
 
@@ -45,16 +44,17 @@ def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
 class _TransformPlan:
     """Shared precomputation for all frequencies over one (grid, box) pair.
 
-    The shift stack is the only heavy item: one unitary per x node.
+    The shift T_x at each x node is circulant, so the plan keeps only its
+    kernel row: an (nx, N) table, plus the (N, N) circulant index table
+    that both the forward and the inverse formula gather through.
     Everything frequency-dependent is a cheap phase table.
     """
 
     def __init__(self, grid: GridSpec1D, box, counts):
         self.grid = grid
         self.xs, self.ys, self.zs = box_axes(box, counts)
-        dft = np.fft.fft(np.eye(grid.n_points), axis=0)
-        phases = np.exp(-2j * np.pi * self.xs[:, None] * grid.frequencies[None, :])
-        self.tstack = np.fft.ifft(phases[:, :, None] * dft[None, :, :], axis=1)
+        self.kernel = shift_kernel(grid, self.xs)
+        self.idx = circulant_index(grid.n_points)
 
     def _phase_tables(self, t: float):
         P = np.exp(1j * np.pi * t * np.outer(self.xs, self.ys))
@@ -62,38 +62,28 @@ class _TransformPlan:
         return P, E
 
     def coefficient(self, samples: np.ndarray, t: float, cell_volume: float):
-        """Quadrature of f(v)*pi_t(v) over the box, z summed first."""
+        """Quadrature of f(v)*pi_t(v) over the box, z summed first.
+
+        sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
+        """
         fz = samples @ np.exp(2j * np.pi * t * self.zs)
         P, E = self._phase_tables(t)
         A = (fz * P) @ E
-        out = np.einsum("im,imn->mn", A, self.tstack, optimize=True)
+        out = np.take_along_axis(A.T @ self.kernel, self.idx, axis=1)
         out *= cell_volume
         return out
 
     def invert_node(self, mat: np.ndarray, t: float) -> np.ndarray:
-        """Samples of v -> Tr[mat * pi_t(v)^dagger] on the whole box."""
-        D = np.einsum("mn,imn->im", mat, np.conj(self.tstack), optimize=True)
+        """Samples of v -> Tr[mat * pi_t(v)^dagger] on the whole box.
+
+        sum_n mat[m, n] conj(T_i[m, n])
+            = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N].
+        """
+        D = np.conj(self.kernel) @ np.take_along_axis(mat, self.idx, axis=1).T
         P, E = self._phase_tables(t)
         vxy = np.conj(P) * (D @ np.conj(E).T)
         ez = np.exp(-2j * np.pi * t * self.zs)
         return vxy[:, :, None] * ez[None, None, :]
-
-
-_plan_cache: "OrderedDict[tuple, _TransformPlan]" = OrderedDict()
-_PLAN_CACHE_MAX = 4
-
-
-def _plan_for(grid: GridSpec1D, box, counts) -> _TransformPlan:
-    key = (grid.n_points, grid.half_width, tuple(box), tuple(counts))
-    plan = _plan_cache.get(key)
-    if plan is None:
-        plan = _TransformPlan(grid, box, counts)
-        _plan_cache[key] = plan
-        while len(_plan_cache) > _PLAN_CACHE_MAX:
-            _plan_cache.popitem(last=False)
-    else:
-        _plan_cache.move_to_end(key)
-    return plan
 
 
 def fourier_coefficient(
@@ -101,8 +91,8 @@ def fourier_coefficient(
 ) -> np.ndarray:
     """Discrete pi_t(f): rectangle-rule sum of f(v)*rep_matrix(t, v) over the box.
 
-    method "fast" factors the sum through a partial z transform and a
-    precomputed shift stack; "direct" is the literal per-sample sum kept
+    method "fast" factors the sum through a partial z transform and the
+    circulant shift kernels; "direct" is the literal per-sample sum kept
     as the reference path.  Both produce the same quadrature.
     """
     if t == 0:
@@ -110,7 +100,7 @@ def fourier_coefficient(
     if not math.isfinite(t):
         raise ValueError(f"representation parameter must be finite, got {t}")
     if method == "fast":
-        plan = _plan_for(grid, f.box, f.counts)
+        plan = _TransformPlan(grid, f.box, f.counts)
         return plan.coefficient(f.samples, t, f.cell_volume)
     if method == "direct":
         return _coefficient_direct(f, t, grid)
@@ -130,7 +120,7 @@ def _coefficient_direct(f: SampledFunction3D, t: float, grid: GridSpec1D):
 
 def forward_field(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
     """The measure-absorbed transform: node matrix |t_k| * pi_{t_k}(f)."""
-    plan = _plan_for(grid, f.box, f.counts)
+    plan = _TransformPlan(grid, f.box, f.counts)
     n = grid.n_points
     mats = np.empty((tgrid.n_nodes, n, n), dtype=complex)
     for pos, t in enumerate(tgrid.nodes):

@@ -25,6 +25,15 @@ def test_tgrid_index_and_lattice_lookup():
     assert tg.lattice_k(0.3) is None
 
 
+def test_lattice_lookup_scales_with_tiny_delta():
+    tg = TGrid(1e-12, 4)
+    assert tg.lattice_k(1.5e-12) is None
+    assert tg.lattice_k(1.2e-12) is None
+    assert tg.lattice_k(3e-12) == 3
+    assert tg.lattice_k(tg.nodes[0] + tg.nodes[-1] + tg.nodes[5]) == 2
+    assert tg.lattice_k(1e-30) == 0
+
+
 def test_tgrid_validation():
     with pytest.raises(ValueError):
         TGrid(0.0, 4)

@@ -6,10 +6,12 @@ import pytest
 from heisenfourier.grid import (
     CapacityError,
     GridSpec1D,
+    circulant,
     fractional_shift_op,
     kron,
     modulation_op,
     schatten_norm,
+    shift_kernel,
     singular_values,
 )
 
@@ -61,6 +63,30 @@ def test_shift_rejects_non_finite():
     grid = GridSpec1D(8, 1.0)
     with pytest.raises(ValueError):
         fractional_shift_op(grid, math.nan)
+    with pytest.raises(ValueError):
+        shift_kernel(grid, [0.5, math.inf])
+
+
+def _literal_shift(grid, x):
+    # the shift as written: diagonal phases conjugated by the DFT of the identity
+    phase = np.exp(-2j * np.pi * grid.frequencies * x)
+    eye = np.eye(grid.n_points, dtype=complex)
+    return np.fft.ifft(phase[:, None] * np.fft.fft(eye, axis=0), axis=0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 256])
+def test_circulant_kernels_match_the_literal_shift(n):
+    grid = GridSpec1D(n, 3.0)
+    h = grid.spacing
+    # on the grid, off the grid, negative, and beyond the box width 2L
+    shifts = np.array([0.0, h, -3 * h, 0.37, -1.234, 7.9, -13.05])
+    stack = circulant(shift_kernel(grid, shifts))
+    assert stack.shape == (shifts.size, n, n)
+    assert stack.flags["C_CONTIGUOUS"]
+    for x, op in zip(shifts, stack):
+        want = _literal_shift(grid, x)
+        assert np.max(np.abs(op - want)) < 1e-13
+        assert np.max(np.abs(fractional_shift_op(grid, x) - want)) < 1e-13
 
 
 def test_modulation_is_the_expected_diagonal():
