@@ -18,13 +18,14 @@ byte-identical reports apart from the wall-time fields.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,57 +124,38 @@ class RunConfig:
     tol: dict = dc_field(default_factory=lambda: dict(DEFAULT_TOL))
 
     def validate(self) -> None:
-        positives = {
-            "n_points": self.n_points,
-            "half_width": self.half_width,
-            "delta": self.delta,
-            "k_max": self.k_max,
-            "dc_n_points": self.dc_n_points,
-            "dc_half_width": self.dc_half_width,
-            "dc_delta": self.dc_delta,
-            "dc_k_max": self.dc_k_max,
-        }
-        for name, value in positives.items():
-            if value <= 0:
+        for name, default in _SETTINGS.items():
+            value = getattr(self, name)
+            if isinstance(default, tuple):
+                if len(value) != 3 or any(v <= 0 for v in value):
+                    raise ValueError(f"{name} must be three positive values, got {value}")
+            elif isinstance(default, int) and int(value) != value:
+                raise ValueError(f"{name} must be an integer, got {value}")
+            elif name not in _SIGNED and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        for name, triple in (
-            ("box", self.box),
-            ("counts", self.counts),
-            ("fam_sigma", self.fam_sigma),
-            ("dc_box", self.dc_box),
-            ("dc_counts", self.dc_counts),
-        ):
-            if len(triple) != 3 or any(v <= 0 for v in triple):
-                raise ValueError(f"{name} must be three positive values, got {triple}")
         for suite, value in self.tol.items():
             if suite not in DEFAULT_TOL:
                 raise ValueError(f"unknown tolerance key {suite!r}")
             if not 0.0 < value < 1.0:
                 raise ValueError(f"tolerance {suite} must lie in (0,1), got {value}")
-        if int(self.seed) != self.seed:
-            raise ValueError("seed must be an integer")
 
 
-_INT_KEYS = {"n_points", "k_max", "seed", "dc_n_points", "dc_k_max"}
-_FLOAT_KEYS = {"half_width", "delta", "fam_shift", "dc_half_width", "dc_delta"}
-_TRIPLE_FLOAT_KEYS = {"box", "fam_sigma", "dc_box"}
-_TRIPLE_INT_KEYS = {"counts", "dc_counts"}
+# every field but tol is one config key, typed by its default; tol is set
+# per suite through tol_<suite> keys
+_SETTINGS = {f.name: f.default for f in fields(RunConfig) if f.name != "tol"}
+# scalar keys that may be zero or negative; every other key must be positive
+_SIGNED = ("fam_shift", "seed")
 
 
 def _parse_setting(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _TRIPLE_FLOAT_KEYS:
-        parts = [float(p) for p in raw.split(",")]
-        return tuple(parts)
-    if key in _TRIPLE_INT_KEYS:
-        parts = [int(p) for p in raw.split(",")]
-        return tuple(parts)
     if key.startswith("tol_"):
         return float(raw)
-    raise ValueError(f"unknown config key {key!r}")
+    if key not in _SETTINGS:
+        raise ValueError(f"unknown config key {key!r}")
+    default = _SETTINGS[key]
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(p) for p in raw.split(","))
+    return type(default)(raw)
 
 
 def load_config(path: Optional[str] = None, env: Optional[dict] = None) -> RunConfig:
@@ -403,8 +385,25 @@ def group_suite(cfg: RunConfig) -> list[CheckRecord]:
     ]
 
 
-def _rep_defects(cfg: RunConfig, n: int) -> tuple[float, float]:
-    """Homomorphism defect on a narrow Gaussian and unitarity defect at carrier n."""
+def _run_levels(level_fn, cfg: RunConfig, count: int) -> tuple[list[dict], list[float]]:
+    """Levels 0..count-1 of a ladder and the wall time of each."""
+    levels, times = [], []
+    for level in range(count):
+        t0 = time.perf_counter()
+        levels.append(level_fn(cfg, level))
+        times.append(time.perf_counter() - t0)
+    return levels, times
+
+
+def _rep_level(cfg: RunConfig, level: int) -> dict:
+    """Homomorphism defect of pi_t on a narrow Gaussian at carrier 256 * 2^level.
+
+    Unitarity is a property of each carrier, not a refinement defect, so
+    the Gram matrices are formed at the base carrier only.
+    """
+    n = 256 * 2**level
+    if n > 1024:
+        raise CapacityError("carrier beyond 1024 points is out of convergence range")
     rng = np.random.default_rng(cfg.seed)
     els = _dyadic_elements(rng, 20)
     pairs = [(els[2 * i], els[2 * i + 1]) for i in range(10)]
@@ -419,34 +418,28 @@ def _rep_defects(cfg: RunConfig, n: int) -> tuple[float, float]:
             m2 = rep_matrix(t, g2, grid)
             m12 = rep_matrix(t, mul(g1, g2), grid)
             hom = max(hom, float(np.linalg.norm((m1 @ m2 - m12) @ v)))
-            gram = m1.conj().T @ m1
-            unit = max(unit, float(np.max(np.abs(gram - np.eye(n)))))
-    return hom, unit
+            if level == 0:
+                gram = m1.conj().T @ m1
+                unit = max(unit, float(np.max(np.abs(gram - np.eye(n)))))
+    return {"homomorphism": hom, "unitarity": unit if level == 0 else None}
 
 
 def representation_suite(cfg: RunConfig) -> list[CheckRecord]:
     tol = cfg.tol["representation"]
-    t0 = time.perf_counter()
-    hom256, unit256 = _rep_defects(cfg, 256)
-    t1 = time.perf_counter()
-    hom512, _ = _rep_defects(cfg, 512)
-    t2 = time.perf_counter()
-    ratio = hom256 / hom512 if hom512 > 0 else math.inf
+    (base, refined), (secs, ref_secs) = _run_levels(_rep_level, cfg, 2)
+    hom, unit, hom_ref = base["homomorphism"], base["unitarity"], refined["homomorphism"]
+    ratio = hom / hom_ref if hom_ref > 0 else math.inf
     return [
-        CheckRecord(
-            "representation", "unitarity", unit256, 1e-12, unit256 < 1e-12, t1 - t0
-        ),
-        CheckRecord(
-            "representation", "homomorphism", hom256, tol, hom256 < tol, t1 - t0
-        ),
+        CheckRecord("representation", "unitarity", unit, 1e-12, unit < 1e-12, secs),
+        CheckRecord("representation", "homomorphism", hom, tol, hom < tol, secs),
         CheckRecord(
             "representation",
             "homomorphism_doubling_gain",
             ratio,
             4.0,
             ratio >= 4.0,
-            t2 - t1,
-            {"defect_512": hom512},
+            ref_secs,
+            {"defect_512": hom_ref},
         ),
     ]
 
@@ -464,8 +457,9 @@ ADJOINT_LADDER = (
 )
 
 
-def _ladder_records(suite, name, values, times, tol):
+def _ladder_records(suite, name, levels, times, tol):
     """First level takes the tolerance; the chain must strictly decrease."""
+    values = [level[name] for level in levels]
     records = []
     for lev, (value, secs) in enumerate(zip(values, times)):
         records.append(
@@ -488,42 +482,54 @@ def _ladder_records(suite, name, values, times, tol):
     return records
 
 
+def _plancherel_level(cfg: RunConfig, level: int) -> dict:
+    if level >= len(PLANCHEREL_LADDER):
+        raise CapacityError("plancherel ladder is defined for 3 levels")
+    n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
+    f = sample_family(canonical_family(cfg), cfg.box, counts)
+    return {
+        "isometry_defect": plancherel_defect(f, TGrid(delta, k_max), GridSpec1D(n, L))
+    }
+
+
 def plancherel_suite(cfg: RunConfig) -> list[CheckRecord]:
+    levels, times = _run_levels(_plancherel_level, cfg, len(PLANCHEREL_LADDER))
+    return _ladder_records(
+        "plancherel", "isometry_defect", levels, times, cfg.tol["plancherel"]
+    )
+
+
+def _inversion_level(cfg: RunConfig, level: int) -> dict:
+    """Adjoint pairing and round trip at one level; the round trip's forward
+    field is kept for the a-norm convention check."""
+    if level >= len(PLANCHEREL_LADDER):
+        raise CapacityError("inversion ladder is defined for 3 levels")
     fam = canonical_family(cfg)
-    values = []
-    times = []
-    for n, L, counts, delta, k_max in PLANCHEREL_LADDER:
-        t0 = time.perf_counter()
-        f = sample_family(fam, cfg.box, counts)
-        values.append(plancherel_defect(f, TGrid(delta, k_max), GridSpec1D(n, L)))
-        times.append(time.perf_counter() - t0)
-    return _ladder_records("plancherel", "isometry_defect", values, times, cfg.tol["plancherel"])
+    n, L, counts = ADJOINT_LADDER[level]
+    grid = GridSpec1D(n, L)
+    lhs, rhs = adjoint_pairing_sides(
+        sample_family(PARTNER_FAMILY, cfg.box, counts),
+        forward_field(sample_family(fam, cfg.box, counts), TGrid(0.125, 32), grid),
+        grid,
+    )
+    n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
+    grid = GridSpec1D(n, L)
+    f = sample_family(fam, cfg.box, counts)
+    F = forward_field(f, TGrid(delta, k_max), grid)
+    recon = inverse_transform_grid(F, cfg.box, counts, grid)
+    return {
+        "roundtrip": float(np.max(np.abs(recon - f.samples)) / np.max(np.abs(f.samples))),
+        "adjoint_pairing": abs(lhs - rhs) / abs(lhs),
+        "field": F,
+    }
 
 
 def inversion_suite(cfg: RunConfig) -> list[CheckRecord]:
     tol = cfg.tol["inversion"]
-    fam = canonical_family(cfg)
-    records = []
-
-    rt_values = []
-    rt_times = []
-    level0_field = None
-    for n, L, counts, delta, k_max in PLANCHEREL_LADDER:
-        t0 = time.perf_counter()
-        grid = GridSpec1D(n, L)
-        f = sample_family(fam, cfg.box, counts)
-        F = forward_field(f, TGrid(delta, k_max), grid)
-        if level0_field is None:
-            level0_field = (f, F, grid)
-        recon = inverse_transform_grid(F, cfg.box, counts, grid)
-        rt_values.append(
-            float(np.max(np.abs(recon - f.samples)) / np.max(np.abs(f.samples)))
-        )
-        rt_times.append(time.perf_counter() - t0)
-    records.extend(_ladder_records("inversion", "roundtrip", rt_values, rt_times, tol))
+    levels, times = _run_levels(_inversion_level, cfg, len(PLANCHEREL_LADDER))
 
     def consistency():
-        f0, F0, grid0 = level0_field
+        F0 = levels[0]["field"]
         lhs = a_norm(F0)
         rhs = F0.tgrid.delta * sum(
             schatten_norm(F0.mats[pos], 1) for pos in range(F0.tgrid.n_nodes)
@@ -531,30 +537,25 @@ def inversion_suite(cfg: RunConfig) -> list[CheckRecord]:
         gap = abs(lhs - rhs)
         return gap, gap == 0.0
 
-    records.append(_timed("inversion", "a_norm_convention", None, consistency))
-
-    ad_values = []
-    ad_times = []
-    tg = TGrid(0.125, 32)
-    for n, L, counts in ADJOINT_LADDER:
-        t0 = time.perf_counter()
-        grid = GridSpec1D(n, L)
-        f = sample_family(fam, cfg.box, counts)
-        g2 = sample_family(PARTNER_FAMILY, cfg.box, counts)
-        F = forward_field(f, tg, grid)
-        lhs, rhs = adjoint_pairing_sides(g2, F, grid)
-        ad_values.append(abs(lhs - rhs) / abs(lhs))
-        ad_times.append(time.perf_counter() - t0)
-    records.extend(_ladder_records("inversion", "adjoint_pairing", ad_values, ad_times, tol))
-    return records
+    # a level's wall time is booked once, on its round-trip record
+    untimed = [0.0] * len(levels)
+    return (
+        _ladder_records("inversion", "roundtrip", levels, times, tol)
+        + [_timed("inversion", "a_norm_convention", None, consistency)]
+        + _ladder_records("inversion", "adjoint_pairing", levels, untimed, tol)
+    )
 
 
 _FUSION_RATIOS = ((1.0, 1.0), (0.125, 0.125), (0.1875, -0.0625), (2.0, -1.0))
 _RESIDUAL_PAIRS = ((0.25, 0.125), (0.125, 0.125), (0.375, -0.0625))
 
 
-def _intertwine_residual(r: float, s: float, n: int, L: float) -> float:
-    grid = GridSpec1D(n, L)
+def _fusion_grid(level: int) -> GridSpec1D:
+    return GridSpec1D(16 * 2**level, 4.0)
+
+
+def _intertwine_residual(r: float, s: float, grid: GridSpec1D) -> float:
+    n = grid.n_points
     w = _dense_w(_exact_ratio(r, s), grid)
     u = grid.nodes
     v = np.outer(
@@ -589,15 +590,27 @@ def _composition_oracle(n: int) -> float:
     return float(np.max(np.abs(got - comp)) / scale)
 
 
+def _fusion_level(cfg: RunConfig, level: int) -> dict:
+    grid = _fusion_grid(level)
+    n = grid.n_points
+    if n * n > 4096:
+        raise CapacityError(f"dense intertwiner at {n * n} exceeds the kron cap")
+    residuals = [_intertwine_residual(r, s, grid) for r, s in _RESIDUAL_PAIRS]
+    return {
+        "residuals": residuals,
+        "residual_max": max(residuals),
+        "composed_action_oracle": _composition_oracle(n),
+    }
+
+
 def fusion_suite(cfg: RunConfig) -> list[CheckRecord]:
     rng = np.random.default_rng(cfg.seed)
     records = []
 
     def unitarity():
         worst = 0.0
-        for n in (16, 32):
-            grid = GridSpec1D(n, 4.0)
-            eye = np.eye(n * n)
+        for grid in map(_fusion_grid, (0, 1)):
+            eye = np.eye(grid.n_points**2)
             for r, s in _FUSION_RATIOS:
                 w = _dense_w(_exact_ratio(r, s), grid)
                 worst = max(worst, float(np.max(np.abs(w.conj().T @ w - eye))))
@@ -641,30 +654,26 @@ def fusion_suite(cfg: RunConfig) -> list[CheckRecord]:
     records.append(_timed("fusion", "trace_norm_contraction_slack", 1e-9, trace_norm_contraction))
     records.append(_timed("fusion", "partial_trace_adjoint_identity", 1e-10, adjoint_identity))
 
-    def oracle16():
-        value = _composition_oracle(16)
-        return value, value < 1e-3
-
-    def oracle_gain():
-        v16 = _composition_oracle(16)
-        v32 = _composition_oracle(32)
-        ratio = v16 / v32 if v32 > 0 else math.inf
-        return ratio, ratio > 1.0
-
-    records.append(_timed("fusion", "composed_action_oracle", 1e-3, oracle16))
-    records.append(_timed("fusion", "composed_action_doubling_gain", 1.0, oracle_gain))
+    (base, refined), (secs, ref_secs) = _run_levels(_fusion_level, cfg, 2)
+    oracle = base["composed_action_oracle"]
+    oracle_ref = refined["composed_action_oracle"]
+    ratio = oracle / oracle_ref if oracle_ref > 0 else math.inf
+    records.append(
+        CheckRecord("fusion", "composed_action_oracle", oracle, 1e-3, oracle < 1e-3, secs)
+    )
+    records.append(
+        CheckRecord(
+            "fusion", "composed_action_doubling_gain", ratio, 1.0, ratio > 1.0, ref_secs
+        )
+    )
 
     tol = cfg.tol["fusion"]
-    for r, s in _RESIDUAL_PAIRS:
-        t0 = time.perf_counter()
-        r16 = _intertwine_residual(r, s, 16, 4.0)
-        r32 = _intertwine_residual(r, s, 32, 4.0)
-        secs = time.perf_counter() - t0
+    for (r, s), res, res_ref in zip(_RESIDUAL_PAIRS, base["residuals"], refined["residuals"]):
         label = f"r{r:+.4f}_s{s:+.4f}".replace(".", "p")
         records.append(
-            CheckRecord("fusion", f"residual_{label}", r16, tol, r16 < tol, secs)
+            CheckRecord("fusion", f"residual_{label}", res, tol, res < tol, 0.0)
         )
-        gain = r16 / r32 if r32 > 0 else math.inf
+        gain = res / res_ref if res_ref > 0 else math.inf
         records.append(
             CheckRecord(
                 "fusion",
@@ -673,12 +682,12 @@ def fusion_suite(cfg: RunConfig) -> list[CheckRecord]:
                 1.0,
                 gain > 1.0,
                 0.0,
-                {"residual_n32": r32},
+                {"residual_n32": res_ref},
             )
         )
 
     def diagnostic():
-        res = intertwiner(0.25, 0.25, GridSpec1D(16, 4.0))
+        res = intertwiner(0.25, 0.25, _fusion_grid(0))
         return res.sampling_defect, True
 
     records.append(_timed("fusion", "sampling_defect_diagnostic", None, diagnostic))
@@ -702,7 +711,10 @@ def _dc_scales(cfg: RunConfig):
     return base, refined
 
 
-def _dc_level(cfg: RunConfig, grid, counts, tgrid, tol_skip):
+def _dc_level(cfg: RunConfig, level: int) -> dict:
+    if level >= 2:
+        raise CapacityError("dual-convolution ladder is defined for 2 levels")
+    grid, counts, tgrid, tol_skip = _dc_scales(cfg)[level]
     f1 = sample_family(DC_LEFT, cfg.dc_box, counts)
     f2 = sample_family(DC_RIGHT, cfg.dc_box, counts)
     F = forward_field(f1, tgrid, grid)
@@ -720,19 +732,17 @@ def _dc_level(cfg: RunConfig, grid, counts, tgrid, tol_skip):
     ]
     scales = [schatten_norm(direct.at_k(k), 1) for k in tgrid.ks]
     remark = max(gaps) / max(scales)
-    return prod, comm, remark
+    return {"product_identity": prod, "commutativity": comm, "remark_identity": remark}
 
 
 def dualconv_suite(cfg: RunConfig) -> list[CheckRecord]:
     tol = cfg.tol["dualconv"]
-    base, refined = _dc_scales(cfg)
-    t0 = time.perf_counter()
-    prod0, comm0, remark0 = _dc_level(cfg, *base)
-    t1 = time.perf_counter()
-    prod1, comm1, remark1 = _dc_level(cfg, *refined)
-    t2 = time.perf_counter()
+    (base, refined), (secs, ref_secs) = _run_levels(_dc_level, cfg, 2)
+    keys = ("product_identity", "commutativity", "remark_identity")
+    prod0, comm0, remark0 = (base[k] for k in keys)
+    prod1, comm1, remark1 = (refined[k] for k in keys)
     return [
-        CheckRecord("dualconv", "product_identity", prod0, tol, prod0 < tol, t1 - t0),
+        CheckRecord("dualconv", "product_identity", prod0, tol, prod0 < tol, secs),
         CheckRecord("dualconv", "commutativity", comm0, tol, comm0 < tol, 0.0),
         CheckRecord("dualconv", "remark_identity_nodewise", remark0, tol, remark0 < tol, 0.0),
         CheckRecord(
@@ -741,7 +751,7 @@ def dualconv_suite(cfg: RunConfig) -> list[CheckRecord]:
             prod1,
             None,
             prod1 < prod0,
-            t2 - t1,
+            ref_secs,
             {"commutativity": comm1, "remark": remark1},
         ),
         CheckRecord(
@@ -802,13 +812,24 @@ def inequalities_suite(cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
+def _deriv_level(cfg: RunConfig, level: int) -> dict:
+    """The odd family on a finer box and carrier per level, with its module check."""
+    if level >= 2:
+        raise CapacityError("derivation ladder is defined for 2 levels")
+    counts = (DERIV_COUNTS, (56, 56, 44))[level]
+    carrier = GridSpec1D(DERIV_GRID[0] * 2**level, DERIV_GRID[1])
+    f = sample_family(DERIV_FAMILY, DERIV_BOX, counts)
+    h = sample_family(DERIV_MODULE_PARTNER, DERIV_BOX, counts)
+    module = module_norm_check(f, h, TGrid(*DERIV_TG), carrier)
+    return {"f": f, "carrier": carrier, "module": module}
+
+
 def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
     tol = cfg.tol["derivation"]
-    grid = GridSpec1D(*DERIV_GRID)
+    (base, refined), (secs, ref_secs) = _run_levels(_deriv_level, cfg, 2)
+    f, grid = base["f"], base["carrier"]
     tg = TGrid(*DERIV_TG)
-    f = sample_family(DERIV_FAMILY, DERIV_BOX, DERIV_COUNTS)
     g = sample_family(DERIV_LEIBNIZ_PARTNER, DERIV_BOX, DERIV_COUNTS)
-    h = sample_family(DERIV_MODULE_PARTNER, DERIV_BOX, DERIV_COUNTS)
     records = []
 
     def multiplier():
@@ -818,6 +839,7 @@ def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
         return value, value < tol
 
     records.append(_timed("derivation", "multiplier_identity", tol, multiplier))
+    mult = records[-1].value
 
     def spectral_agreement():
         plain = _plain_copy(f)
@@ -853,37 +875,31 @@ def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
 
     def bounded():
         res = boundedness_check(f, tg, grid)
-        ok = res.passed and res.node_gap <= 1e-9 + multiplier_defect(f, tg, grid)
+        ok = res.passed and res.node_gap <= 1e-9 + mult
         return res.lhs - res.rhs, ok
 
     records.append(_timed("derivation", "w_norm_bound_slack", None, bounded))
 
-    t0 = time.perf_counter()
-    base = module_norm_check(f, h, tg, grid)
-    t1 = time.perf_counter()
-    f_ref = sample_family(DERIV_FAMILY, DERIV_BOX, (56, 56, 44))
-    h_ref = sample_family(DERIV_MODULE_PARTNER, DERIV_BOX, (56, 56, 44))
-    ref = module_norm_check(f_ref, h_ref, tg, GridSpec1D(64, DERIV_GRID[1]))
-    t2 = time.perf_counter()
+    module, module_ref = base["module"], refined["module"]
     records.append(
         CheckRecord(
             "derivation",
             "module_inequality",
-            base.rel_excess,
+            module.rel_excess,
             5e-2,
-            base.passed,
-            t1 - t0,
-            {"lhs": base.lhs, "rhs": base.rhs},
+            module.passed,
+            secs,
+            {"lhs": module.lhs, "rhs": module.rhs},
         )
     )
     records.append(
         CheckRecord(
             "derivation",
             "module_inequality_refined",
-            ref.rel_excess,
+            module_ref.rel_excess,
             None,
-            ref.passed and ref.rel_excess <= max(base.rel_excess, 1e-9),
-            t2 - t1,
+            module_ref.passed and module_ref.rel_excess <= max(module.rel_excess, 1e-9),
+            ref_secs,
         )
     )
 
@@ -892,8 +908,7 @@ def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             d_small = multiplier_defect(small, tg, grid)
-        d_big = multiplier_defect(f, tg, grid)
-        return d_small - d_big, d_big < d_small
+        return d_small - mult, mult < d_small
 
     records.append(_timed("derivation", "boundary_decay_gain", None, boundary_growth))
     return records
@@ -913,36 +928,21 @@ _LIE_EXPECTED = {
 }
 
 
-def _bruteforce_first_embedding(L):
-    """Reference search mirroring the documented tie-break order."""
-    nil, degree = is_nilpotent(L)
-    if not nil or degree < 2:
-        return None
-    flag = lower_central_series(L)
-    upper = flag.spaces[degree - 2]
-    lowr = flag.spaces[degree - 1]
-    basis = [
-        tuple(1 if i == j else 0 for j in range(L.dim)) for i in range(L.dim)
-    ]
-    from .liealg import _in_span  # exact membership, shared with find_h3
+def _basis(L) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(L.dim)) for i in range(L.dim)]
 
-    for x in upper:
-        if _in_span(lowr, x):
-            continue
-        for y in basis:
-            z = bracket(L, x, y)
-            if all(c == 0 for c in z):
-                continue
-            if any(c != 0 for c in bracket(L, x, z)):
-                continue
-            if any(c != 0 for c in bracket(L, y, z)):
-                continue
-            if any(
-                any(c != 0 for c in bracket(L, e, z)) for e in basis
-            ):
-                continue
-            return (tuple(x), tuple(y), tuple(z))
-    return None
+
+def _basis_pair_h3(L) -> bool:
+    """Exhaustive search: do two basis vectors e_i, e_j span an h3 copy?
+
+    Independent of find_h3 apart from the bracket itself: no central
+    series, no span tests, every pair tried.
+    """
+    for e, f in itertools.combinations(_basis(L), 2):
+        z = bracket(L, e, f)
+        if any(z) and not any(bracket(L, e, z)) and not any(bracket(L, f, z)):
+            return True
+    return False
 
 
 def lie_suite(cfg: RunConfig) -> list[CheckRecord]:
@@ -955,9 +955,8 @@ def lie_suite(cfg: RunConfig) -> list[CheckRecord]:
         expected = _LIE_EXPECTED[name]
         shape_ok = flag.dims == expected["dims"] and nil and degree == expected["degree"]
         relations_ok = True
-        oracle_ok = True
-        if degree >= 2:
-            emb = find_h3(L)
+        emb = find_h3(L) if degree >= 2 else None
+        if emb is not None:
             z_ok = any(c != 0 for c in emb.z)
             xy = bracket(L, emb.x, emb.y)
             relations_ok = (
@@ -965,8 +964,9 @@ def lie_suite(cfg: RunConfig) -> list[CheckRecord]:
                 and xy == emb.z
                 and all(c == 0 for c in bracket(L, emb.x, emb.z))
                 and all(c == 0 for c in bracket(L, emb.y, emb.z))
+                and all(c == 0 for e in _basis(L) for c in bracket(L, e, emb.z))
             )
-            oracle_ok = _bruteforce_first_embedding(L) == (emb.x, emb.y, emb.z)
+        oracle_ok = (emb is not None) == _basis_pair_h3(L)
         secs = time.perf_counter() - t0
         ok = shape_ok and relations_ok and oracle_ok
         records.append(
@@ -1020,68 +1020,23 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
 # convergence tables
 
 
-def _converge_representation(cfg, level):
-    n = 256 * 2**level
-    if n > 1024:
-        raise CapacityError("carrier beyond 1024 points is out of convergence range")
-    return [("homomorphism", _rep_defects(cfg, n)[0])]
+def _rows(level_fn, *checks):
+    """The ladder that reports the named values of a level function."""
 
+    def ladder(cfg, level):
+        values = level_fn(cfg, level)
+        return [(check, values[check]) for check in checks]
 
-def _converge_plancherel(cfg, level):
-    if level >= len(PLANCHEREL_LADDER):
-        raise CapacityError("plancherel ladder is defined for 3 levels")
-    n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
-    f = sample_family(canonical_family(cfg), cfg.box, counts)
-    return [
-        ("isometry_defect", plancherel_defect(f, TGrid(delta, k_max), GridSpec1D(n, L)))
-    ]
-
-
-def _converge_inversion(cfg, level):
-    if level >= len(PLANCHEREL_LADDER):
-        raise CapacityError("inversion ladder is defined for 3 levels")
-    n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
-    grid = GridSpec1D(n, L)
-    f = sample_family(canonical_family(cfg), cfg.box, counts)
-    F = forward_field(f, TGrid(delta, k_max), grid)
-    recon = inverse_transform_grid(F, cfg.box, counts, grid)
-    rt = float(np.max(np.abs(recon - f.samples)) / np.max(np.abs(f.samples)))
-    an, La, counts_a = ADJOINT_LADDER[level]
-    grid_a = GridSpec1D(an, La)
-    fa = sample_family(canonical_family(cfg), cfg.box, counts_a)
-    ga = sample_family(PARTNER_FAMILY, cfg.box, counts_a)
-    lhs, rhs = adjoint_pairing_sides(ga, forward_field(fa, TGrid(0.125, 32), grid_a), grid_a)
-    return [("roundtrip", rt), ("adjoint_pairing", abs(lhs - rhs) / abs(lhs))]
-
-
-def _converge_fusion(cfg, level):
-    n = 16 * 2**level
-    if n * n > 4096:
-        raise CapacityError(f"dense intertwiner at {n * n} exceeds the kron cap")
-    worst = max(_intertwine_residual(r, s, n, 4.0) for r, s in _RESIDUAL_PAIRS)
-    return [("residual_max", worst), ("composed_action_oracle", _composition_oracle(n))]
-
-
-def _converge_dualconv(cfg, level):
-    base, refined = _dc_scales(cfg)
-    if level >= 2:
-        raise CapacityError("dual-convolution ladder is defined for 2 levels")
-    prod, comm, remark = _dc_level(cfg, *(base if level == 0 else refined))
-    return [("product_identity", prod), ("remark_identity", remark)]
+    return ladder
 
 
 def _converge_derivation(cfg, level):
-    if level >= 2:
-        raise CapacityError("derivation ladder is defined for 2 levels")
-    counts = DERIV_COUNTS if level == 0 else (56, 56, 44)
-    carrier = GridSpec1D(32 * 2**level, DERIV_GRID[1])
-    tg = TGrid(*DERIV_TG)
-    f = sample_family(DERIV_FAMILY, DERIV_BOX, counts)
-    h = sample_family(DERIV_MODULE_PARTNER, DERIV_BOX, counts)
-    res = module_norm_check(f, h, tg, carrier)
+    # verify checks the multiplier at level 0 only, so the level leaves it out
+    values = _deriv_level(cfg, level)
+    multiplier = multiplier_defect(values["f"], TGrid(*DERIV_TG), values["carrier"])
     return [
-        ("multiplier_identity", multiplier_defect(f, tg, carrier)),
-        ("module_rel_excess", res.rel_excess),
+        ("multiplier_identity", multiplier),
+        ("module_rel_excess", values["module"].rel_excess),
     ]
 
 
@@ -1094,11 +1049,11 @@ def _converge_exact(suite_fn):
 
 
 LADDERS = {
-    "representation": _converge_representation,
-    "plancherel": _converge_plancherel,
-    "inversion": _converge_inversion,
-    "fusion": _converge_fusion,
-    "dualconv": _converge_dualconv,
+    "representation": _rows(_rep_level, "homomorphism"),
+    "plancherel": _rows(_plancherel_level, "isometry_defect"),
+    "inversion": _rows(_inversion_level, "roundtrip", "adjoint_pairing"),
+    "fusion": _rows(_fusion_level, "residual_max", "composed_action_oracle"),
+    "dualconv": _rows(_dc_level, "product_identity", "remark_identity"),
     "derivation": _converge_derivation,
     "group": _converge_exact(group_suite),
     "inequalities": _converge_exact(inequalities_suite),
@@ -1273,7 +1228,7 @@ def main(argv=None) -> int:
             return _cmd_lie(args)
         if args.command == "transform":
             return _cmd_transform(args, cfg)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 2

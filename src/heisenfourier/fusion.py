@@ -34,14 +34,13 @@ lattice pairs sharing a ratio share entries bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .field import OperatorField, TGrid, zero_field
+from .field import OperatorField, TGrid
 from .grid import GridSpec1D, circulant, schatten_norm, shift_kernel
 from .schrodinger import forward_field
 
@@ -52,18 +51,6 @@ def _in_domain(r: float, s: float) -> bool:
     if not (math.isfinite(r) and math.isfinite(s)):
         return False
     return r != 0.0 and s != 0.0 and r + s != 0.0
-
-
-@dataclass(frozen=True)
-class FusionPair:
-    """Parameter pair (r, s); in_domain records whether r, s, r + s are all nonzero."""
-
-    r: float
-    s: float
-    in_domain: bool = dc_field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "in_domain", _in_domain(self.r, self.s))
 
 
 def gamma(r: float, s: float) -> np.ndarray:
@@ -86,12 +73,6 @@ def _exact_ratio(r: float, s: float) -> Fraction:
 
 # shift stacks are small (N^3 complex entries), defect entries are floats
 _CACHE_CAP = 512
-
-
-def clear_intertwiner_cache() -> None:
-    _tl_stack.cache_clear()
-    _tu_stack.cache_clear()
-    _sampling_defect.cache_clear()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

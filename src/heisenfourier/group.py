@@ -16,7 +16,7 @@ which is what makes the product-rule and multiplier checks meaningful
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np

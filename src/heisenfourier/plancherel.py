@@ -19,7 +19,7 @@ import numpy as np
 from .field import OperatorField, TGrid, load_field, save_field, zero_field
 from .grid import GridSpec1D, schatten_norm
 from .group import SampledFunction3D, check_map
-from .schrodinger import _TransformPlan, fourier_coefficient, forward_field, rep_matrix
+from .schrodinger import _TransformPlan, fourier_coefficient, rep_matrix
 
 __all__ = [
     "TGrid",

@@ -1,14 +1,18 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import heisenfourier.cli as cli
 from heisenfourier.cli import (
     CheckRecord,
     DEFAULT_TOL,
     Report,
     RunConfig,
     convergence_table,
+    derivation_suite,
+    fusion_suite,
     group_suite,
     lie_suite,
     load_config,
@@ -17,6 +21,7 @@ from heisenfourier.cli import (
 )
 from heisenfourier.field import load_field
 from heisenfourier.grid import CapacityError
+from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
 
 
 def test_default_config_validates():
@@ -54,6 +59,33 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("just a line\n")
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+# keys whose values may be zero or negative
+SIGNED_KEYS = {"fam_shift", "seed"}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.name != "tol"])
+def test_every_config_key_parses_to_its_type_and_rejects_zero(tmp_path, key):
+    default = getattr(RunConfig(), key)
+    is_triple = isinstance(default, tuple)
+    raw = ",".join(map(str, default)) if is_triple else str(default)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n")
+    env_name = f"HEISENFOURIER_{key.upper()}"
+    for cfg in (load_config(str(path)), load_config(env={env_name: raw})):
+        value = getattr(cfg, key)
+        assert value == default
+        assert type(value) is type(default)
+        if is_triple:
+            assert [type(v) for v in value] == [type(v) for v in default]
+
+    zero = ",".join("0" for _ in default) if is_triple else "0"
+    if key in SIGNED_KEYS:
+        assert getattr(load_config(env={env_name: zero}), key) == 0
+    else:
+        with pytest.raises(ValueError, match=key):
+            load_config(env={env_name: zero})
 
 
 def test_records_coerce_numpy_scalars():
@@ -98,6 +130,47 @@ def test_lie_suite_passes():
     assert all(r.passed for r in lie_suite(RunConfig()))
 
 
+def test_lie_corpus_requires_a_central_z(monkeypatch):
+    # upper4's basis is E12, E13, E14, E23, E24, E34: (E12, E23, E13)
+    # satisfies the h3 relations, but E13 does not commute with E34
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    fake = H3Embedding(e[0], e[3], e[1])
+    upper4 = bundled_structure("upper4")
+    assert bracket(upper4, fake.x, fake.y) == fake.z
+    assert not any(bracket(upper4, fake.x, fake.z) + bracket(upper4, fake.y, fake.z))
+    assert any(bracket(upper4, e[5], fake.z))
+
+    real = cli.find_h3
+    monkeypatch.setattr(cli, "find_h3", lambda L: fake if L.dim == 6 else real(L))
+    records = {r.name: r for r in lie_suite(RunConfig())}
+    assert not records["corpus_upper4"].passed
+    assert all(r.passed for name, r in records.items() if name != "corpus_upper4")
+
+
+def _ladder_column(table, check):
+    return [row.split(",")[3] for row in table.splitlines()[1:] if row.split(",")[1] == check]
+
+
+def test_derivation_suite_and_ladder_share_one_source():
+    cfg = RunConfig()
+    table = convergence_table("derivation", cfg, 2)
+    recs = {r.name: r for r in derivation_suite(cfg)}
+    module = [recs["module_inequality"].value, recs["module_inequality_refined"].value]
+    assert _ladder_column(table, "module_rel_excess") == [f"{v:.9e}" for v in module]
+    multiplier = f"{recs['multiplier_identity'].value:.9e}"
+    assert _ladder_column(table, "multiplier_identity")[0] == multiplier
+
+
+def test_fusion_suite_and_ladder_share_one_source():
+    cfg = RunConfig()
+    table = convergence_table("fusion", cfg, 2)
+    recs = {r.name: r for r in fusion_suite(cfg)}
+    oracle = f"{recs['composed_action_oracle'].value:.9e}"
+    assert _ladder_column(table, "composed_action_oracle")[0] == oracle
+    worst = max(r.value for name, r in recs.items() if name.startswith("residual_r"))
+    assert _ladder_column(table, "residual_max")[0] == f"{worst:.9e}"
+
+
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suite("sorcery", RunConfig())
@@ -119,8 +192,6 @@ def test_convergence_table_shapes_and_errors():
 
 
 def test_convergence_capacity_stop_carries_partial_rows(monkeypatch):
-    import heisenfourier.cli as cli
-
     def toy(cfg, level):
         if level >= 2:
             raise CapacityError("toy ladder stops at 2 levels")
@@ -168,6 +239,14 @@ def test_main_lie_find_h3(tmp_path, capsys):
     abelian.write_text("2\n")
     assert main(["lie", "find-h3", str(abelian)]) == 1
     capsys.readouterr()
+
+
+def test_main_file_errors_exit_2_with_a_message(tmp_path, capsys):
+    assert main(["lie", "find-h3", str(tmp_path / "no-such.alg")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "no" / "such" / "report.jsonl"
+    assert main(["verify", "group", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_transform_writes_a_loadable_field(tmp_path, capsys):
