@@ -18,6 +18,7 @@ byte-identical reports apart from the wall-time fields.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -66,7 +67,6 @@ from .plancherel import (
     inverse_transform_grid,
     m_norm,
     plancherel_defect,
-    w_norm,
 )
 from .schrodinger import forward_field, fourier_coefficient, rep_matrix
 
@@ -854,9 +854,11 @@ def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
 
     records.append(_timed("derivation", "leibniz_identity", 1e-12, leibniz))
 
+    # its lhs, w_norm(d_z f), is the nonvanishing witness
+    bound = boundedness_check(f, tg, grid)
+
     def witness():
-        value = w_norm(d_z(f), tg, grid)
-        return value, value >= 1e-3
+        return bound.lhs, bound.lhs >= 1e-3
 
     records.append(_timed("derivation", "nonvanishing_witness", 1e-3, witness))
 
@@ -874,9 +876,8 @@ def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
     records.append(_timed("derivation", "w_norm_tail_fraction", None, tail_fraction))
 
     def bounded():
-        res = boundedness_check(f, tg, grid)
-        ok = res.passed and res.node_gap <= 1e-9 + mult
-        return res.lhs - res.rhs, ok
+        ok = bound.passed and bound.node_gap <= 1e-9 + mult
+        return bound.lhs - bound.rhs, ok
 
     records.append(_timed("derivation", "w_norm_bound_slack", None, bounded))
 
@@ -1128,31 +1129,33 @@ def _named_function(cfg: RunConfig, name: str):
 # entry point
 
 
+def _open_out(path: Optional[str]):
+    # opened before any work, so a bad path fails at once
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    report = run_suite(args.suite, cfg)
-    print(report.summary())
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        report = run_suite(args.suite, cfg)
+        print(report.summary())
+        if fh:
             fh.write("\n".join(report.json_lines()) + "\n")
     return 0 if report.passed else 1
 
 
 def _cmd_converge(args, cfg: RunConfig) -> int:
-    try:
-        table = convergence_table(args.suite, cfg, args.levels)
-    except CapacityError as stop:
-        partial = getattr(stop, "partial", "")
-        if partial:
-            print(partial)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(partial + "\n")
+    with _open_out(args.out) as fh:
+        try:
+            table, stop = convergence_table(args.suite, cfg, args.levels), None
+        except CapacityError as err:
+            table, stop = getattr(err, "partial", ""), err
+        if table:
+            print(table)
+            if fh:
+                fh.write(table + "\n")
+    if stop is not None:
         print(f"capacity stop: {stop}", file=sys.stderr)
         return 1
-    print(table)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table + "\n")
     return 0
 
 

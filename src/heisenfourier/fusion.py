@@ -24,24 +24,25 @@ alias colliding frequency pairs into exact rank collapse there (defect
 the exact-shear matrix.
 
 theta1 and dual_convolution never materialize W.  For a separable input
-kron(A, B), fusing the partial trace into the shear conjugation
-contracts each term in O(N^4).  The shear blocks are grid's circulant
-shifts.  Shear stacks and sampling defects sit in bounded LRU caches
-keyed by the grid and the exact ratio s/(r+s), held as a Fraction, so
-lattice pairs sharing a ratio share entries bit for bit.
+kron(A, B) the partial trace fuses into the shear conjugation, and each
+shear is cheap in its own basis: the second-variable shear moves by
+whole grid steps, so it is a gather of B, and the first-variable shear
+is diagonal in the DFT basis, so its conjugation is a phase weighting
+between FFTs.  A term costs O(N^3 log N) and builds no shift stack.
+_dense_w keeps the literal W, from grid's circulant shifts, as the
+oracle for that contraction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .field import OperatorField, TGrid
-from .grid import GridSpec1D, circulant, schatten_norm, shift_kernel
+from .grid import GridSpec1D, circulant, schatten_norm, shift_kernel, shift_phases
 from .schrodinger import forward_field
 
 _DOMAIN_MSG = "fusion needs r, s, r + s all nonzero"
@@ -71,33 +72,14 @@ def _exact_ratio(r: float, s: float) -> Fraction:
     return Fraction(s) / (Fraction(r) + Fraction(s))
 
 
-# shift stacks are small (N^3 complex entries), defect entries are floats
-_CACHE_CAP = 512
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    # cached arrays are handed to every caller
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=_CACHE_CAP)
-def _tl_stack(grid: GridSpec1D) -> np.ndarray:
-    # second-variable shear: the block at first-variable node w shifts by -w
-    return _frozen(circulant(shift_kernel(grid, -grid.nodes)))
-
-
-@lru_cache(maxsize=_CACHE_CAP)
-def _tu_stack(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
-    # first-variable shear: the block at second-variable node w shifts by ratio*w
-    return _frozen(circulant(shift_kernel(grid, float(ratio) * grid.nodes)))
-
-
 def _dense_w(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
-    """W[(u,n),(p,q)] = TU[n][u,p] * TL[p][n,q], rows (i,j) -> i*N+j."""
+    """W[(u,n),(p,q)] = TU[n][u,p] * TL[p][n,q], rows (i,j) -> i*N+j.
+
+    The literal W from dense shift stacks, the oracle for _theta_term.
+    """
     n = grid.n_points
-    tu = _tu_stack(ratio, grid)
-    tl = _tl_stack(grid)
+    tu = circulant(shift_kernel(grid, float(ratio) * grid.nodes))
+    tl = circulant(shift_kernel(grid, -grid.nodes))
     w = np.einsum("nup,pnq->unpq", tu, tl, optimize=True)
     return np.ascontiguousarray(w.reshape(n * n, n * n))
 
@@ -134,7 +116,6 @@ def _sampled_composition(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
     return w.reshape(n * n, n * n)
 
 
-@lru_cache(maxsize=_CACHE_CAP)
 def _sampling_defect(ratio: Fraction, grid: GridSpec1D) -> float:
     w = _sampled_composition(ratio, grid)
     gram = np.linalg.eigvalsh(w.conj().T @ w)
@@ -187,17 +168,19 @@ def _theta_term(
 ) -> np.ndarray:
     """partial_trace_second(W kron(a, b) W*) without materializing W.
 
-    The diagonal slices (TL[m] b TL[p]*)[n, n] weight a entrywise, then
-    one batched similarity by TU and a sum over the traced index finish
-    the contraction in O(N^4).
+    TL[m] shifts by (N/2 - m) h, whole grid steps, so the slices
+    E_n = a o (TL[m] b TL[p]*)[n, n] are one gather of b.  TU[n] is
+    F^-1 diag(phi_n) F, so sum_n TU[n] E_n TU[n]* is
+    F^-1 (sum_n phi_n phi_n^H o F E_n F^-1) F: O(N^3 log N) in FFTs.
     """
-    tl = _tl_stack(grid)
-    tu = _tu_stack(ratio, grid)
-    y = np.matmul(tl, b)
-    g = np.einsum("mnq,pnq->mpn", y, np.conj(tl), optimize=True)
-    e = np.ascontiguousarray((a[:, :, None] * g).transpose(2, 0, 1))
-    z = np.matmul(np.matmul(tu, e), np.conj(tu).transpose(0, 2, 1))
-    return z.sum(axis=0)
+    n = grid.n_points
+    ar = np.arange(n)
+    r = (ar[:, None] + ar - n // 2) % n
+    e = a * b[r[:, :, None], r[:, None, :]]
+    e_hat = np.fft.ifft(np.fft.fft(e, axis=1), axis=2)
+    phi = shift_phases(grid, float(ratio) * grid.nodes)
+    s = np.einsum("nu,nv,nuv->uv", phi, phi.conj(), e_hat)
+    return np.fft.fft(np.fft.ifft(s, axis=0), axis=1)
 
 
 def _check_pair(

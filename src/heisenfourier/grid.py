@@ -10,9 +10,10 @@ aliasing of whatever vectors they are applied to, never through the
 blocks themselves.
 
 A translation is also circulant, T_x[m, n] = c_x[(m - n) mod N], so it
-is fixed by one kernel row c_x.  shift_kernel and circulant are the only
-shift builders in the package; every other module takes its shifts from
-them.
+is fixed by one kernel row c_x, the inverse DFT of its phases.
+shift_phases gives the phases, shift_kernel the kernel row and circulant
+the matrix; every other module takes its shifts from these three, in
+whichever basis it works.
 
 Operators are plain complex numpy matrices.  Schatten norms always go
 through a full singular value decomposition; nothing is estimated.
@@ -65,17 +66,25 @@ class GridSpec1D:
         return xi
 
 
-def shift_kernel(grid: GridSpec1D, shifts) -> np.ndarray:
-    """First columns of the band-limited shifts, one kernel row per shift.
+def shift_phases(grid: GridSpec1D, shifts) -> np.ndarray:
+    """DFT-basis eigenvalues of the band-limited shifts, one row per shift.
 
-    Row x is ifft(exp(-2*pi*i*xi*x)) over the grid frequencies xi; the
-    shift matrix itself is circulant(row).
+    Row x is exp(-2*pi*i*xi*x) over the grid frequencies xi, so the shift
+    by x is F^-1 diag(row) F with F the DFT.
     """
     shifts = np.asarray(shifts, dtype=float)
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shift amounts must be finite")
-    phases = np.exp(-2j * np.pi * shifts[..., None] * grid.frequencies)
-    return np.fft.ifft(phases, axis=-1)
+    return np.exp(-2j * np.pi * shifts[..., None] * grid.frequencies)
+
+
+def shift_kernel(grid: GridSpec1D, shifts) -> np.ndarray:
+    """First columns of the band-limited shifts, one kernel row per shift.
+
+    Row x is ifft(shift_phases(grid, x)); the shift matrix itself is
+    circulant(row).
+    """
+    return np.fft.ifft(shift_phases(grid, shifts), axis=-1)
 
 
 def circulant_index(n: int) -> np.ndarray:

@@ -249,6 +249,19 @@ def test_main_file_errors_exit_2_with_a_message(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_main_checks_the_out_path_before_any_work(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("ran although --out cannot be written")
+
+    monkeypatch.setitem(cli.SUITES, "group", never)
+    monkeypatch.setitem(cli.LADDERS, "group", never)
+    out = str(tmp_path / "no" / "such" / "out")
+    assert main(["verify", "group", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["converge", "group", "--levels", "2", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_main_transform_writes_a_loadable_field(tmp_path, capsys):
     out = tmp_path / "field"
     code = main(

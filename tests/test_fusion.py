@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heisenfourier.cli import _FUSION_RATIOS
 from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.fusion import (
     _dense_w,
@@ -79,11 +80,15 @@ def test_intertwiner_reports_sampling_defect():
     assert res.sampling_defect >= 0.0
 
 
-def test_theta_term_equals_literal_partial_trace():
-    n = 8
-    grid = GridSpec1D(n, 3.0)
+# the suite's ratios s/(r+s) are 1/2, -1/2 and -1; (0.25, 0.125) gives 1/3
+# and (0.25, -0.375) has r + s < 0
+@pytest.mark.parametrize("r, s", _FUSION_RATIOS + ((0.25, 0.125), (0.25, -0.375)))
+@pytest.mark.parametrize("half_width", [3.0, 4.0])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_theta_term_equals_literal_partial_trace(n, half_width, r, s):
+    grid = GridSpec1D(n, half_width)
     a, b = _unit(n), _unit(n)
-    ratio = _exact_ratio(0.25, 0.125)
+    ratio = _exact_ratio(r, s)
     w = _dense_w(ratio, grid)
     big = w @ kron(a, b) @ w.conj().T
     literal = partial_trace_second(big, n)
@@ -174,6 +179,25 @@ def test_dual_convolution_skip_mass_is_bounded():
         assert gap <= budget
     with pytest.raises(ValueError):
         dual_convolution(F, G, grid, tol_skip=-1.0)
+
+
+def test_dual_convolution_equals_the_literal_pair_sum():
+    n = 8
+    grid = GridSpec1D(n, 3.0)
+    tg = TGrid(0.25, 2)
+    F = OperatorField(tg, np.array([_unit(n) for _ in tg.ks]))
+    G = OperatorField(tg, np.array([_unit(n) for _ in tg.ks]))
+    fused = dual_convolution(F, G, grid)
+    for k in tg.ks:
+        literal = np.zeros((n, n), dtype=complex)
+        for j in tg.ks:
+            m = k - j
+            if tg.index_of(m) is None:
+                continue
+            w = _dense_w(Fraction(m, k), grid)
+            big = w @ kron(F.at_k(j), G.at_k(m)) @ w.conj().T
+            literal += tg.delta * partial_trace_second(big, n)
+        assert np.max(np.abs(fused.at_k(k) - literal)) < 1e-12
 
 
 def test_dual_convolution_checks_lattice_compatibility():

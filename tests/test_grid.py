@@ -89,6 +89,18 @@ def test_circulant_kernels_match_the_literal_shift(n):
         assert np.max(np.abs(fractional_shift_op(grid, x) - want)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("half_width", [3.0, 4.0])
+def test_node_shifts_are_index_rolls(n, half_width):
+    # shifting by -w_m = (N/2 - m) h moves whole grid steps, which the
+    # fusion theta term relies on to replace its shear stack by a gather
+    grid = GridSpec1D(n, half_width)
+    stack = circulant(shift_kernel(grid, -grid.nodes))
+    eye = np.eye(n)
+    for m, op in enumerate(stack):
+        assert np.max(np.abs(op - np.roll(eye, n // 2 - m, axis=0))) < 1e-13
+
+
 def test_modulation_is_the_expected_diagonal():
     grid = GridSpec1D(8, 2.0)
     m = modulation_op(grid, 0.4)
