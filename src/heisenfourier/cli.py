@@ -64,11 +64,13 @@ from .liealg import BUNDLED, bracket, bundled_structure, find_h3, is_nilpotent, 
 from .plancherel import (
     a_norm,
     adjoint_pairing_sides,
+    coefficient_norms,
     inverse_transform_grid,
     m_norm,
+    node_sum,
     plancherel_defect,
 )
-from .schrodinger import forward_field, fourier_coefficient, rep_matrix
+from .schrodinger import forward_field, rep_matrix
 
 SUITE_NAMES = (
     "group",
@@ -865,13 +867,9 @@ def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
     def tail_fraction():
         # share of the lattice sum carried by the outermost nodes t = +-K*delta;
         # small means the finite t-window already holds the whole norm
-        df = d_z(f)
-        per_node = [
-            schatten_norm(fourier_coefficient(df, t, grid), np.inf)
-            for t in tg.nodes
-        ]
+        per_node = coefficient_norms(d_z(f), tg, grid, np.inf)
         edge = per_node[0] + per_node[-1]
-        return edge / sum(per_node), True
+        return float(edge / node_sum(per_node)), True
 
     records.append(_timed("derivation", "w_norm_tail_fraction", None, tail_fraction))
 

@@ -16,8 +16,8 @@ import numpy as np
 from .field import TGrid
 from .grid import GridSpec1D, schatten_norm
 from .group import SampledFunction3D
-from .plancherel import a_norm, w_norm
-from .schrodinger import forward_field, fourier_coefficient
+from .plancherel import a_norm, coefficient_norms, node_sum, w_norm
+from .schrodinger import _TransformPlan, forward_field
 
 _DZ_SCALE = 1j / (2.0 * math.pi)
 
@@ -64,10 +64,15 @@ def multiplier_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> f
             stacklevel=2,
         )
     df = d_z(f)
+    plan = _TransformPlan(grid, f.box, f.counts)
+    ts = tgrid.nodes
     worst = 0.0
-    for t in tgrid.nodes:
-        lhs = fourier_coefficient(df, t, grid)
-        base = fourier_coefficient(f, t, grid)
+    pairs = zip(
+        plan.coefficients(df.samples, ts, f.cell_volume),
+        plan.coefficients(f.samples, ts, f.cell_volume),
+    )
+    for (k, lhs), (_, base) in pairs:
+        t = ts[k]
         gap = schatten_norm(lhs - t * base, np.inf)
         scale = max(1.0, abs(t) * schatten_norm(base, np.inf))
         worst = max(worst, gap / scale)
@@ -104,15 +109,12 @@ def boundedness_check(
     node_gap is the worst ||pi_t(d_z f)||_inf - ||F_f(t)||_1 over nodes; the
     aggregate inequality is that chain summed, so both are reported.
     """
-    df = d_z(f)
-    lhs = w_norm(df, tgrid, grid)
-    field = forward_field(f, tgrid, grid)
-    rhs = a_norm(field)
-    node_gap = -math.inf
-    for pos, t in enumerate(tgrid.nodes):
-        left = schatten_norm(fourier_coefficient(df, t, grid), np.inf)
-        right = schatten_norm(field.mats[pos], 1)
-        node_gap = max(node_gap, left - right)
+    left = coefficient_norms(d_z(f), tgrid, grid, np.inf)
+    right = np.array([schatten_norm(mat, 1) for mat in forward_field(f, tgrid, grid).mats])
+    # the lattice sums of the two node chains: w_norm(d_z f) and a_norm(F_f)
+    lhs = float(tgrid.delta * node_sum(left))
+    rhs = float(tgrid.delta * node_sum(right))
+    node_gap = float(np.max(left - right))
     return BoundednessResult(lhs, rhs, node_gap, lhs <= rhs + tol_slack)
 
 

@@ -6,10 +6,22 @@ The inverse transform evaluates
 
 for a stored field F.  Because fields follow the measure-absorbed
 convention (node matrices carry the |t| density), the weights are plain
-delta.  Norms implemented here: the lattice L1 norm of trace norms
-(a_norm, the Fourier-algebra norm of the inverse transform), the L1 norm
-of operator norms of the bare coefficients (w_norm), and the sup of
-trace norms (m_norm).
+delta.  inverse_transform is the literal pointwise sum, kept as the
+oracle; inverse_transform_grid fills the whole box through one
+_TransformPlan.invert call, which applies the z axis once for the whole
+lattice.
+
+Every lattice sum over bare coefficients (plancherel_defect, w_norm,
+coefficient_norms, the adjoint pairing) streams them from one
+_TransformPlan.coefficients call, one node at a time, and adds the node
+terms in lattice order (node_sum).  The Plancherel left side
+sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the Frobenius norm, which is
+the Hilbert-Schmidt norm exactly, with no SVD.
+
+Norms implemented here: the lattice L1 norm of trace norms (a_norm, the
+Fourier-algebra norm of the inverse transform), the L1 norm of operator
+norms of the bare coefficients (w_norm), and the sup of trace norms
+(m_norm).
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import numpy as np
 from .field import OperatorField, TGrid, load_field, save_field, zero_field
 from .grid import GridSpec1D, schatten_norm
 from .group import SampledFunction3D, check_map
-from .schrodinger import _TransformPlan, fourier_coefficient, rep_matrix
+from .schrodinger import _TransformPlan, rep_matrix
 
 __all__ = [
     "TGrid",
@@ -31,6 +43,8 @@ __all__ = [
     "inverse_transform_grid",
     "a_norm",
     "w_norm",
+    "coefficient_norms",
+    "node_sum",
     "m_norm",
     "plancherel_defect",
     "adjoint_pairing_sides",
@@ -54,16 +68,14 @@ def inverse_transform_grid(
 ) -> np.ndarray:
     """Inverse transform sampled on a whole box grid in one pass.
 
-    Same quadrature as inverse_transform node by node, vectorized over
-    the sample points; used by the round-trip and pairing checks.
+    Same quadrature as inverse_transform, vectorized over the sample
+    points and the lattice; used by the round-trip and pairing checks.
     """
     if F.dim != grid.n_points:
         raise ValueError("field dimension does not match the carrier grid")
     plan = _TransformPlan(grid, box, counts)
-    out = np.zeros(tuple(counts), dtype=complex)
-    for pos, t in enumerate(F.tgrid.nodes):
-        out += F.tgrid.delta * plan.invert_node(F.mats[pos], t)
-    return out
+    weights = np.full(F.tgrid.n_nodes, F.tgrid.delta)
+    return plan.invert(F.mats, F.tgrid.nodes, weights)
 
 
 def a_norm(F: OperatorField) -> float:
@@ -82,12 +94,33 @@ def m_norm(G: OperatorField) -> float:
     return best
 
 
+def node_sum(terms):
+    """Left-to-right sum of per-node terms in storage order.
+
+    Plans visit the nodes grouped by |t|.  Collecting the terms first and
+    adding them in lattice order, as a plain loop over the nodes would,
+    keeps every lattice sum independent of that visiting order.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def coefficient_norms(
+    f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, p: float
+) -> np.ndarray:
+    """Schatten p-norm of the bare coefficient pi_t(f) at every node, in node order."""
+    plan = _TransformPlan(grid, f.box, f.counts)
+    norms = np.empty(tgrid.n_nodes)
+    for k, coef in plan.coefficients(f.samples, tgrid.nodes, f.cell_volume):
+        norms[k] = schatten_norm(coef, p)
+    return norms
+
+
 def w_norm(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
     """Lattice L1 norm of operator norms of the bare coefficients pi_t(f)."""
-    total = 0.0
-    for t in tgrid.nodes:
-        total += schatten_norm(fourier_coefficient(f, t, grid), np.inf)
-    return tgrid.delta * total
+    return float(tgrid.delta * node_sum(coefficient_norms(f, tgrid, grid, np.inf)))
 
 
 def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
@@ -96,11 +129,11 @@ def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> f
     if rhs == 0.0:
         raise ValueError("relative defect undefined for the zero function")
     plan = _TransformPlan(grid, f.box, f.counts)
-    lhs = 0.0
-    for t in tgrid.nodes:
-        coef = plan.coefficient(f.samples, t, f.cell_volume)
-        lhs += tgrid.delta * abs(t) * schatten_norm(coef, 2) ** 2
-    return abs(lhs - rhs) / rhs
+    ts = tgrid.nodes
+    terms = np.empty(tgrid.n_nodes)
+    for k, coef in plan.coefficients(f.samples, ts, f.cell_volume):
+        terms[k] = tgrid.delta * abs(ts[k]) * np.linalg.norm(coef) ** 2
+    return float(abs(node_sum(terms) - rhs) / rhs)
 
 
 def adjoint_pairing_sides(
@@ -115,11 +148,10 @@ def adjoint_pairing_sides(
     lhs = complex(np.sum(g.samples * values) * g.cell_volume)
     gc = check_map(g)
     plan = _TransformPlan(grid, gc.box, gc.counts)
-    rhs = 0.0 + 0.0j
-    for pos, t in enumerate(F.tgrid.nodes):
-        coef = plan.coefficient(gc.samples, t, gc.cell_volume)
-        rhs += F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[pos])
-    return lhs, complex(rhs)
+    terms = np.empty(F.tgrid.n_nodes, dtype=complex)
+    for k, coef in plan.coefficients(gc.samples, F.tgrid.nodes, gc.cell_volume):
+        terms[k] = F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[k])
+    return lhs, complex(node_sum(terms))
 
 
 def adjoint_pairing_defect(

@@ -15,6 +15,15 @@ singular values approximate their continuum counterparts directly, with
 no leftover grid factors.  Errors enter only through aliasing, so test
 functions must decay to numerical noise inside their sample box and the
 operators they generate must stay band-limited within the carrier.
+
+Transforms over a frequency lattice go through one _TransformPlan per
+(grid, box) pair, which handles every node of the lattice in one call.
+The z axis is one matrix product for all nodes in each direction.  The
+forward pass streams its coefficients one node at a time, so no stack of
+node matrices is held beyond the caller's own.  The x and y axes cost two
+phase tables per |t|: the tables of -t are those of t conjugated.
+fourier_coefficient's "direct" path and plancherel.inverse_transform are
+the literal per-sample and per-point oracles for the two directions.
 """
 
 from __future__ import annotations
@@ -42,12 +51,19 @@ def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
 
 
 class _TransformPlan:
-    """Shared precomputation for all frequencies over one (grid, box) pair.
+    """Transforms over a list of K frequency nodes on one (grid, box) pair.
 
     The shift T_x at each x node is circulant, so the plan keeps only its
     kernel row: an (nx, N) table, plus the (N, N) circulant index table
     that both the forward and the inverse formula gather through.
-    Everything frequency-dependent is a cheap phase table.
+
+    Each direction applies the z axis once for all K nodes: coefficients
+    as one (nx*ny, nz) @ (nz, K) product, invert as one (nx*ny, K) @
+    (K, nz) product.  The x and y axes go node by node through two phase
+    tables, P (nx, ny) and E (ny, N).  The tables of -t are the complex
+    conjugates of those of t, so nodes are visited grouped by |t| and one
+    pair of tables serves both signs.  Results are keyed by the node's
+    position k in the list, whatever the visiting order.
     """
 
     def __init__(self, grid: GridSpec1D, box, counts):
@@ -61,29 +77,51 @@ class _TransformPlan:
         E = np.exp(-2j * np.pi * t * np.outer(self.ys, self.grid.nodes))
         return P, E
 
-    def coefficient(self, samples: np.ndarray, t: float, cell_volume: float):
-        """Quadrature of f(v)*pi_t(v) over the box, z summed first.
+    def _node_tables(self, ts):
+        """(k, P, E) for every node ts[k], grouped by |t|."""
+        groups = {}
+        for k, t in enumerate(ts):
+            groups.setdefault(abs(t), []).append(k)
+        for abs_t, ks in groups.items():
+            P, E = self._phase_tables(abs_t)
+            for k in ks:
+                if ts[k] < 0:
+                    yield k, np.conj(P), np.conj(E)
+                else:
+                    yield k, P, E
 
-        sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
+    def coefficients(self, samples: np.ndarray, ts, cell_volume: float):
+        """Yield (k, quadrature of f(v)*pi_{ts[k]}(v) over the box), one node at a time.
+
+        The z sums of all nodes come from one product; each coefficient is
+        then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
         """
-        fz = samples @ np.exp(2j * np.pi * t * self.zs)
-        P, E = self._phase_tables(t)
-        A = (fz * P) @ E
-        out = np.take_along_axis(A.T @ self.kernel, self.idx, axis=1)
-        out *= cell_volume
-        return out
+        ts = np.asarray(ts, dtype=float)
+        nx, ny, nz = samples.shape
+        ez = np.exp(np.outer(self.zs, 2j * np.pi * ts))
+        fz = samples.reshape(nx * ny, nz) @ ez
+        for k, P, E in self._node_tables(ts):
+            A = (fz[:, k].reshape(nx, ny) * P) @ E
+            out = np.take_along_axis(A.T @ self.kernel, self.idx, axis=1)
+            out *= cell_volume
+            yield k, out
 
-    def invert_node(self, mat: np.ndarray, t: float) -> np.ndarray:
-        """Samples of v -> Tr[mat * pi_t(v)^dagger] on the whole box.
+    def invert(self, mats: np.ndarray, ts, weights) -> np.ndarray:
+        """Samples of v -> sum_k weights[k] Tr[mats[k] pi_{ts[k]}(v)^dagger] on the box.
 
         sum_n mat[m, n] conj(T_i[m, n])
-            = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N].
+            = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N];
+        the conjugated phase tables of t are the tables of -t.
         """
-        D = np.conj(self.kernel) @ np.take_along_axis(mat, self.idx, axis=1).T
-        P, E = self._phase_tables(t)
-        vxy = np.conj(P) * (D @ np.conj(E).T)
-        ez = np.exp(-2j * np.pi * t * self.zs)
-        return vxy[:, :, None] * ez[None, None, :]
+        ts = np.asarray(ts, dtype=float)
+        nx, ny, nz = len(self.xs), len(self.ys), len(self.zs)
+        ckernel = np.conj(self.kernel)
+        table = np.empty((len(ts), nx * ny), dtype=complex)
+        for k, P, E in self._node_tables(-ts):
+            D = ckernel @ np.take_along_axis(mats[k], self.idx, axis=1).T
+            table[k] = (P * (D @ E.T)).ravel()
+        ez = np.asarray(weights)[:, None] * np.exp(np.outer(-2j * np.pi * ts, self.zs))
+        return (table.T @ ez).reshape(nx, ny, nz)
 
 
 def fourier_coefficient(
@@ -101,7 +139,8 @@ def fourier_coefficient(
         raise ValueError(f"representation parameter must be finite, got {t}")
     if method == "fast":
         plan = _TransformPlan(grid, f.box, f.counts)
-        return plan.coefficient(f.samples, t, f.cell_volume)
+        [(_, coef)] = plan.coefficients(f.samples, [t], f.cell_volume)
+        return coef
     if method == "direct":
         return _coefficient_direct(f, t, grid)
     raise ValueError(f"unknown method {method!r}")
@@ -122,7 +161,8 @@ def forward_field(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
     """The measure-absorbed transform: node matrix |t_k| * pi_{t_k}(f)."""
     plan = _TransformPlan(grid, f.box, f.counts)
     n = grid.n_points
+    ts = tgrid.nodes
     mats = np.empty((tgrid.n_nodes, n, n), dtype=complex)
-    for pos, t in enumerate(tgrid.nodes):
-        mats[pos] = abs(t) * plan.coefficient(f.samples, t, f.cell_volume)
+    for k, coef in plan.coefficients(f.samples, ts, f.cell_volume):
+        mats[k] = abs(ts[k]) * coef
     return OperatorField(tgrid, mats)

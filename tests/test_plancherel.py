@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heisenfourier.field import OperatorField, TGrid, zero_field
-from heisenfourier.grid import GridSpec1D
+from heisenfourier.grid import GridSpec1D, schatten_norm
 from heisenfourier.group import GaussianPoly, GroupElement, Poly3, box_axes, sample_family
 from heisenfourier.plancherel import (
     a_norm,
@@ -14,7 +14,7 @@ from heisenfourier.plancherel import (
     plancherel_defect,
     w_norm,
 )
-from heisenfourier.schrodinger import forward_field
+from heisenfourier.schrodinger import _TransformPlan, forward_field, fourier_coefficient
 
 CANON = GaussianPoly(Poly3({(0, 0, 1): 1.0, (0, 0, 0): 0.015}), (0.7, 1.0, 0.5))
 PARTNER = GaussianPoly(
@@ -71,6 +71,41 @@ def test_plancherel_defect_small_at_reference_scales():
     f = sample_family(CANON, BOX, (64, 96, 44))
     defect = plancherel_defect(f, TGrid(0.125, 32), GridSpec1D(64, 4.0))
     assert defect < 1e-2
+
+
+def test_plancherel_defect_equals_the_literal_schatten_sum():
+    from heisenfourier.group import SampledFunction3D
+
+    # no symmetry in the samples, so a wrong sign in any phase table shows
+    rng = np.random.default_rng(43)
+    f = SampledFunction3D((1.5, 1.5, 1.5), (4, 4, 4), rng.standard_normal((4, 4, 4)))
+    grid = GridSpec1D(8, 2.0)
+    tg = TGrid(0.25, 3)
+    lhs = sum(
+        tg.delta * abs(t) * schatten_norm(fourier_coefficient(f, t, grid, method="direct"), 2) ** 2
+        for t in tg.nodes
+    )
+    rhs = f.l2_norm_sq()
+    assert abs(plancherel_defect(f, tg, grid) - abs(lhs - rhs) / rhs) < 1e-12
+
+
+def test_inverse_on_positive_nodes_matches_pointwise():
+    f = sample_family(CANON, BOX, (32, 48, 24))
+    grid = GridSpec1D(32, 3.2)
+    tg = TGrid(0.25, 4)
+    F = forward_field(f, tg, grid)
+    F.mats[: tg.k_max] = 0.0
+    box, counts = (1.0, 1.0, 0.8), (4, 4, 4)
+    vals = inverse_transform_grid(F, box, counts, grid)
+    # the same sum over a one-signed node list
+    pos = tg.nodes[tg.k_max :]
+    plan = _TransformPlan(grid, box, counts)
+    one_signed = plan.invert(F.mats[tg.k_max :], pos, np.full(pos.size, tg.delta))
+    xs, ys, zs = box_axes(box, counts)
+    for i, j, k in np.ndindex(*counts):
+        point = inverse_transform(F, GroupElement(xs[i], ys[j], zs[k]), grid)
+        assert abs(point - vals[i, j, k]) < 1e-12
+        assert abs(point - one_signed[i, j, k]) < 1e-12
 
 
 def test_inverse_transform_point_matches_grid_version():

@@ -6,7 +6,13 @@ import pytest
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D, fractional_shift_op, modulation_op, schatten_norm
 from heisenfourier.group import GaussianPoly, GroupElement, Poly3, mul, sample_family
-from heisenfourier.schrodinger import forward_field, fourier_coefficient, rep_matrix
+from heisenfourier.schrodinger import (
+    _coefficient_direct,
+    _TransformPlan,
+    forward_field,
+    fourier_coefficient,
+    rep_matrix,
+)
 
 RNG = np.random.default_rng(515)
 
@@ -75,6 +81,27 @@ def test_coefficient_fast_matches_direct():
         fourier_coefficient(f, 0.375, grid, method="magic")
     with pytest.raises(ValueError):
         fourier_coefficient(f, 0.0, grid)
+
+
+@pytest.mark.parametrize(
+    "ts", [[0.5, -0.25, 0.75, 0.25], [0.375], [-0.5, -0.125], [-0.25, 0.25, -0.25]]
+)
+def test_plan_coefficients_match_direct_on_any_node_list(ts):
+    """Unsorted, one-signed and mixed lists: every node is yielded once, under
+    its own position, equal to the literal per-sample sum.  The samples have
+    no symmetry, so a wrong sign in the x or y phases shows."""
+    from heisenfourier.group import SampledFunction3D
+
+    rng = np.random.default_rng(41)
+    samples = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    f = SampledFunction3D((1.5, 1.5, 1.5), (4, 4, 4), samples)
+    grid = GridSpec1D(8, 2.0)
+    plan = _TransformPlan(grid, f.box, f.counts)
+    got = list(plan.coefficients(f.samples, ts, f.cell_volume))
+    assert sorted(k for k, _ in got) == list(range(len(ts)))
+    for k, coef in got:
+        direct = _coefficient_direct(f, ts[k], grid)
+        assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
 
 
 def test_coefficient_is_linear():
