@@ -19,6 +19,7 @@ byte-identical reports apart from the wall-time fields.
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -64,25 +65,12 @@ from .liealg import BUNDLED, bracket, bundled_structure, find_h3, is_nilpotent, 
 from .plancherel import (
     a_norm,
     adjoint_pairing_sides,
-    coefficient_norms,
     inverse_transform_grid,
     m_norm,
     node_sum,
     plancherel_defect,
 )
 from .schrodinger import forward_field, rep_matrix
-
-SUITE_NAMES = (
-    "group",
-    "representation",
-    "plancherel",
-    "inversion",
-    "fusion",
-    "dualconv",
-    "derivation",
-    "inequalities",
-    "lie",
-)
 
 ENV_PREFIX = "HEISENFOURIER_"
 
@@ -273,12 +261,40 @@ class Report:
         return "\n".join(out)
 
 
-def _timed(suite: str, name: str, tol, fn, **extra) -> CheckRecord:
-    t0 = time.perf_counter()
-    value, passed = fn()
-    return CheckRecord(
-        suite, name, float(value), tol, bool(passed), time.perf_counter() - t0, extra
-    )
+def check(name: str, value, tol=None, passed=None, **extra):
+    """One report row of a suite.
+
+    By default the check passes when value < tol, or, without a tol, when
+    the value is exactly 0; any other rule is passed in as `passed`.
+    """
+    if passed is None:
+        passed = value < tol if tol is not None else value == 0.0
+    return name, value, tol, passed, extra
+
+
+def _suite(name: str):
+    """Collect a generator of check rows into the suite's records.
+
+    Each record is booked the wall time since the previous one, so the work
+    done before a row, levels included, is charged to that row.
+    """
+
+    def collect(rows_fn):
+        @functools.wraps(rows_fn)
+        def run(cfg: RunConfig) -> list[CheckRecord]:
+            records = []
+            last = time.perf_counter()
+            for check_name, value, tol, passed, extra in rows_fn(cfg):
+                now = time.perf_counter()
+                records.append(
+                    CheckRecord(name, check_name, value, tol, passed, now - last, extra)
+                )
+                last = now
+            return records
+
+        return run
+
+    return collect
 
 
 # ---------------------------------------------------------------------------
@@ -331,70 +347,37 @@ def _dyadic_elements(rng, count: int) -> list[GroupElement]:
 # suites
 
 
-def group_suite(cfg: RunConfig) -> list[CheckRecord]:
+def _max_gap(pairs) -> float:
+    """Largest coordinate gap over (left, right) pairs of group elements."""
+    return max(abs(a - b) for left, right in pairs for a, b in zip(left, right))
+
+
+@_suite("group")
+def group_suite(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     els = _dyadic_elements(rng, 120)
-
-    def assoc():
-        worst = 0.0
-        for i in range(0, 120, 3):
-            g1, g2, g3 = els[i], els[i + 1], els[i + 2]
-            left = mul(mul(g1, g2), g3)
-            right = mul(g1, mul(g2, g3))
-            worst = max(worst, *(abs(a - b) for a, b in zip(left, right)))
-        return worst, worst == 0.0
-
-    def inverse():
-        worst = 0.0
-        for g in els[:40]:
-            back = mul(g, inv(g))
-            worst = max(worst, *(abs(c) for c in back))
-        return worst, worst == 0.0
-
-    def center():
-        worst = 0.0
-        for g in els[:40]:
-            z = GroupElement(0.0, 0.0, float(rng.standard_normal()))
-            left = mul(z, g)
-            right = mul(g, z)
-            worst = max(worst, *(abs(a - b) for a, b in zip(left, right)))
-        return worst, worst == 0.0
-
-    def identity():
-        worst = 0.0
-        for g in els[:40]:
-            worst = max(
-                worst,
-                *(abs(a - b) for a, b in zip(mul(IDENTITY, g), g)),
-                *(abs(a - b) for a, b in zip(mul(g, IDENTITY), g)),
-            )
-        return worst, worst == 0.0
-
-    def involution():
-        f = sample_family(canonical_family(cfg), (2.0, 2.0, 1.5), (8, 8, 6))
-        back = check_map(check_map(f))
-        gap = float(np.max(np.abs(back.samples - f.samples)))
-        dz_gap = float(np.max(np.abs(back.dz_samples - f.dz_samples)))
-        worst = max(gap, dz_gap)
-        return worst, worst == 0.0
-
-    return [
-        _timed("group", "associativity", None, assoc),
-        _timed("group", "inverse", None, inverse),
-        _timed("group", "center_commutes", None, center),
-        _timed("group", "identity", None, identity),
-        _timed("group", "check_map_involution", None, involution),
-    ]
-
-
-def _run_levels(level_fn, cfg: RunConfig, count: int) -> tuple[list[dict], list[float]]:
-    """Levels 0..count-1 of a ladder and the wall time of each."""
-    levels, times = [], []
-    for level in range(count):
-        t0 = time.perf_counter()
-        levels.append(level_fn(cfg, level))
-        times.append(time.perf_counter() - t0)
-    return levels, times
+    triples = zip(els[0::3], els[1::3], els[2::3])
+    yield check(
+        "associativity",
+        _max_gap((mul(mul(a, b), c), mul(a, mul(b, c))) for a, b, c in triples),
+    )
+    yield check("inverse", _max_gap((mul(g, inv(g)), IDENTITY) for g in els[:40]))
+    zs = [GroupElement(0.0, 0.0, float(rng.standard_normal())) for _ in range(40)]
+    pairs = ((mul(z, g), mul(g, z)) for g, z in zip(els[:40], zs))
+    yield check("center_commutes", _max_gap(pairs))
+    yield check(
+        "identity",
+        _max_gap(
+            pair
+            for g in els[:40]
+            for pair in ((mul(IDENTITY, g), g), (mul(g, IDENTITY), g))
+        ),
+    )
+    f = sample_family(canonical_family(cfg), (2.0, 2.0, 1.5), (8, 8, 6))
+    back = check_map(check_map(f))
+    gap = float(np.max(np.abs(back.samples - f.samples)))
+    dz_gap = float(np.max(np.abs(back.dz_samples - f.dz_samples)))
+    yield check("check_map_involution", max(gap, dz_gap))
 
 
 def _rep_level(cfg: RunConfig, level: int) -> dict:
@@ -426,24 +409,17 @@ def _rep_level(cfg: RunConfig, level: int) -> dict:
     return {"homomorphism": hom, "unitarity": unit if level == 0 else None}
 
 
-def representation_suite(cfg: RunConfig) -> list[CheckRecord]:
-    tol = cfg.tol["representation"]
-    (base, refined), (secs, ref_secs) = _run_levels(_rep_level, cfg, 2)
-    hom, unit, hom_ref = base["homomorphism"], base["unitarity"], refined["homomorphism"]
+@_suite("representation")
+def representation_suite(cfg: RunConfig):
+    base = _rep_level(cfg, 0)
+    hom = base["homomorphism"]
+    yield check("unitarity", base["unitarity"], 1e-12)
+    yield check("homomorphism", hom, cfg.tol["representation"])
+    hom_ref = _rep_level(cfg, 1)["homomorphism"]
     ratio = hom / hom_ref if hom_ref > 0 else math.inf
-    return [
-        CheckRecord("representation", "unitarity", unit, 1e-12, unit < 1e-12, secs),
-        CheckRecord("representation", "homomorphism", hom, tol, hom < tol, secs),
-        CheckRecord(
-            "representation",
-            "homomorphism_doubling_gain",
-            ratio,
-            4.0,
-            ratio >= 4.0,
-            ref_secs,
-            {"defect_512": hom_ref},
-        ),
-    ]
+    yield check(
+        "homomorphism_doubling_gain", ratio, 4.0, ratio >= 4.0, defect_512=hom_ref
+    )
 
 
 PLANCHEREL_LADDER = (
@@ -459,29 +435,24 @@ ADJOINT_LADDER = (
 )
 
 
-def _ladder_records(suite, name, levels, times, tol):
-    """First level takes the tolerance; the chain must strictly decrease."""
-    values = [level[name] for level in levels]
-    records = []
-    for lev, (value, secs) in enumerate(zip(values, times)):
-        records.append(
-            CheckRecord(
-                suite,
-                f"{name}_level{lev}",
-                value,
-                tol if lev == 0 else None,
-                value < tol if lev == 0 else True,
-                secs,
-            )
-        )
-    decreasing = all(a > b for a, b in zip(values, values[1:]))
-    worst_ratio = min(a / b for a, b in zip(values, values[1:]))
-    records.append(
-        CheckRecord(
-            suite, f"{name}_decreasing", worst_ratio, 1.0, decreasing, 0.0
-        )
-    )
-    return records
+def _ladder(name: str, levels, tol: float):
+    """Rows <name>_level<i>, the first against tol, and <name>_decreasing.
+
+    Consumes the level dicts as it reports them and returns them, so a
+    suite can read a second value of the same levels.
+    """
+    seen = []
+    for i, level in enumerate(levels):
+        seen.append(level)
+        if i == 0:
+            yield check(f"{name}_level0", level[name], tol)
+        else:
+            yield check(f"{name}_level{i}", level[name], passed=True)
+    values = [level[name] for level in seen]
+    pairs = list(zip(values, values[1:]))
+    worst_ratio = min(a / b for a, b in pairs)
+    yield check(f"{name}_decreasing", worst_ratio, 1.0, all(a > b for a, b in pairs))
+    return seen
 
 
 def _plancherel_level(cfg: RunConfig, level: int) -> dict:
@@ -494,11 +465,10 @@ def _plancherel_level(cfg: RunConfig, level: int) -> dict:
     }
 
 
-def plancherel_suite(cfg: RunConfig) -> list[CheckRecord]:
-    levels, times = _run_levels(_plancherel_level, cfg, len(PLANCHEREL_LADDER))
-    return _ladder_records(
-        "plancherel", "isometry_defect", levels, times, cfg.tol["plancherel"]
-    )
+@_suite("plancherel")
+def plancherel_suite(cfg: RunConfig):
+    levels = (_plancherel_level(cfg, i) for i in range(len(PLANCHEREL_LADDER)))
+    yield from _ladder("isometry_defect", levels, cfg.tol["plancherel"])
 
 
 def _inversion_level(cfg: RunConfig, level: int) -> dict:
@@ -526,26 +496,17 @@ def _inversion_level(cfg: RunConfig, level: int) -> dict:
     }
 
 
-def inversion_suite(cfg: RunConfig) -> list[CheckRecord]:
+@_suite("inversion")
+def inversion_suite(cfg: RunConfig):
     tol = cfg.tol["inversion"]
-    levels, times = _run_levels(_inversion_level, cfg, len(PLANCHEREL_LADDER))
-
-    def consistency():
-        F0 = levels[0]["field"]
-        lhs = a_norm(F0)
-        rhs = F0.tgrid.delta * sum(
-            schatten_norm(F0.mats[pos], 1) for pos in range(F0.tgrid.n_nodes)
-        )
-        gap = abs(lhs - rhs)
-        return gap, gap == 0.0
-
-    # a level's wall time is booked once, on its round-trip record
-    untimed = [0.0] * len(levels)
-    return (
-        _ladder_records("inversion", "roundtrip", levels, times, tol)
-        + [_timed("inversion", "a_norm_convention", None, consistency)]
-        + _ladder_records("inversion", "adjoint_pairing", levels, untimed, tol)
+    lazy = (_inversion_level(cfg, i) for i in range(len(PLANCHEREL_LADDER)))
+    levels = yield from _ladder("roundtrip", lazy, tol)
+    F0 = levels[0]["field"]
+    rhs = F0.tgrid.delta * sum(
+        schatten_norm(F0.mats[pos], 1) for pos in range(F0.tgrid.n_nodes)
     )
+    yield check("a_norm_convention", abs(a_norm(F0) - rhs))
+    yield from _ladder("adjoint_pairing", levels, tol)
 
 
 _FUSION_RATIOS = ((1.0, 1.0), (0.125, 0.125), (0.1875, -0.0625), (2.0, -1.0))
@@ -605,20 +566,20 @@ def _fusion_level(cfg: RunConfig, level: int) -> dict:
     }
 
 
-def fusion_suite(cfg: RunConfig) -> list[CheckRecord]:
+@_suite("fusion")
+def fusion_suite(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    records = []
-
-    def unitarity():
-        worst = 0.0
-        for grid in map(_fusion_grid, (0, 1)):
-            eye = np.eye(grid.n_points**2)
-            for r, s in _FUSION_RATIOS:
-                w = _dense_w(_exact_ratio(r, s), grid)
-                worst = max(worst, float(np.max(np.abs(w.conj().T @ w - eye))))
-        return worst, worst < 1e-12
-
-    records.append(_timed("fusion", "intertwiner_unitarity", 1e-12, unitarity))
+    # a generator frame keeps its locals, so the dense W matrices (16 MB at
+    # N = 32) live only inside this expression
+    unit = max(
+        float(np.max(np.abs(w.conj().T @ w - np.eye(len(w)))))
+        for w in (
+            _dense_w(_exact_ratio(r, s), grid)
+            for grid in map(_fusion_grid, (0, 1))
+            for r, s in _FUSION_RATIOS
+        )
+    )
+    yield check("intertwiner_unitarity", unit, 1e-12)
 
     grid8 = GridSpec1D(8, 3.0)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -630,70 +591,39 @@ def fusion_suite(cfg: RunConfig) -> list[CheckRecord]:
     big = w8 @ kron(a, b) @ w8.conj().T
     contracted = partial_trace_second(big, 8)
     fused = _theta_term(ratio8, grid8, a, b)
+    yield check(
+        "partial_trace_fused_vs_literal", float(np.max(np.abs(fused - contracted))), 1e-12
+    )
+    yield check(
+        "partial_trace_preserves_trace",
+        abs(np.trace(contracted) - np.trace(a) * np.trace(b)),
+        1e-12,
+    )
+    slack = schatten_norm(contracted, 1) - schatten_norm(big, 1)
+    yield check("trace_norm_contraction_slack", slack, 1e-9, slack <= 1e-9)
+    c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    c /= np.linalg.norm(c)
+    lhs = np.trace(c @ contracted)
+    rhs = np.trace(kron(c, np.eye(8)) @ big)
+    yield check("partial_trace_adjoint_identity", abs(lhs - rhs), 1e-10)
 
-    def fused_vs_literal():
-        gap = float(np.max(np.abs(fused - contracted)))
-        return gap, gap < 1e-12
-
-    def trace_preserved():
-        gap = abs(np.trace(contracted) - np.trace(a) * np.trace(b))
-        return gap, gap < 1e-12
-
-    def trace_norm_contraction():
-        slack = schatten_norm(contracted, 1) - schatten_norm(big, 1)
-        return slack, slack <= 1e-9
-
-    def adjoint_identity():
-        c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        c /= np.linalg.norm(c)
-        lhs = np.trace(c @ contracted)
-        rhs = np.trace(kron(c, np.eye(8)) @ big)
-        gap = abs(lhs - rhs)
-        return gap, gap < 1e-10
-
-    records.append(_timed("fusion", "partial_trace_fused_vs_literal", 1e-12, fused_vs_literal))
-    records.append(_timed("fusion", "partial_trace_preserves_trace", 1e-12, trace_preserved))
-    records.append(_timed("fusion", "trace_norm_contraction_slack", 1e-9, trace_norm_contraction))
-    records.append(_timed("fusion", "partial_trace_adjoint_identity", 1e-10, adjoint_identity))
-
-    (base, refined), (secs, ref_secs) = _run_levels(_fusion_level, cfg, 2)
+    base = _fusion_level(cfg, 0)
     oracle = base["composed_action_oracle"]
+    yield check("composed_action_oracle", oracle, 1e-3)
+    refined = _fusion_level(cfg, 1)
     oracle_ref = refined["composed_action_oracle"]
     ratio = oracle / oracle_ref if oracle_ref > 0 else math.inf
-    records.append(
-        CheckRecord("fusion", "composed_action_oracle", oracle, 1e-3, oracle < 1e-3, secs)
-    )
-    records.append(
-        CheckRecord(
-            "fusion", "composed_action_doubling_gain", ratio, 1.0, ratio > 1.0, ref_secs
-        )
-    )
+    yield check("composed_action_doubling_gain", ratio, 1.0, ratio > 1.0)
 
     tol = cfg.tol["fusion"]
     for (r, s), res, res_ref in zip(_RESIDUAL_PAIRS, base["residuals"], refined["residuals"]):
         label = f"r{r:+.4f}_s{s:+.4f}".replace(".", "p")
-        records.append(
-            CheckRecord("fusion", f"residual_{label}", res, tol, res < tol, 0.0)
-        )
+        yield check(f"residual_{label}", res, tol)
         gain = res / res_ref if res_ref > 0 else math.inf
-        records.append(
-            CheckRecord(
-                "fusion",
-                f"residual_gain_{label}",
-                gain,
-                1.0,
-                gain > 1.0,
-                0.0,
-                {"residual_n32": res_ref},
-            )
-        )
+        yield check(f"residual_gain_{label}", gain, 1.0, gain > 1.0, residual_n32=res_ref)
 
-    def diagnostic():
-        res = intertwiner(0.25, 0.25, _fusion_grid(0))
-        return res.sampling_defect, True
-
-    records.append(_timed("fusion", "sampling_defect_diagnostic", None, diagnostic))
-    return records
+    diagnostic = intertwiner(0.25, 0.25, _fusion_grid(0)).sampling_defect
+    yield check("sampling_defect_diagnostic", diagnostic, passed=True)
 
 
 def _dc_scales(cfg: RunConfig):
@@ -737,81 +667,50 @@ def _dc_level(cfg: RunConfig, level: int) -> dict:
     return {"product_identity": prod, "commutativity": comm, "remark_identity": remark}
 
 
-def dualconv_suite(cfg: RunConfig) -> list[CheckRecord]:
+@_suite("dualconv")
+def dualconv_suite(cfg: RunConfig):
     tol = cfg.tol["dualconv"]
-    (base, refined), (secs, ref_secs) = _run_levels(_dc_level, cfg, 2)
-    keys = ("product_identity", "commutativity", "remark_identity")
-    prod0, comm0, remark0 = (base[k] for k in keys)
-    prod1, comm1, remark1 = (refined[k] for k in keys)
-    return [
-        CheckRecord("dualconv", "product_identity", prod0, tol, prod0 < tol, secs),
-        CheckRecord("dualconv", "commutativity", comm0, tol, comm0 < tol, 0.0),
-        CheckRecord("dualconv", "remark_identity_nodewise", remark0, tol, remark0 < tol, 0.0),
-        CheckRecord(
-            "dualconv",
-            "product_identity_refined",
-            prod1,
-            None,
-            prod1 < prod0,
-            ref_secs,
-            {"commutativity": comm1, "remark": remark1},
-        ),
-        CheckRecord(
-            "dualconv",
-            "remark_identity_refined",
-            remark1,
-            None,
-            remark1 < remark0,
-            0.0,
-        ),
-    ]
+    base = _dc_level(cfg, 0)
+    prod, remark = base["product_identity"], base["remark_identity"]
+    yield check("product_identity", prod, tol)
+    yield check("commutativity", base["commutativity"], tol)
+    yield check("remark_identity_nodewise", remark, tol)
+    refined = _dc_level(cfg, 1)
+    prod_ref, remark_ref = refined["product_identity"], refined["remark_identity"]
+    yield check(
+        "product_identity_refined",
+        prod_ref,
+        passed=prod_ref < prod,
+        commutativity=refined["commutativity"],
+        remark=remark_ref,
+    )
+    yield check("remark_identity_refined", remark_ref, passed=remark_ref < remark)
 
 
 _THETA1_PAIRS = ((3, 3), (4, 2), (3, -2), (-2, 4), (5, 3))
 
 
-def inequalities_suite(cfg: RunConfig) -> list[CheckRecord]:
+@_suite("inequalities")
+def inequalities_suite(cfg: RunConfig):
     tol = cfg.tol["inequalities"]
     grid, counts, tgrid, _ = _dc_scales(cfg)[0]
-    t0 = time.perf_counter()
-    f1 = sample_family(DC_LEFT, cfg.dc_box, counts)
-    f2 = sample_family(DC_RIGHT, cfg.dc_box, counts)
-    F = forward_field(f1, tgrid, grid)
-    G = forward_field(f2, tgrid, grid)
+    F = forward_field(sample_family(DC_LEFT, cfg.dc_box, counts), tgrid, grid)
+    G = forward_field(sample_family(DC_RIGHT, cfg.dc_box, counts), tgrid, grid)
     FG, bounds = dual_convolution(F, G, grid, with_theta_bounds=True)
-    setup = time.perf_counter() - t0
-
-    def theta2_bound():
-        worst = -math.inf
-        for pos, k in enumerate(tgrid.ks):
-            worst = max(worst, schatten_norm(FG.at_k(k), 1) - bounds[pos])
-        return worst, worst <= tol
-
-    def mnorm_bound():
-        slack = m_norm(FG) - a_norm(F) * m_norm(G)
-        return slack, slack <= tol
-
-    def anorm_bound():
-        slack = a_norm(FG) - a_norm(F) * a_norm(G)
-        return slack, slack <= tol
-
-    def theta1_bound():
-        worst = -math.inf
-        for j, m in _THETA1_PAIRS:
-            term = theta1(F, G, j * tgrid.delta, m * tgrid.delta, grid)
-            lhs = schatten_norm(term, 1)
-            rhs = schatten_norm(F.at_k(j), 1) * schatten_norm(G.at_k(m), 1)
-            worst = max(worst, lhs - rhs)
-        return worst, worst <= tol
-
-    records = [
-        _timed("inequalities", "theta2_nodewise_slack", tol, theta2_bound),
-        _timed("inequalities", "m_norm_module_slack", tol, mnorm_bound),
-        _timed("inequalities", "a_norm_submultiplicative_slack", tol, anorm_bound),
-        _timed("inequalities", "theta1_trace_norm_slack", tol, theta1_bound),
-    ]
-    records[0].seconds += setup
-    return records
+    worst = max(
+        schatten_norm(FG.at_k(k), 1) - bounds[pos] for pos, k in enumerate(tgrid.ks)
+    )
+    yield check("theta2_nodewise_slack", worst, tol, worst <= tol)
+    slack = m_norm(FG) - a_norm(F) * m_norm(G)
+    yield check("m_norm_module_slack", slack, tol, slack <= tol)
+    slack = a_norm(FG) - a_norm(F) * a_norm(G)
+    yield check("a_norm_submultiplicative_slack", slack, tol, slack <= tol)
+    worst = max(
+        schatten_norm(theta1(F, G, j * tgrid.delta, m * tgrid.delta, grid), 1)
+        - schatten_norm(F.at_k(j), 1) * schatten_norm(G.at_k(m), 1)
+        for j, m in _THETA1_PAIRS
+    )
+    yield check("theta1_trace_norm_slack", worst, tol, worst <= tol)
 
 
 def _deriv_level(cfg: RunConfig, level: int) -> dict:
@@ -826,91 +725,57 @@ def _deriv_level(cfg: RunConfig, level: int) -> dict:
     return {"f": f, "carrier": carrier, "module": module}
 
 
-def derivation_suite(cfg: RunConfig) -> list[CheckRecord]:
+@_suite("derivation")
+def derivation_suite(cfg: RunConfig):
     tol = cfg.tol["derivation"]
-    (base, refined), (secs, ref_secs) = _run_levels(_deriv_level, cfg, 2)
+    base = _deriv_level(cfg, 0)
     f, grid = base["f"], base["carrier"]
     tg = TGrid(*DERIV_TG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mult = multiplier_defect(f, tg, grid)
+    yield check("multiplier_identity", mult, tol)
+    gap = float(np.max(np.abs(d_z(f).samples - d_z(_plain_copy(f)).samples)))
+    yield check("spectral_vs_analytic", gap, tol)
     g = sample_family(DERIV_LEIBNIZ_PARTNER, DERIV_BOX, DERIV_COUNTS)
-    records = []
-
-    def multiplier():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            value = multiplier_defect(f, tg, grid)
-        return value, value < tol
-
-    records.append(_timed("derivation", "multiplier_identity", tol, multiplier))
-    mult = records[-1].value
-
-    def spectral_agreement():
-        plain = _plain_copy(f)
-        gap = float(np.max(np.abs(d_z(f).samples - d_z(plain).samples)))
-        return gap, gap < tol
-
-    records.append(_timed("derivation", "spectral_vs_analytic", tol, spectral_agreement))
-
-    def leibniz():
-        value = leibniz_defect(f, g)
-        return value, value < 1e-12
-
-    records.append(_timed("derivation", "leibniz_identity", 1e-12, leibniz))
+    yield check("leibniz_identity", leibniz_defect(f, g), 1e-12)
 
     # its lhs, w_norm(d_z f), is the nonvanishing witness
     bound = boundedness_check(f, tg, grid)
-
-    def witness():
-        return bound.lhs, bound.lhs >= 1e-3
-
-    records.append(_timed("derivation", "nonvanishing_witness", 1e-3, witness))
-
-    def tail_fraction():
-        # share of the lattice sum carried by the outermost nodes t = +-K*delta;
-        # small means the finite t-window already holds the whole norm
-        per_node = coefficient_norms(d_z(f), tg, grid, np.inf)
-        edge = per_node[0] + per_node[-1]
-        return float(edge / node_sum(per_node)), True
-
-    records.append(_timed("derivation", "w_norm_tail_fraction", None, tail_fraction))
-
-    def bounded():
-        ok = bound.passed and bound.node_gap <= 1e-9 + mult
-        return bound.lhs - bound.rhs, ok
-
-    records.append(_timed("derivation", "w_norm_bound_slack", None, bounded))
-
-    module, module_ref = base["module"], refined["module"]
-    records.append(
-        CheckRecord(
-            "derivation",
-            "module_inequality",
-            module.rel_excess,
-            5e-2,
-            module.passed,
-            secs,
-            {"lhs": module.lhs, "rhs": module.rhs},
-        )
-    )
-    records.append(
-        CheckRecord(
-            "derivation",
-            "module_inequality_refined",
-            module_ref.rel_excess,
-            None,
-            module_ref.passed and module_ref.rel_excess <= max(module.rel_excess, 1e-9),
-            ref_secs,
-        )
+    yield check("nonvanishing_witness", bound.lhs, 1e-3, bound.lhs >= 1e-3)
+    # share of the lattice sum carried by the outermost nodes t = +-K*delta;
+    # small means the finite t-window already holds the whole norm
+    per_node = bound.node_norms
+    tail = float((per_node[0] + per_node[-1]) / node_sum(per_node))
+    yield check("w_norm_tail_fraction", tail, passed=True)
+    yield check(
+        "w_norm_bound_slack",
+        bound.lhs - bound.rhs,
+        passed=bound.passed and bound.node_gap <= 1e-9 + mult,
     )
 
-    def boundary_growth():
-        small = sample_family(DERIV_FAMILY, (4.0, 4.0, 2.5), (32, 32, 20))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            d_small = multiplier_defect(small, tg, grid)
-        return d_small - mult, mult < d_small
+    module = base["module"]
+    yield check(
+        "module_inequality",
+        module.rel_excess,
+        5e-2,
+        module.passed,
+        lhs=module.lhs,
+        rhs=module.rhs,
+    )
+    module_ref = _deriv_level(cfg, 1)["module"]
+    no_worse = module_ref.rel_excess <= max(module.rel_excess, 1e-9)
+    yield check(
+        "module_inequality_refined",
+        module_ref.rel_excess,
+        passed=module_ref.passed and no_worse,
+    )
 
-    records.append(_timed("derivation", "boundary_decay_gain", None, boundary_growth))
-    return records
+    small = sample_family(DERIV_FAMILY, (4.0, 4.0, 2.5), (32, 32, 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        d_small = multiplier_defect(small, tg, grid)
+    yield check("boundary_decay_gain", d_small - mult, passed=mult < d_small)
 
 
 def _plain_copy(f):
@@ -944,51 +809,32 @@ def _basis_pair_h3(L) -> bool:
     return False
 
 
-def lie_suite(cfg: RunConfig) -> list[CheckRecord]:
-    records = []
+@_suite("lie")
+def lie_suite(cfg: RunConfig):
     for name in BUNDLED:
-        t0 = time.perf_counter()
         L = bundled_structure(name)
         flag = lower_central_series(L)
         nil, degree = is_nilpotent(L)
         expected = _LIE_EXPECTED[name]
         shape_ok = flag.dims == expected["dims"] and nil and degree == expected["degree"]
-        relations_ok = True
         emb = find_h3(L) if degree >= 2 else None
-        if emb is not None:
-            z_ok = any(c != 0 for c in emb.z)
-            xy = bracket(L, emb.x, emb.y)
-            relations_ok = (
-                z_ok
-                and xy == emb.z
-                and all(c == 0 for c in bracket(L, emb.x, emb.z))
-                and all(c == 0 for c in bracket(L, emb.y, emb.z))
-                and all(c == 0 for e in _basis(L) for c in bracket(L, e, emb.z))
-            )
-        oracle_ok = (emb is not None) == _basis_pair_h3(L)
-        secs = time.perf_counter() - t0
-        ok = shape_ok and relations_ok and oracle_ok
-        records.append(
-            CheckRecord(
-                "lie",
-                f"corpus_{name}",
-                0.0 if ok else 1.0,
-                None,
-                ok,
-                secs,
-                {"dims": list(flag.dims), "degree": degree},
-            )
+        # [x, z] = [y, z] = 0 follow from z commuting with every basis vector
+        relations_ok = emb is None or (
+            any(emb.z)
+            and bracket(L, emb.x, emb.y) == emb.z
+            and not any(c for e in _basis(L) for c in bracket(L, e, emb.z))
         )
-
-    def abelian_error():
-        try:
-            find_h3(bundled_structure("abelian2"))
-        except ValueError:
-            return 0.0, True
-        return 1.0, False
-
-    records.append(_timed("lie", "abelian_rejected", None, abelian_error))
-    return records
+        oracle_ok = (emb is not None) == _basis_pair_h3(L)
+        ok = shape_ok and relations_ok and oracle_ok
+        yield check(
+            f"corpus_{name}", 0.0 if ok else 1.0, dims=list(flag.dims), degree=degree
+        )
+    try:
+        find_h3(bundled_structure("abelian2"))
+        missed = 1.0
+    except ValueError:
+        missed = 0.0
+    yield check("abelian_rejected", missed)
 
 
 SUITES: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
@@ -1002,6 +848,7 @@ SUITES: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
     "inequalities": inequalities_suite,
     "lie": lie_suite,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
@@ -1091,36 +938,37 @@ def convergence_table(suite: str, cfg: RunConfig, levels: int) -> str:
 # named transforms
 
 
+def _main_scales(cfg: RunConfig):
+    grid = GridSpec1D(cfg.n_points, cfg.half_width)
+    return cfg.box, cfg.counts, TGrid(cfg.delta, cfg.k_max), grid
+
+
+def _dc_base_scales(cfg: RunConfig):
+    grid, counts, tgrid, _ = _dc_scales(cfg)[0]
+    return cfg.dc_box, counts, tgrid, grid
+
+
+def _deriv_scales(cfg: RunConfig):
+    return DERIV_BOX, DERIV_COUNTS, TGrid(*DERIV_TG), GridSpec1D(*DERIV_GRID)
+
+
+# transform --function NAME: the family (from the config) and its scales,
+# a function of the config giving (box, counts, t-grid, carrier)
+_NAMED_FUNCTIONS = {
+    "canonical": (canonical_family, _main_scales),
+    "partner": (lambda cfg: PARTNER_FAMILY, _main_scales),
+    "dc-left": (lambda cfg: DC_LEFT, _dc_base_scales),
+    "dc-right": (lambda cfg: DC_RIGHT, _dc_base_scales),
+    "derivation-odd": (lambda cfg: DERIV_FAMILY, _deriv_scales),
+}
+
+
 def _named_function(cfg: RunConfig, name: str):
-    if name == "canonical":
-        return (
-            sample_family(canonical_family(cfg), cfg.box, cfg.counts),
-            TGrid(cfg.delta, cfg.k_max),
-            GridSpec1D(cfg.n_points, cfg.half_width),
-        )
-    if name == "partner":
-        return (
-            sample_family(PARTNER_FAMILY, cfg.box, cfg.counts),
-            TGrid(cfg.delta, cfg.k_max),
-            GridSpec1D(cfg.n_points, cfg.half_width),
-        )
-    if name in ("dc-left", "dc-right"):
-        fam = DC_LEFT if name == "dc-left" else DC_RIGHT
-        return (
-            sample_family(fam, cfg.dc_box, cfg.dc_counts),
-            TGrid(cfg.dc_delta, cfg.dc_k_max),
-            GridSpec1D(cfg.dc_n_points, cfg.dc_half_width),
-        )
-    if name == "derivation-odd":
-        return (
-            sample_family(DERIV_FAMILY, DERIV_BOX, DERIV_COUNTS),
-            TGrid(*DERIV_TG),
-            GridSpec1D(*DERIV_GRID),
-        )
-    raise ValueError(
-        f"unknown function {name!r}; have canonical, partner, dc-left, "
-        "dc-right, derivation-odd"
-    )
+    if name not in _NAMED_FUNCTIONS:
+        raise ValueError(f"unknown function {name!r}; have {', '.join(_NAMED_FUNCTIONS)}")
+    family, scales = _NAMED_FUNCTIONS[name]
+    box, counts, tgrid, grid = scales(cfg)
+    return sample_family(family(cfg), box, counts), tgrid, grid
 
 
 # ---------------------------------------------------------------------------

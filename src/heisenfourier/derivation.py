@@ -96,6 +96,7 @@ class BoundednessResult(NamedTuple):
     rhs: float
     node_gap: float
     passed: bool
+    node_norms: np.ndarray
 
 
 def boundedness_check(
@@ -108,6 +109,7 @@ def boundedness_check(
 
     node_gap is the worst ||pi_t(d_z f)||_inf - ||F_f(t)||_1 over nodes; the
     aggregate inequality is that chain summed, so both are reported.
+    node_norms holds the per-node ||pi_t(d_z f)||_inf in lattice order.
     """
     left = coefficient_norms(d_z(f), tgrid, grid, np.inf)
     right = np.array([schatten_norm(mat, 1) for mat in forward_field(f, tgrid, grid).mats])
@@ -115,7 +117,7 @@ def boundedness_check(
     lhs = float(tgrid.delta * node_sum(left))
     rhs = float(tgrid.delta * node_sum(right))
     node_gap = float(np.max(left - right))
-    return BoundednessResult(lhs, rhs, node_gap, lhs <= rhs + tol_slack)
+    return BoundednessResult(lhs, rhs, node_gap, lhs <= rhs + tol_slack, left)
 
 
 class ModuleNormResult(NamedTuple):

@@ -14,9 +14,11 @@ from heisenfourier.cli import (
     derivation_suite,
     fusion_suite,
     group_suite,
+    inequalities_suite,
     lie_suite,
     load_config,
     main,
+    representation_suite,
     run_suite,
 )
 from heisenfourier.field import load_field
@@ -120,14 +122,130 @@ def test_report_json_lines_are_deterministic():
     assert json.loads(rep.json_lines()[-1])["status"] == "fail"
 
 
+def test_suite_rows_default_rules_and_timing(monkeypatch):
+    clock = [10.0]
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+
+    @cli._suite("toy")
+    def toy(cfg):
+        clock[0] += 1.0
+        yield cli.check("below_tol", 0.5, 1.0)
+        clock[0] += 2.0
+        yield cli.check("at_tol", 1.0, 1.0)
+        yield cli.check("exact", 0.0)
+        clock[0] += 0.5
+        yield cli.check("tiny", 1e-300)
+        yield cli.check("forced_pass", 2.0, 1.0, passed=True, aux=np.float64(3.0))
+        clock[0] += 0.25
+        yield cli.check("forced_fail", 0.0, passed=False)
+
+    records = toy(RunConfig())
+    assert [(r.suite, r.name, r.tol, r.passed) for r in records] == [
+        ("toy", "below_tol", 1.0, True),
+        ("toy", "at_tol", 1.0, False),
+        ("toy", "exact", None, True),
+        ("toy", "tiny", None, False),
+        ("toy", "forced_pass", 1.0, True),
+        ("toy", "forced_fail", None, False),
+    ]
+    assert records[4].extra == {"aux": 3.0}
+    assert type(records[4].extra["aux"]) is float
+    assert all(r.extra == {} for i, r in enumerate(records) if i != 4)
+    assert [r.seconds for r in records] == [1.0, 2.0, 0.0, 0.5, 0.0, 0.25]
+    assert sum(r.seconds for r in records) == clock[0] - 10.0
+
+
+# check names in report order, for the suites whose counts the benchmark pins
+CHECK_NAMES = {
+    "group": [
+        "associativity",
+        "inverse",
+        "center_commutes",
+        "identity",
+        "check_map_involution",
+    ],
+    "representation": ["unitarity", "homomorphism", "homomorphism_doubling_gain"],
+    "fusion": [
+        "intertwiner_unitarity",
+        "partial_trace_fused_vs_literal",
+        "partial_trace_preserves_trace",
+        "trace_norm_contraction_slack",
+        "partial_trace_adjoint_identity",
+        "composed_action_oracle",
+        "composed_action_doubling_gain",
+        "residual_r+0p2500_s+0p1250",
+        "residual_gain_r+0p2500_s+0p1250",
+        "residual_r+0p1250_s+0p1250",
+        "residual_gain_r+0p1250_s+0p1250",
+        "residual_r+0p3750_s-0p0625",
+        "residual_gain_r+0p3750_s-0p0625",
+        "sampling_defect_diagnostic",
+    ],
+    "derivation": [
+        "multiplier_identity",
+        "spectral_vs_analytic",
+        "leibniz_identity",
+        "nonvanishing_witness",
+        "w_norm_tail_fraction",
+        "w_norm_bound_slack",
+        "module_inequality",
+        "module_inequality_refined",
+        "boundary_decay_gain",
+    ],
+    "inequalities": [
+        "theta2_nodewise_slack",
+        "m_norm_module_slack",
+        "a_norm_submultiplicative_slack",
+        "theta1_trace_norm_slack",
+    ],
+    "lie": [
+        "corpus_abelian2",
+        "corpus_h3",
+        "corpus_n4",
+        "corpus_upper4",
+        "corpus_h5",
+        "abelian_rejected",
+    ],
+}
+
+
+def _names(records, suite):
+    assert all(r.suite == suite for r in records)
+    return [r.name for r in records]
+
+
 def test_group_suite_is_exact():
-    for rec in group_suite(RunConfig()):
+    records = group_suite(RunConfig())
+    assert _names(records, "group") == CHECK_NAMES["group"]
+    for rec in records:
         assert rec.passed
         assert rec.value == 0.0
 
 
 def test_lie_suite_passes():
-    assert all(r.passed for r in lie_suite(RunConfig()))
+    records = lie_suite(RunConfig())
+    assert _names(records, "lie") == CHECK_NAMES["lie"]
+    assert all(r.passed for r in records)
+
+
+def test_representation_and_inequality_rows(monkeypatch):
+    records = inequalities_suite(RunConfig())
+    assert _names(records, "inequalities") == CHECK_NAMES["inequalities"]
+    assert all(r.passed for r in records)
+    # the refined carrier is too slow for a unit test; a stub level pins the
+    # rows and the >= 4 doubling-gain rule
+    defects = {0: 2.0**-24, 1: 2.0**-26}
+    monkeypatch.setattr(
+        cli,
+        "_rep_level",
+        lambda cfg, level: {"homomorphism": defects[level], "unitarity": 0.0},
+    )
+    records = representation_suite(RunConfig())
+    assert _names(records, "representation") == CHECK_NAMES["representation"]
+    assert records[2].value == 4.0 and records[2].passed
+    assert records[2].extra == {"defect_512": 2.0**-26}
+    defects[1] = 2.0**-25
+    assert not representation_suite(RunConfig())[2].passed
 
 
 def test_lie_corpus_requires_a_central_z(monkeypatch):
@@ -154,7 +272,9 @@ def _ladder_column(table, check):
 def test_derivation_suite_and_ladder_share_one_source():
     cfg = RunConfig()
     table = convergence_table("derivation", cfg, 2)
-    recs = {r.name: r for r in derivation_suite(cfg)}
+    records = derivation_suite(cfg)
+    assert _names(records, "derivation") == CHECK_NAMES["derivation"]
+    recs = {r.name: r for r in records}
     module = [recs["module_inequality"].value, recs["module_inequality_refined"].value]
     assert _ladder_column(table, "module_rel_excess") == [f"{v:.9e}" for v in module]
     multiplier = f"{recs['multiplier_identity'].value:.9e}"
@@ -164,7 +284,9 @@ def test_derivation_suite_and_ladder_share_one_source():
 def test_fusion_suite_and_ladder_share_one_source():
     cfg = RunConfig()
     table = convergence_table("fusion", cfg, 2)
-    recs = {r.name: r for r in fusion_suite(cfg)}
+    records = fusion_suite(cfg)
+    assert _names(records, "fusion") == CHECK_NAMES["fusion"]
+    recs = {r.name: r for r in records}
     oracle = f"{recs['composed_action_oracle'].value:.9e}"
     assert _ladder_column(table, "composed_action_oracle")[0] == oracle
     worst = max(r.value for name, r in recs.items() if name.startswith("residual_r"))

@@ -14,6 +14,7 @@ from heisenfourier.derivation import (
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D
 from heisenfourier.group import GaussianPoly, Poly3, SampledFunction3D, sample_family
+from heisenfourier.plancherel import coefficient_norms
 
 F_ODD = GaussianPoly(Poly3({(0, 0, 1): 1.0}), (0.6, 0.6, 0.5))
 G_PARTNER = GaussianPoly(Poly3({(0, 0, 2): 0.5, (0, 0, 0): 0.2}), (0.55, 0.7, 0.65))
@@ -109,6 +110,8 @@ def test_boundedness_chain():
     assert res.lhs <= res.rhs + 1e-9
     # the node-wise chain can only be violated by quadrature error
     assert res.node_gap <= 1e-6
+    # the per-node norms behind lhs, as the w_norm tail fraction reads them
+    assert np.array_equal(res.node_norms, coefficient_norms(d_z(f), TG, GRID, np.inf))
 
 
 def test_module_inequality_and_zero_special_case():
