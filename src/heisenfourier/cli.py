@@ -887,11 +887,15 @@ def _converge_derivation(cfg, level):
 
 
 def _converge_exact(suite_fn):
-    # exact suites rerun unchanged per level; every record is a defect row
+    # every record of an exact suite is a defect row, the same at every level
     def runner(cfg, level):
         return [(r.name, r.value) for r in suite_fn(cfg)]
 
     return runner
+
+
+# suites whose rows do not depend on the level: each table runs them once
+_EXACT_SUITES = {"group": group_suite, "inequalities": inequalities_suite, "lie": lie_suite}
 
 
 LADDERS = {
@@ -901,9 +905,7 @@ LADDERS = {
     "fusion": _rows(_fusion_level, "residual_max", "composed_action_oracle"),
     "dualconv": _rows(_dc_level, "product_identity", "remark_identity"),
     "derivation": _converge_derivation,
-    "group": _converge_exact(group_suite),
-    "inequalities": _converge_exact(inequalities_suite),
-    "lie": _converge_exact(lie_suite),
+    **{name: _converge_exact(fn) for name, fn in _EXACT_SUITES.items()},
 }
 
 
@@ -920,11 +922,12 @@ def convergence_table(suite: str, cfg: RunConfig, levels: int) -> str:
     rows = ["suite,check,level,value,gain_vs_prev"]
     prev: dict[str, float] = {}
     for level in range(levels):
-        try:
-            results = LADDERS[suite](cfg, level)
-        except CapacityError as stop:
-            stop.partial = "\n".join(rows)
-            raise
+        if level == 0 or suite not in _EXACT_SUITES:
+            try:
+                results = LADDERS[suite](cfg, level)
+            except CapacityError as stop:
+                stop.partial = "\n".join(rows)
+                raise
         for check, value in results:
             gain = ""
             if check in prev and value > 0:

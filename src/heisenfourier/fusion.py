@@ -31,6 +31,14 @@ is diagonal in the DFT basis, so its conjugation is a phase weighting
 between FFTs.  A term costs O(N^3 log N) and builds no shift stack.
 _dense_w keeps the literal W, from grid's circulant shifts, as the
 oracle for that contraction.
+
+dual_convolution runs every term through one kernel, _theta_dft, in two
+O(N^3) work buffers allocated once per call.  The gather of B depends
+only on the G node, so it runs once per G node, not once per term.  Each
+term then multiplies, FFTs and phase-weights inside the buffers and
+leaves its N x N matrix in the DFT basis.  The map back from the DFT
+basis is linear, so the terms are summed there and each output node
+takes one final 2-d FFT.
 """
 
 from __future__ import annotations
@@ -163,24 +171,47 @@ def partial_trace_second(big: np.ndarray, dim_first: int) -> np.ndarray:
     return np.einsum("ijkj->ik", big.reshape(dim_first, dim2, dim_first, dim2))
 
 
+def _gather_index(size: int) -> np.ndarray:
+    """Flat indices of b[r(n, m), r(n, p)], r(n, m) = (n + m - N/2) mod N.
+
+    TL[m] shifts by (N/2 - m) h, whole grid steps, so the slices
+    (TL[m] b TL[p]*)[n, n] over n are this one gather of b.
+    """
+    ar = np.arange(size)
+    r = (ar[:, None] + ar - size // 2) % size
+    return r[:, :, None] * size + r[:, None, :]
+
+
+def _theta_dft(
+    ratio: Fraction, grid: GridSpec1D, a: np.ndarray, bg: np.ndarray, e: np.ndarray
+) -> np.ndarray:
+    """The theta term of (a, b) in the DFT basis, worked out in buffer e.
+
+    bg is np.take(b, _gather_index(N)), so e_n = a o bg[n] are the slices
+    E_n.  TU[n] is F^-1 diag(phi_n) F, so sum_n TU[n] E_n TU[n]* is
+    F^-1 s F with s = sum_n phi_n phi_n^H o F E_n F^-1; this returns s,
+    a fresh N x N array, and _from_dft maps it back.  e is overwritten.
+    """
+    phi = shift_phases(grid, float(ratio) * grid.nodes)
+    np.multiply(a, bg, out=e)
+    np.fft.fft(e, axis=1, out=e)
+    np.fft.ifft(e, axis=2, out=e)
+    np.multiply(e, phi.conj()[:, None, :], out=e)
+    # s[u] = phi[:, u] @ e[:, u, :], one matrix-vector product per row u
+    return np.matmul(phi.T[:, None, :], e.transpose(1, 0, 2))[:, 0, :]
+
+
+def _from_dft(s: np.ndarray) -> np.ndarray:
+    """F^-1 s F over the last two axes: a unitary conjugation."""
+    return np.fft.fft(np.fft.ifft(s, axis=-2), axis=-1)
+
+
 def _theta_term(
     ratio: Fraction, grid: GridSpec1D, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """partial_trace_second(W kron(a, b) W*) without materializing W.
-
-    TL[m] shifts by (N/2 - m) h, whole grid steps, so the slices
-    E_n = a o (TL[m] b TL[p]*)[n, n] are one gather of b.  TU[n] is
-    F^-1 diag(phi_n) F, so sum_n TU[n] E_n TU[n]* is
-    F^-1 (sum_n phi_n phi_n^H o F E_n F^-1) F: O(N^3 log N) in FFTs.
-    """
-    n = grid.n_points
-    ar = np.arange(n)
-    r = (ar[:, None] + ar - n // 2) % n
-    e = a * b[r[:, :, None], r[:, None, :]]
-    e_hat = np.fft.ifft(np.fft.fft(e, axis=1), axis=2)
-    phi = shift_phases(grid, float(ratio) * grid.nodes)
-    s = np.einsum("nu,nv,nuv->uv", phi, phi.conj(), e_hat)
-    return np.fft.fft(np.fft.ifft(s, axis=0), axis=1)
+    """partial_trace_second(W kron(a, b) W*) without materializing W."""
+    bg = np.take(b, _gather_index(grid.n_points))
+    return _from_dft(_theta_dft(ratio, grid, a, bg, np.empty(bg.shape, complex)))
 
 
 def _check_pair(
@@ -241,6 +272,15 @@ def dual_convolution(
     With with_theta_bounds=True returns (field, bounds) where bounds[i] =
     sum_j Delta * ||theta1(...)||_1 over the same terms, the node-wise
     triangle-inequality majorant of the result.
+
+    Cost: the loop runs over the G node m outside and the F node j
+    inside.  Each G node is gathered once into a work buffer; each term
+    is one multiply, two N^2-batched length-N FFTs and one phase-weighted
+    sum over n, all in a second work buffer, and adds its DFT-basis
+    matrix to its output node.  One final 2-d FFT per output node maps
+    the sums back.  The two buffers (2 N^3 complex) and the gather index
+    are allocated once per call.  The bounds take one SVD per term, of
+    its DFT-basis matrix.
     """
     _check_pair(field_f, field_g, grid)
     if not (math.isfinite(tol_skip) and tol_skip >= 0):
@@ -250,31 +290,25 @@ def dual_convolution(
     tn_f = np.array([schatten_norm(m, 1) for m in field_f.mats])
     tn_g = np.array([schatten_norm(m, 1) for m in field_g.mats])
     cut = tol_skip * tn_f.max() * tn_g.max()
-    out = np.zeros((tg.n_nodes, n, n), dtype=complex)
+    index = _gather_index(n)
+    bg = np.empty((n, n, n), dtype=complex)
+    e = np.empty_like(bg)
+    table = np.zeros((tg.n_nodes, n, n), dtype=complex)
     bounds = np.zeros(tg.n_nodes)
-    for k in tg.ks:
-        acc = np.zeros((n, n), dtype=complex)
-        bsum = 0.0
-        for j in tg.ks:
-            m = k - j
-            pos_m = tg.index_of(m)
-            if pos_m is None:
+    for pos_m, m in enumerate(tg.ks):
+        np.take(field_g.mats[pos_m], index, out=bg)
+        for pos_j, j in enumerate(tg.ks):
+            pos_k = tg.index_of(j + m)
+            if pos_k is None or tn_f[pos_j] * tn_g[pos_m] <= cut:
                 continue
-            pos_j = tg.index_of(j)
-            if tn_f[pos_j] * tn_g[pos_m] <= cut:
-                continue
-            term = _theta_term(
-                Fraction(m, k), grid, field_f.mats[pos_j], field_g.mats[pos_m]
-            )
-            acc += term
+            s = _theta_dft(Fraction(m, j + m), grid, field_f.mats[pos_j], bg, e)
+            table[pos_k] += s
             if with_theta_bounds:
-                bsum += schatten_norm(term, 1)
-        pos_k = tg.index_of(k)
-        out[pos_k] = tg.delta * acc
-        bounds[pos_k] = tg.delta * bsum
-    result = OperatorField(tg, out)
+                # _from_dft is a unitary conjugation, so it keeps the trace norm
+                bounds[pos_k] += schatten_norm(s, 1)
+    result = OperatorField(tg, tg.delta * _from_dft(table))
     if with_theta_bounds:
-        return result, bounds
+        return result, tg.delta * bounds
     return result
 
 

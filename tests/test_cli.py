@@ -313,6 +313,26 @@ def test_convergence_table_shapes_and_errors():
     assert all(r.endswith(",0.000000000e+00,") for r in rows[1:])
 
 
+def test_convergence_table_runs_an_exact_suite_once(monkeypatch):
+    calls = []
+
+    def exact(cfg, level):
+        calls.append(level)
+        return [("defect", 0.0), ("other", 0.5)]
+
+    monkeypatch.setitem(cli.LADDERS, "inequalities", exact)
+    rows = convergence_table("inequalities", RunConfig(), 3).splitlines()
+    assert calls == [0]
+    assert rows[1:] == [
+        f"inequalities,{check},{level},{value},{gain}"
+        for level in range(3)
+        for check, value, gain in (
+            ("defect", "0.000000000e+00", ""),
+            ("other", "5.000000000e-01", "" if level == 0 else "1"),
+        )
+    ]
+
+
 def test_convergence_capacity_stop_carries_partial_rows(monkeypatch):
     def toy(cfg, level):
         if level >= 2:

@@ -200,6 +200,57 @@ def test_dual_convolution_equals_the_literal_pair_sum():
         assert np.max(np.abs(fused.at_k(k) - literal)) < 1e-12
 
 
+@pytest.mark.parametrize("tol_skip", [0.0, 1e-3])
+def test_dual_convolution_equals_the_per_term_sum(tol_skip):
+    """The buffered lattice loop against a plain sum of fresh _theta_term calls."""
+    F, G, grid, tg = _dc_fields()
+    fused, bounds = dual_convolution(
+        F, G, grid, tol_skip=tol_skip, with_theta_bounds=True
+    )
+    plain = dual_convolution(F, G, grid, tol_skip=tol_skip)
+    tn_f = [schatten_norm(m, 1) for m in F.mats]
+    tn_g = [schatten_norm(m, 1) for m in G.mats]
+    cut = tol_skip * max(tn_f) * max(tn_g)
+    kept = skipped = 0
+    scale = np.max(np.abs(fused.mats))
+    for pos_k, k in enumerate(tg.ks):
+        want = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+        bound = 0.0
+        for pos_j, j in enumerate(tg.ks):
+            pos_m = tg.index_of(k - j)
+            if pos_m is None:
+                continue
+            if tn_f[pos_j] * tn_g[pos_m] <= cut:
+                skipped += 1
+                continue
+            kept += 1
+            term = tg.delta * _theta_term(
+                Fraction(k - j, k), grid, F.mats[pos_j], G.mats[pos_m]
+            )
+            want += term
+            bound += schatten_norm(term, 1)
+        assert np.max(np.abs(fused.mats[pos_k] - want)) < 1e-13 * scale
+        assert abs(bounds[pos_k] - bound) <= 1e-12 * bound
+    assert np.array_equal(plain.mats, fused.mats)
+    # at 1e-3 some terms are skipped, so the comparison covers the skip rule
+    assert kept > 0 and (skipped > 0) == (tol_skip > 0)
+
+
+def test_dual_convolution_results_share_no_buffer():
+    F, G, grid, tg = _dc_fields()
+    f_mats, g_mats = F.mats.copy(), G.mats.copy()
+    first, first_bounds = dual_convolution(F, G, grid, with_theta_bounds=True)
+    second, second_bounds = dual_convolution(F, G, grid, with_theta_bounds=True)
+    assert np.array_equal(first.mats, second.mats)
+    assert np.array_equal(first_bounds, second_bounds)
+    assert not np.shares_memory(first.mats, second.mats)
+    assert not np.shares_memory(first_bounds, second_bounds)
+    for out in (first.mats, second.mats):
+        assert not np.shares_memory(out, F.mats)
+        assert not np.shares_memory(out, G.mats)
+    assert np.array_equal(F.mats, f_mats) and np.array_equal(G.mats, g_mats)
+
+
 def test_dual_convolution_checks_lattice_compatibility():
     F, G, grid, tg = _dc_fields()
     other = OperatorField(TGrid(0.25, 16), np.zeros((32, 16, 16)))
