@@ -517,52 +517,49 @@ def _fusion_grid(level: int) -> GridSpec1D:
     return GridSpec1D(16 * 2**level, 4.0)
 
 
+def _gaussian_pair(grid: GridSpec1D, sigma: float) -> np.ndarray:
+    """The separable Gaussian exp(-(u^2 + k^2) / (2 sigma^2)) on the grid."""
+    bump = np.exp(-(grid.nodes**2) / (2 * sigma**2))
+    return np.outer(bump, bump)
+
+
 def _intertwine_residual(r: float, s: float, grid: GridSpec1D) -> float:
-    n = grid.n_points
-    w = _dense_w(_exact_ratio(r, s), grid)
-    u = grid.nodes
-    v = np.outer(
-        np.exp(-(u**2) / (2 * 0.8**2)), np.exp(-(u**2) / (2 * 0.8**2))
-    ).ravel().astype(complex)
+    v = _gaussian_pair(grid, 0.8)
+    wv = intertwiner(r, s, grid, v)
     nv = np.linalg.norm(v)
     worst = 0.0
     for g in GSET:
         ar = rep_matrix(r, g, grid)
         as_ = rep_matrix(s, g, grid)
         at = rep_matrix(r + s, g, grid)
-        lhs = w @ (ar @ v.reshape(n, n) @ as_.T).ravel()
-        rhs = (at @ (w @ v).reshape(n, n)).ravel()
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / nv)
+        lhs = intertwiner(r, s, grid, ar @ v @ as_.T)
+        worst = max(worst, float(np.linalg.norm(lhs - at @ wv)) / nv)
     return worst
 
 
 def _composition_oracle(n: int) -> float:
     grid = GridSpec1D(n, 6.25)
-    w = _dense_w(_exact_ratio(1.0, 1.0), grid)
+    fvec = _gaussian_pair(grid, 1.2)
+    scale = np.linalg.norm(fvec)
     u = grid.nodes
-    fvec = np.outer(
-        np.exp(-(u**2) / (2 * 1.2**2)), np.exp(-(u**2) / (2 * 1.2**2))
-    )
-    scale = np.linalg.norm(fvec.ravel())
     uu = u[:, None]
     kk = u[None, :]
     comp = np.exp(-((uu - 0.5 * kk) ** 2) / (2 * 1.2**2)) * np.exp(
         -((uu + 0.5 * kk) ** 2) / (2 * 1.2**2)
     )
-    got = (w @ fvec.ravel()).reshape(n, n)
+    got = intertwiner(1.0, 1.0, grid, fvec)
     return float(np.max(np.abs(got - comp)) / scale)
 
 
 def _fusion_level(cfg: RunConfig, level: int) -> dict:
     grid = _fusion_grid(level)
-    n = grid.n_points
-    if n * n > 4096:
-        raise CapacityError(f"dense intertwiner at {n * n} exceeds the kron cap")
+    if grid.n_points > 1024:
+        raise CapacityError("carrier beyond 1024 points is out of convergence range")
     residuals = [_intertwine_residual(r, s, grid) for r, s in _RESIDUAL_PAIRS]
     return {
         "residuals": residuals,
         "residual_max": max(residuals),
-        "composed_action_oracle": _composition_oracle(n),
+        "composed_action_oracle": _composition_oracle(grid.n_points),
     }
 
 
@@ -622,8 +619,14 @@ def fusion_suite(cfg: RunConfig):
         gain = res / res_ref if res_ref > 0 else math.inf
         yield check(f"residual_gain_{label}", gain, 1.0, gain > 1.0, residual_n32=res_ref)
 
-    diagnostic = intertwiner(0.25, 0.25, _fusion_grid(0)).sampling_defect
-    yield check("sampling_defect_diagnostic", diagnostic, passed=True)
+    grid0 = _fusion_grid(0)
+    v = _gaussian_pair(grid0, 0.8)
+    gap = 0.0
+    for r, s in _RESIDUAL_PAIRS:
+        dense = (_dense_w(_exact_ratio(r, s), grid0) @ v.ravel()).reshape(v.shape)
+        diff = np.max(np.abs(intertwiner(r, s, grid0, v) - dense))
+        gap = max(gap, float(diff / np.max(np.abs(dense))))
+    yield check("intertwiner_matrix_free_vs_dense", gap, 1e-12)
 
 
 def _dc_scales(cfg: RunConfig):

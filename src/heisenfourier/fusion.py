@@ -16,21 +16,16 @@ normalization defect of its own.  Accuracy degrades only through content
 pushed past the window or the frequency band, which shows up in the
 intertwining residual, never in unitarity.
 
-Point sampling the composed function on the product grid and projecting
-onto the carrier band gives an alternative W whose unitarity defect
-measures whether the grid resolves the shear at all; half-integer shears
-alias colliding frequency pairs into exact rank collapse there (defect
-1).  intertwiner() reports that defect as a sampling diagnostic next to
-the exact-shear matrix.
-
-theta1 and dual_convolution never materialize W.  For a separable input
-kron(A, B) the partial trace fuses into the shear conjugation, and each
-shear is cheap in its own basis: the second-variable shear moves by
-whole grid steps, so it is a gather of B, and the first-variable shear
-is diagonal in the DFT basis, so its conjugation is a phase weighting
-between FFTs.  A term costs O(N^3 log N) and builds no shift stack.
-_dense_w keeps the literal W, from grid's circulant shifts, as the
-oracle for that contraction.
+W is never materialized outside the oracle.  Each shear is cheap in its
+own basis: the second-variable shear moves by whole grid steps, so it is
+a gather (_roll_index), and the first-variable shear is diagonal in the
+DFT basis, so it is a phase weighting between FFTs (_shear_phases).
+intertwiner() applies W to an N x N array with one gather and two
+batched FFTs, O(N^2 log N).  theta1 and dual_convolution fuse the same
+two steps into the partial trace of W kron(A, B) W*, where the gather
+acts on B: O(N^3 log N) per term and no shift stack.  _dense_w keeps the
+literal N^2 x N^2 W, from grid's circulant shifts, as the oracle for
+both.
 
 dual_convolution runs every term through one kernel, _theta_dft, in two
 O(N^3) work buffers allocated once per call.  The gather of B depends
@@ -45,13 +40,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
-from .field import OperatorField, TGrid
+from .field import OperatorField
 from .grid import GridSpec1D, circulant, schatten_norm, shift_kernel, shift_phases
-from .schrodinger import forward_field
 
 _DOMAIN_MSG = "fusion needs r, s, r + s all nonzero"
 
@@ -70,12 +63,6 @@ def gamma(r: float, s: float) -> np.ndarray:
     return np.array([[r / tot, s / tot], [-1.0, 1.0]])
 
 
-class IntertwinerResult(NamedTuple):
-    matrix: np.ndarray
-    sampling_defect: float
-    near_singular: bool
-
-
 def _exact_ratio(r: float, s: float) -> Fraction:
     return Fraction(s) / (Fraction(r) + Fraction(s))
 
@@ -83,7 +70,8 @@ def _exact_ratio(r: float, s: float) -> Fraction:
 def _dense_w(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
     """W[(u,n),(p,q)] = TU[n][u,p] * TL[p][n,q], rows (i,j) -> i*N+j.
 
-    The literal W from dense shift stacks, the oracle for _theta_term.
+    The literal W from dense shift stacks, the oracle for intertwiner
+    and _theta_term.
     """
     n = grid.n_points
     tu = circulant(shift_kernel(grid, float(ratio) * grid.nodes))
@@ -92,71 +80,45 @@ def _dense_w(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
     return np.ascontiguousarray(w.reshape(n * n, n * n))
 
 
-def _eval_weights(points: np.ndarray, grid: GridSpec1D) -> np.ndarray:
-    """Rows evaluate a carrier vector at off-grid points by band interpolation."""
-    a = np.exp(2j * np.pi * np.outer(points, grid.frequencies))
-    b = np.exp(-2j * np.pi * np.outer(grid.frequencies, grid.nodes))
-    return (a @ b) / grid.n_points
+def _roll_index(size: int) -> np.ndarray:
+    """r[n, p] = (n + p - N/2) mod N, so TL[p][n, q] = [q == r[n, p]].
 
-
-def _sampled_composition(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
-    """Composition with gamma^{-1} sampled on a doubled grid, band-projected.
-
-    Sampling on the N x N grid itself aliases colliding frequency pairs
-    for half-integer shears; the double-then-project route keeps those
-    directions distinct, at the cost of a contraction.
+    TL[p] shifts by (N/2 - p) h, whole grid steps, so it is a gather.
     """
-    n = grid.n_points
-    fine = GridSpec1D(2 * n, grid.half_width)
-    rr = float(ratio)
-    hh = np.repeat(fine.nodes, 2 * n)
-    kk = np.tile(fine.nodes, 2 * n)
-    cu = _eval_weights(hh - kk * rr, grid).reshape(2 * n, 2 * n, n)
-    cv = _eval_weights(hh + kk * (1.0 - rr), grid).reshape(2 * n, 2 * n, n)
-    ph1 = np.exp(2j * np.pi * np.outer(grid.nodes, grid.frequencies))
-    ph2 = np.exp(-2j * np.pi * np.outer(grid.frequencies, fine.nodes))
-    pd = (ph1 @ ph2) / (2 * n)
-    x = np.empty((2 * n, n, n * n), dtype=complex)
-    for a in range(2 * n):
-        cuv = (cu[a, :, :, None] * cv[a, :, None, :]).reshape(2 * n, n * n)
-        x[a] = pd @ cuv
-    w = pd @ x.reshape(2 * n, n * n * n)
-    return w.reshape(n * n, n * n)
+    ar = np.arange(size)
+    return (ar[:, None] + ar - size // 2) % size
 
 
-def _sampling_defect(ratio: Fraction, grid: GridSpec1D) -> float:
-    w = _sampled_composition(ratio, grid)
-    gram = np.linalg.eigvalsh(w.conj().T @ w)
-    return float(np.max(np.abs(gram - 1.0)))
+def _shear_phases(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
+    """phi with TU[n] = F^-1 diag(phi[n]) F, the shift by ratio * w_n."""
+    return shift_phases(grid, float(ratio) * grid.nodes)
 
 
-def intertwiner(
-    r: float, s: float, grid: GridSpec1D, delta_dom: float = 0.0
-) -> IntertwinerResult:
-    """Unitary intertwiner between pi_r (x) pi_s and pi_{r+s} (x) 1.
+def intertwiner(r: float, s: float, grid: GridSpec1D, v: np.ndarray) -> np.ndarray:
+    """W v for the unitary intertwiner between pi_r (x) pi_s and pi_{r+s} (x) 1.
 
-    matrix is the exact two-shear composition unitary on the tensor
-    carrier, unitary to roundoff for every admissible (r, s).
-    sampling_defect is ||Ws* Ws - I||_inf for the band-projected
-    point-sampled composition Ws on the same grid, reported as a
-    diagnostic of how well the grid resolves the shear; it does not
-    enter the returned matrix.  near_singular flags |r + s| below
-    delta_dom.
+    v is an N x N array on the tensor carrier, entry [p, q] the
+    coefficient of e_p (x) e_q, and the result, a fresh N x N array, is
+    _dense_w(ratio, grid) @ v.ravel() reshaped, without building W: the
+    gather y[p, n] = v[p, r[n, p]] with r = _roll_index(N), then the
+    first shear column by column in the DFT basis.  O(N^2 log N).
 
-    Raises ValueError for non-finite input or when any of r, s, r + s
-    is zero.  The shear matrix itself only degenerates at r + s == 0,
-    but the representations being fused need nonzero parameters.
+    Raises ValueError for non-finite input, when any of r, s, r + s is
+    zero, or when v is not N x N.  The shear itself only degenerates at
+    r + s == 0, but the representations being fused need nonzero
+    parameters.
     """
     if not (math.isfinite(r) and math.isfinite(s)):
         raise ValueError(f"fusion parameters must be finite, got r={r}, s={s}")
     if not _in_domain(r, s):
         raise ValueError(_DOMAIN_MSG + f", got r={r}, s={s}")
-    if not (math.isfinite(delta_dom) and delta_dom >= 0):
-        raise ValueError(f"delta_dom must be finite and >= 0, got {delta_dom}")
-    ratio = _exact_ratio(r, s)
-    matrix = _dense_w(ratio, grid)
-    defect = _sampling_defect(ratio, grid)
-    return IntertwinerResult(matrix, defect, bool(abs(r + s) < delta_dom))
+    n = grid.n_points
+    v = np.asarray(v)
+    if v.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} array, got shape {v.shape}")
+    phi = _shear_phases(_exact_ratio(r, s), grid)
+    y = np.take_along_axis(v, _roll_index(n), axis=1)
+    return np.fft.ifft(phi.T * np.fft.fft(y, axis=0), axis=0)
 
 
 def partial_trace_second(big: np.ndarray, dim_first: int) -> np.ndarray:
@@ -172,13 +134,11 @@ def partial_trace_second(big: np.ndarray, dim_first: int) -> np.ndarray:
 
 
 def _gather_index(size: int) -> np.ndarray:
-    """Flat indices of b[r(n, m), r(n, p)], r(n, m) = (n + m - N/2) mod N.
+    """Flat indices of b[r[n, m], r[n, p]], r = _roll_index(N).
 
-    TL[m] shifts by (N/2 - m) h, whole grid steps, so the slices
-    (TL[m] b TL[p]*)[n, n] over n are this one gather of b.
+    The slices (TL[m] b TL[p]*)[n, n] over n are this one gather of b.
     """
-    ar = np.arange(size)
-    r = (ar[:, None] + ar - size // 2) % size
+    r = _roll_index(size)
     return r[:, :, None] * size + r[:, None, :]
 
 
@@ -192,7 +152,7 @@ def _theta_dft(
     F^-1 s F with s = sum_n phi_n phi_n^H o F E_n F^-1; this returns s,
     a fresh N x N array, and _from_dft maps it back.  e is overwritten.
     """
-    phi = shift_phases(grid, float(ratio) * grid.nodes)
+    phi = _shear_phases(ratio, grid)
     np.multiply(a, bg, out=e)
     np.fft.fft(e, axis=1, out=e)
     np.fft.ifft(e, axis=2, out=e)
@@ -310,28 +270,3 @@ def dual_convolution(
     if with_theta_bounds:
         return result, tg.delta * bounds
     return result
-
-
-def product_coefficient_defect(
-    f1, f2, tgrid: TGrid, grid: GridSpec1D, tol_skip: float = 0.0
-) -> float:
-    """Relative defect of |t| pi_t(f1 f2) against (F1 # F2)(t) over the lattice.
-
-    Both sides are compared in trace norm node by node; the defect is the
-    largest node trace-norm gap divided by the largest node trace norm of
-    the direct side.  Raises ValueError when the direct side vanishes
-    identically while the convolution side does not.
-    """
-    f_one = forward_field(f1, tgrid, grid)
-    f_two = forward_field(f2, tgrid, grid)
-    direct = forward_field(f1 * f2, tgrid, grid)
-    fused = dual_convolution(f_one, f_two, grid, tol_skip=tol_skip)
-    gaps = np.array(
-        [schatten_norm(a - b, 1) for a, b in zip(direct.mats, fused.mats)]
-    )
-    scale = max(schatten_norm(m, 1) for m in direct.mats)
-    if scale == 0.0:
-        if float(gaps.max()) == 0.0:
-            return 0.0
-        raise ValueError("product coefficients vanish but the convolution does not")
-    return float(gaps.max()) / scale

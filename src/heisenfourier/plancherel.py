@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import OperatorField, TGrid, load_field, save_field, zero_field
+from .field import OperatorField, TGrid
 from .grid import GridSpec1D, schatten_norm
 from .group import SampledFunction3D, check_map
 from .schrodinger import _TransformPlan, rep_matrix
@@ -36,9 +36,6 @@ from .schrodinger import _TransformPlan, rep_matrix
 __all__ = [
     "TGrid",
     "OperatorField",
-    "zero_field",
-    "save_field",
-    "load_field",
     "inverse_transform",
     "inverse_transform_grid",
     "a_norm",
@@ -48,7 +45,6 @@ __all__ = [
     "m_norm",
     "plancherel_defect",
     "adjoint_pairing_sides",
-    "adjoint_pairing_defect",
 ]
 
 
@@ -152,10 +148,3 @@ def adjoint_pairing_sides(
     for k, coef in plan.coefficients(gc.samples, F.tgrid.nodes, gc.cell_volume):
         terms[k] = F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[k])
     return lhs, complex(node_sum(terms))
-
-
-def adjoint_pairing_defect(
-    g: SampledFunction3D, F: OperatorField, grid: GridSpec1D
-) -> float:
-    lhs, rhs = adjoint_pairing_sides(g, F, grid)
-    return abs(lhs - rhs)

@@ -179,7 +179,7 @@ CHECK_NAMES = {
         "residual_gain_r+0p1250_s+0p1250",
         "residual_r+0p3750_s-0p0625",
         "residual_gain_r+0p3750_s-0p0625",
-        "sampling_defect_diagnostic",
+        "intertwiner_matrix_free_vs_dense",
     ],
     "derivation": [
         "multiplier_identity",
@@ -291,6 +291,30 @@ def test_fusion_suite_and_ladder_share_one_source():
     assert _ladder_column(table, "composed_action_oracle")[0] == oracle
     worst = max(r.value for name, r in recs.items() if name.startswith("residual_r"))
     assert _ladder_column(table, "residual_max")[0] == f"{worst:.9e}"
+
+
+def test_fusion_ladder_runs_past_the_dense_w_size():
+    """W is applied matrix-free, so the ladder reaches N = 128, where the
+    dense W would have 2^28 entries, and its first two levels are the
+    values that verify reports."""
+    cfg = RunConfig()
+    table = convergence_table("fusion", cfg, 4)
+    recs = {r.name: r for r in fusion_suite(cfg)}
+    gains = [r for name, r in recs.items() if name.startswith("residual_gain_")]
+    oracle = recs["composed_action_oracle"].value
+    want = {
+        "residual_max": [
+            max(r.value for name, r in recs.items() if name.startswith("residual_r")),
+            max(r.extra["residual_n32"] for r in gains),
+        ],
+        "composed_action_oracle": [
+            oracle, oracle / recs["composed_action_doubling_gain"].value
+        ],
+    }
+    for check_name, values in want.items():
+        column = [float(v) for v in _ladder_column(table, check_name)]
+        assert len(column) == 4
+        assert column[:2] == pytest.approx(values, rel=1e-9)
 
 
 def test_run_suite_rejects_unknown_names():

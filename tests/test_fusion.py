@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heisenfourier.cli import _FUSION_RATIOS
+from heisenfourier.cli import _FUSION_RATIOS, _RESIDUAL_PAIRS
 from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.fusion import (
     _dense_w,
@@ -14,7 +14,6 @@ from heisenfourier.fusion import (
     gamma,
     intertwiner,
     partial_trace_second,
-    product_coefficient_defect,
     theta1,
 )
 from heisenfourier.grid import GridSpec1D, kron, schatten_norm
@@ -60,24 +59,25 @@ def test_intertwiner_is_unitary():
             assert np.max(np.abs(w.conj().T @ w - eye)) < 1e-12
 
 
+@pytest.mark.parametrize("r, s", _FUSION_RATIOS + _RESIDUAL_PAIRS + ((0.25, -0.375),))
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_intertwiner_equals_the_dense_product(n, r, s):
+    grid = GridSpec1D(n, 4.0)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dense = (_dense_w(_exact_ratio(r, s), grid) @ v.ravel()).reshape(n, n)
+    got = intertwiner(r, s, grid, v)
+    assert np.max(np.abs(got - dense)) < 1e-13 * np.max(np.abs(dense))
+
+
 def test_intertwiner_rejects_degenerate_pairs():
     grid = GridSpec1D(16, 4.0)
+    v = np.eye(16)
+    for r, s in ((0.25, -0.25), (0.0, 0.25), (0.25, 0.0), (math.nan, 0.25)):
+        with pytest.raises(ValueError):
+            intertwiner(r, s, grid, v)
     with pytest.raises(ValueError):
-        intertwiner(0.25, -0.25, grid)
-    with pytest.raises(ValueError):
-        intertwiner(0.0, 0.25, grid)
-    with pytest.raises(ValueError):
-        intertwiner(0.25, 0.0, grid)
-    with pytest.raises(ValueError):
-        intertwiner(math.nan, 0.25, grid)
-    with pytest.raises(ValueError):
-        intertwiner(0.25, 0.25, grid, delta_dom=-1.0)
-
-
-def test_intertwiner_reports_sampling_defect():
-    res = intertwiner(0.25, 0.25, GridSpec1D(16, 4.0))
-    assert res.matrix.shape == (256, 256)
-    assert res.sampling_defect >= 0.0
+        intertwiner(0.25, 0.25, grid, np.eye(8))
 
 
 # the suite's ratios s/(r+s) are 1/2, -1/2 and -1; (0.25, 0.125) gives 1/3
@@ -256,11 +256,3 @@ def test_dual_convolution_checks_lattice_compatibility():
     other = OperatorField(TGrid(0.25, 16), np.zeros((32, 16, 16)))
     with pytest.raises(ValueError):
         dual_convolution(F, other, grid)
-
-
-def test_product_coefficient_defect_small_at_reference_scales():
-    grid = GridSpec1D(16, 2.2)
-    tg = TGrid(0.125, 16)
-    f1 = sample_family(DC_LEFT, DC_BOX, DC_COUNTS)
-    f2 = sample_family(DC_RIGHT, DC_BOX, DC_COUNTS)
-    assert product_coefficient_defect(f1, f2, tg, grid) < 5e-2

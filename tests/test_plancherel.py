@@ -6,7 +6,6 @@ from heisenfourier.grid import GridSpec1D, schatten_norm
 from heisenfourier.group import GaussianPoly, GroupElement, Poly3, box_axes, sample_family
 from heisenfourier.plancherel import (
     a_norm,
-    adjoint_pairing_defect,
     adjoint_pairing_sides,
     inverse_transform,
     inverse_transform_grid,
@@ -136,4 +135,3 @@ def test_adjoint_pairing_sides_agree_at_reference_scales():
     F = forward_field(f, TGrid(0.125, 32), grid)
     lhs, rhs = adjoint_pairing_sides(g, F, grid)
     assert abs(lhs - rhs) / abs(lhs) < 1e-3
-    assert adjoint_pairing_defect(g, F, grid) == pytest.approx(abs(lhs - rhs))
