@@ -87,29 +87,22 @@ class LieAlgebra:
                         raise ValueError(
                             f"antisymmetry fails at c[{i + 1}][{j + 1}][{k + 1}]"
                         )
+        basis = _basis_of_full_space(n)
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     acc = [
                         a + b + c
                         for a, b, c in zip(
-                            self._bracket_basis_vec(i, self.c[j][k]),
-                            self._bracket_basis_vec(j, self.c[k][i]),
-                            self._bracket_basis_vec(k, self.c[i][j]),
+                            bracket(self, basis[i], self.c[j][k]),
+                            bracket(self, basis[j], self.c[k][i]),
+                            bracket(self, basis[k], self.c[i][j]),
                         )
                     ]
                     if not _is_zero(acc):
                         raise ValueError(
                             f"Jacobi identity fails on (e{i + 1}, e{j + 1}, e{k + 1})"
                         )
-
-    def _bracket_basis_vec(self, i: int, v: Sequence[Fraction]) -> Vector:
-        out = [_ZERO] * self.dim
-        for j, coeff in enumerate(v):
-            if coeff != 0:
-                for k, s in enumerate(self.c[i][j]):
-                    out[k] += coeff * s
-        return tuple(out)
 
     @classmethod
     def from_brackets(cls, dim: int, entries: dict) -> "LieAlgebra":
@@ -230,13 +223,8 @@ def find_h3(L: LieAlgebra) -> H3Embedding:
             continue
         for y in basis:
             z = bracket(L, x, y)
-            if _is_zero(z):
-                continue
-            if not _is_zero(bracket(L, x, z)):
-                continue
-            if not _is_zero(bracket(L, y, z)):
-                continue
-            if any(not _is_zero(bracket(L, e, z)) for e in basis):
+            # z central implies [x, z] = [y, z] = 0
+            if _is_zero(z) or any(not _is_zero(bracket(L, e, z)) for e in basis):
                 continue
             return H3Embedding(tuple(x), tuple(y), tuple(z))
     raise ValueError("no h3 copy found; input violates the nilpotent structure")

@@ -21,9 +21,13 @@ from heisenfourier.cli import (
     representation_suite,
     run_suite,
 )
-from heisenfourier.field import load_field
-from heisenfourier.grid import CapacityError
+from heisenfourier.derivation import d_z, multiplier_defect
+from heisenfourier.field import TGrid, load_field
+from heisenfourier.grid import CapacityError, GridSpec1D
+from heisenfourier.group import sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
+from heisenfourier.plancherel import a_norm, w_norm
+from heisenfourier.schrodinger import forward_field
 
 
 def test_default_config_validates():
@@ -279,6 +283,24 @@ def test_derivation_suite_and_ladder_share_one_source():
     assert _ladder_column(table, "module_rel_excess") == [f"{v:.9e}" for v in module]
     multiplier = f"{recs['multiplier_identity'].value:.9e}"
     assert _ladder_column(table, "multiplier_identity")[0] == multiplier
+
+    # each row reads the one pass of derivation_nodes; the values are those
+    # of the separate transforms, bit for bit
+    tg, grid = TGrid(*cli.DERIV_TG), GridSpec1D(*cli.DERIV_GRID)
+    f = sample_family(cli.DERIV_FAMILY, cli.DERIV_BOX, cli.DERIV_COUNTS)
+    h = sample_family(cli.DERIV_MODULE_PARTNER, cli.DERIV_BOX, cli.DERIV_COUNTS)
+    w_dz, a_f = w_norm(d_z(f), tg, grid), a_norm(forward_field(f, tg, grid))
+    assert recs["nonvanishing_witness"].value == w_dz
+    assert recs["w_norm_bound_slack"].value == w_dz - a_f
+    assert recs["module_inequality"].extra == {
+        "lhs": w_norm(f * h, tg, grid),
+        "rhs": a_f * w_norm(h, tg, grid),
+    }
+    # the level-1 multiplier that only converge reports
+    f1 = sample_family(cli.DERIV_FAMILY, cli.DERIV_BOX, (56, 56, 44))
+    grid1 = GridSpec1D(2 * cli.DERIV_GRID[0], cli.DERIV_GRID[1])
+    multiplier1 = multiplier_defect(f1, tg, grid1)
+    assert _ladder_column(table, "multiplier_identity")[1] == f"{multiplier1:.9e}"
 
 
 def test_fusion_suite_and_ladder_share_one_source():

@@ -5,16 +5,16 @@ import pytest
 
 from heisenfourier.derivation import (
     BOUNDARY_TOL,
-    boundedness_check,
     d_z,
+    derivation_nodes,
     leibniz_defect,
-    module_norm_check,
     multiplier_defect,
 )
 from heisenfourier.field import TGrid
-from heisenfourier.grid import GridSpec1D
+from heisenfourier.grid import GridSpec1D, schatten_norm
 from heisenfourier.group import GaussianPoly, Poly3, SampledFunction3D, sample_family
-from heisenfourier.plancherel import coefficient_norms
+from heisenfourier.plancherel import a_norm, coefficient_norms, w_norm
+from heisenfourier.schrodinger import forward_field
 
 F_ODD = GaussianPoly(Poly3({(0, 0, 1): 1.0}), (0.6, 0.6, 0.5))
 G_PARTNER = GaussianPoly(Poly3({(0, 0, 2): 0.5, (0, 0, 0): 0.2}), (0.55, 0.7, 0.65))
@@ -103,30 +103,20 @@ def test_leibniz_requires_closed_form_products():
         leibniz_defect(f, g)
 
 
-def test_boundedness_chain():
+def test_derivation_nodes_match_the_separate_transforms():
     f = sample_family(F_ODD, BOX, COUNTS)
-    res = boundedness_check(f, TG, GRID)
-    assert res.passed
-    assert res.lhs <= res.rhs + 1e-9
-    # the node-wise chain can only be violated by quadrature error
-    assert res.node_gap <= 1e-6
-    # the per-node norms behind lhs, as the w_norm tail fraction reads them
-    assert np.array_equal(res.node_norms, coefficient_norms(d_z(f), TG, GRID, np.inf))
+    gap, dz_norm, trace_norm = derivation_nodes(f, TG, GRID)
+    assert np.array_equal(dz_norm, coefficient_norms(d_z(f), TG, GRID, np.inf))
+    field = forward_field(f, TG, GRID)
+    assert np.array_equal(trace_norm, [schatten_norm(m, 1) for m in field.mats])
+    assert np.max(gap) == multiplier_defect(f, TG, GRID)
 
 
-def test_module_inequality_and_zero_special_case():
+def test_derivation_nodes_bound_chain():
     f = sample_family(F_ODD, BOX, COUNTS)
-    h = sample_family(H_OFFCENTER, BOX, COUNTS)
-    res = module_norm_check(f, h, TG, GRID)
-    assert res.passed
-    assert res.rel_excess == 0.0
-    zero = SampledFunction3D(BOX, COUNTS, np.zeros(COUNTS))
-    res0 = module_norm_check(zero, zero, TG, GRID)
-    assert res0.passed and res0.lhs == 0.0 and res0.rhs == 0.0
+    _, dz_norm, trace_norm = derivation_nodes(f, TG, GRID)
+    # ||pi_t(d_z f)||_inf <= || |t| pi_t(f) ||_1 node by node, up to quadrature
+    assert np.max(dz_norm - trace_norm) <= 1e-6
+    # summed over the lattice: w_norm(d_z f) <= a_norm(F_f)
+    assert w_norm(d_z(f), TG, GRID) <= a_norm(forward_field(f, TG, GRID)) + 1e-9
 
-
-def test_module_inequality_requires_matching_grids():
-    f = sample_family(F_ODD, BOX, COUNTS)
-    h = sample_family(H_OFFCENTER, BOX, (40, 40, 30))
-    with pytest.raises(ValueError):
-        module_norm_check(f, h, TG, GRID)
