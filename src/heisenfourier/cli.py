@@ -82,21 +82,17 @@ DEFAULT_TOL = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Scales and tolerances for the verification suites.
+    """Settings and tolerances for the verification suites.
 
-    The main fields describe the canonical transform-scale setup; dc_*
-    fields override the dual-convolution scales, whose refinement level is
-    derived by doubling the carrier and t-lattice.  tol holds the per-suite
-    headline tolerance; individually pinned constants (unitarity 1e-12,
-    Leibniz 1e-12, exact-slack 1e-9) are fixed by the checks themselves.
+    box, fam_sigma and fam_shift set the canonical family of the Plancherel
+    and inversion ladders, seed the random group elements, and dc_* the
+    dual-convolution base level; every other scale is fixed by its ladder's
+    scale function.  tol holds the per-suite headline tolerance; individually
+    pinned constants (unitarity 1e-12, Leibniz 1e-12, exact-slack 1e-9) are
+    fixed by the checks themselves.
     """
 
-    n_points: int = 64
-    half_width: float = 4.0
     box: tuple = (5.2, 5.2, 3.2)
-    counts: tuple = (64, 96, 44)
-    delta: float = 0.125
-    k_max: int = 32
     fam_sigma: tuple = (0.7, 1.0, 0.5)
     fam_shift: float = 0.015
     seed: int = 20260816
@@ -318,10 +314,6 @@ DERIV_LEIBNIZ_PARTNER = GaussianPoly(
 DERIV_MODULE_PARTNER = GaussianPoly(
     Poly3({(1, 0, 0): 0.4, (0, 0, 0): 1.0}), (0.7, 0.65, 0.6), (0.2, -0.3, 0.15)
 )
-DERIV_BOX = (5.0, 5.0, 4.0)
-DERIV_COUNTS = (40, 40, 32)
-DERIV_GRID = (32, 3.2)
-DERIV_TG = (0.25, 8)
 
 _REP_TS = (0.25, -0.5, 1.0, -1.75, 2.0)
 
@@ -450,14 +442,18 @@ def _ladder(name: str, levels, tol: float):
     return seen
 
 
-def _plancherel_level(cfg: RunConfig, level: int) -> dict:
+def _plancherel_scales(cfg: RunConfig, level: int):
+    """(box, counts, t-grid, carrier) of one PLANCHEREL_LADDER level."""
     if level >= len(PLANCHEREL_LADDER):
         raise CapacityError("plancherel ladder is defined for 3 levels")
     n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
-    f = sample_family(canonical_family(cfg), cfg.box, counts)
-    return {
-        "isometry_defect": plancherel_defect(f, TGrid(delta, k_max), GridSpec1D(n, L))
-    }
+    return cfg.box, counts, TGrid(delta, k_max), GridSpec1D(n, L)
+
+
+def _plancherel_level(cfg: RunConfig, level: int) -> dict:
+    box, counts, tgrid, grid = _plancherel_scales(cfg, level)
+    f = sample_family(canonical_family(cfg), box, counts)
+    return {"isometry_defect": plancherel_defect(f, tgrid, grid)}
 
 
 @_suite("plancherel")
@@ -479,11 +475,10 @@ def _inversion_level(cfg: RunConfig, level: int) -> dict:
         forward_field(sample_family(fam, cfg.box, counts), TGrid(0.125, 32), grid),
         grid,
     )
-    n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
-    grid = GridSpec1D(n, L)
-    f = sample_family(fam, cfg.box, counts)
-    F = forward_field(f, TGrid(delta, k_max), grid)
-    recon = inverse_transform_grid(F, cfg.box, counts, grid)
+    box, counts, tgrid, grid = _plancherel_scales(cfg, level)
+    f = sample_family(fam, box, counts)
+    F = forward_field(f, tgrid, grid)
+    recon = inverse_transform_grid(F, box, counts, grid)
     return {
         "roundtrip": float(np.max(np.abs(recon - f.samples)) / np.max(np.abs(f.samples))),
         "adjoint_pairing": abs(lhs - rhs) / abs(lhs),
@@ -624,31 +619,32 @@ def fusion_suite(cfg: RunConfig):
     yield check("intertwiner_matrix_free_vs_dense", gap, 1e-12)
 
 
-def _dc_scales(cfg: RunConfig):
-    base = (
-        GridSpec1D(cfg.dc_n_points, cfg.dc_half_width),
-        cfg.dc_counts,
-        TGrid(cfg.dc_delta, cfg.dc_k_max),
-        0.0,
-    )
-    ref_counts = (cfg.dc_counts[0], max(56, cfg.dc_counts[1]), cfg.dc_counts[2])
-    refined = (
-        GridSpec1D(2 * cfg.dc_n_points, 2 * cfg.dc_half_width),
-        ref_counts,
-        TGrid(cfg.dc_delta / 2, 2 * cfg.dc_k_max),
-        1e-10,
-    )
-    return base, refined
+def _dc_scales(cfg: RunConfig, level: int):
+    """(box, counts, t-grid, carrier) of the dual-convolution ladder: the dc_*
+    settings, then the carrier and t-lattice doubled."""
+    if level >= 2:
+        raise CapacityError("dual-convolution ladder is defined for 2 levels")
+    nx, ny, nz = cfg.dc_counts
+    counts = (cfg.dc_counts, (nx, max(56, ny), nz))[level]
+    s = 2**level
+    grid = GridSpec1D(s * cfg.dc_n_points, s * cfg.dc_half_width)
+    return cfg.dc_box, counts, TGrid(cfg.dc_delta / s, s * cfg.dc_k_max), grid
+
+
+def _dc_fields(cfg: RunConfig, level: int):
+    """The carrier, DC_LEFT and DC_RIGHT sampled at one level, and their
+    forward fields F and G."""
+    box, counts, tgrid, grid = _dc_scales(cfg, level)
+    f1 = sample_family(DC_LEFT, box, counts)
+    f2 = sample_family(DC_RIGHT, box, counts)
+    return grid, f1, f2, forward_field(f1, tgrid, grid), forward_field(f2, tgrid, grid)
 
 
 def _dc_level(cfg: RunConfig, level: int) -> dict:
-    if level >= 2:
-        raise CapacityError("dual-convolution ladder is defined for 2 levels")
-    grid, counts, tgrid, tol_skip = _dc_scales(cfg)[level]
-    f1 = sample_family(DC_LEFT, cfg.dc_box, counts)
-    f2 = sample_family(DC_RIGHT, cfg.dc_box, counts)
-    F = forward_field(f1, tgrid, grid)
-    G = forward_field(f2, tgrid, grid)
+    grid, f1, f2, F, G = _dc_fields(cfg, level)
+    tgrid = F.tgrid
+    # the refined level skips pair terms 1e-10 below the largest product
+    tol_skip = (0.0, 1e-10)[level]
     FG = dual_convolution(F, G, grid, tol_skip=tol_skip)
     GF = dual_convolution(G, F, grid, tol_skip=tol_skip)
     direct = forward_field(f1 * f2, tgrid, grid)
@@ -691,9 +687,8 @@ _THETA1_PAIRS = ((3, 3), (4, 2), (3, -2), (-2, 4), (5, 3))
 @_suite("inequalities")
 def inequalities_suite(cfg: RunConfig):
     tol = cfg.tol["inequalities"]
-    grid, counts, tgrid, _ = _dc_scales(cfg)[0]
-    F = forward_field(sample_family(DC_LEFT, cfg.dc_box, counts), tgrid, grid)
-    G = forward_field(sample_family(DC_RIGHT, cfg.dc_box, counts), tgrid, grid)
+    grid, _, _, F, G = _dc_fields(cfg, 0)
+    tgrid = F.tgrid
     FG, bounds = dual_convolution(F, G, grid, with_theta_bounds=True)
     worst = max(
         schatten_norm(FG.at_k(k), 1) - bounds[pos] for pos, k in enumerate(tgrid.ks)
@@ -711,17 +706,22 @@ def inequalities_suite(cfg: RunConfig):
     yield check("theta1_trace_norm_slack", worst, tol, worst <= tol)
 
 
-def _deriv_level(cfg: RunConfig, level: int) -> dict:
-    """The odd family on a finer box and carrier per level: the multiplier,
-    both sides of w_norm(d_z f) <= a_norm(F_f) and of the module inequality
-    w_norm(f h) <= a_norm(F_f) w_norm(h)."""
+def _deriv_scales(cfg: RunConfig, level: int):
+    """(box, counts, t-grid, carrier) of the derivation ladder: finer samples
+    and a doubled carrier per level, on one box and t-lattice."""
     if level >= 2:
         raise CapacityError("derivation ladder is defined for 2 levels")
-    counts = (DERIV_COUNTS, (56, 56, 44))[level]
-    carrier = GridSpec1D(DERIV_GRID[0] * 2**level, DERIV_GRID[1])
-    tg = TGrid(*DERIV_TG)
-    f = sample_family(DERIV_FAMILY, DERIV_BOX, counts)
-    h = sample_family(DERIV_MODULE_PARTNER, DERIV_BOX, counts)
+    counts = ((40, 40, 32), (56, 56, 44))[level]
+    return (5.0, 5.0, 4.0), counts, TGrid(0.25, 8), GridSpec1D(32 * 2**level, 3.2)
+
+
+def _deriv_level(cfg: RunConfig, level: int) -> dict:
+    """The odd family at one level: the multiplier, both sides of
+    w_norm(d_z f) <= a_norm(F_f) and of the module inequality
+    w_norm(f h) <= a_norm(F_f) w_norm(h)."""
+    box, counts, tg, carrier = _deriv_scales(cfg, level)
+    f = sample_family(DERIV_FAMILY, box, counts)
+    h = sample_family(DERIV_MODULE_PARTNER, box, counts)
     gap, dz_norm, trace_norm = derivation_nodes(f, tg, carrier)
     a_norm_f = float(tg.delta * node_sum(trace_norm))
     module_lhs = w_norm(f * h, tg, carrier)
@@ -749,7 +749,8 @@ def derivation_suite(cfg: RunConfig):
     yield check("multiplier_identity", mult, tol)
     gap = float(np.max(np.abs(d_z(f).samples - d_z(_plain_copy(f)).samples)))
     yield check("spectral_vs_analytic", gap, tol)
-    g = sample_family(DERIV_LEIBNIZ_PARTNER, DERIV_BOX, DERIV_COUNTS)
+    box, counts, tg, carrier = _deriv_scales(cfg, 0)
+    g = sample_family(DERIV_LEIBNIZ_PARTNER, box, counts)
     yield check("leibniz_identity", leibniz_defect(f, g), 1e-12)
 
     lhs, rhs = base["w_norm_dz"], base["a_norm"]
@@ -791,7 +792,7 @@ def derivation_suite(cfg: RunConfig):
     small = sample_family(DERIV_FAMILY, (4.0, 4.0, 2.5), (32, 32, 20))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        d_small = multiplier_defect(small, TGrid(*DERIV_TG), GridSpec1D(*DERIV_GRID))
+        d_small = multiplier_defect(small, tg, carrier)
     yield check("boundary_decay_gain", d_small - mult, passed=mult < d_small)
 
 
@@ -948,27 +949,14 @@ def convergence_table(suite: str, cfg: RunConfig, levels: int) -> str:
 # named transforms
 
 
-def _main_scales(cfg: RunConfig):
-    grid = GridSpec1D(cfg.n_points, cfg.half_width)
-    return cfg.box, cfg.counts, TGrid(cfg.delta, cfg.k_max), grid
-
-
-def _dc_base_scales(cfg: RunConfig):
-    grid, counts, tgrid, _ = _dc_scales(cfg)[0]
-    return cfg.dc_box, counts, tgrid, grid
-
-
-def _deriv_scales(cfg: RunConfig):
-    return DERIV_BOX, DERIV_COUNTS, TGrid(*DERIV_TG), GridSpec1D(*DERIV_GRID)
-
-
-# transform --function NAME: the family (from the config) and its scales,
-# a function of the config giving (box, counts, t-grid, carrier)
+# transform --function NAME: the family (from the config) and the scale
+# function of the ladder that uses it, sampled at level 0; the partner's
+# adjoint-pairing base scales are those of PLANCHEREL_LADDER[0]
 _NAMED_FUNCTIONS = {
-    "canonical": (canonical_family, _main_scales),
-    "partner": (lambda cfg: PARTNER_FAMILY, _main_scales),
-    "dc-left": (lambda cfg: DC_LEFT, _dc_base_scales),
-    "dc-right": (lambda cfg: DC_RIGHT, _dc_base_scales),
+    "canonical": (canonical_family, _plancherel_scales),
+    "partner": (lambda cfg: PARTNER_FAMILY, _plancherel_scales),
+    "dc-left": (lambda cfg: DC_LEFT, _dc_scales),
+    "dc-right": (lambda cfg: DC_RIGHT, _dc_scales),
     "derivation-odd": (lambda cfg: DERIV_FAMILY, _deriv_scales),
 }
 
@@ -977,7 +965,7 @@ def _named_function(cfg: RunConfig, name: str):
     if name not in _NAMED_FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; have {', '.join(_NAMED_FUNCTIONS)}")
     family, scales = _NAMED_FUNCTIONS[name]
-    box, counts, tgrid, grid = scales(cfg)
+    box, counts, tgrid, grid = scales(cfg, 0)
     return sample_family(family(cfg), box, counts), tgrid, grid
 
 

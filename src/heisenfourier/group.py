@@ -110,24 +110,6 @@ class Poly3:
         return f"Poly3({self.coeffs!r})"
 
 
-_NAMED_PREFACTORS = {
-    "one": Poly3.const(1.0),
-    "z": Poly3({(0, 0, 1): 1.0}),
-    "xz": Poly3({(1, 0, 1): 1.0}),
-    "x": Poly3({(1, 0, 0): 1.0}),
-}
-
-
-def named_prefactor(name: str, sigma_z: float) -> Poly3:
-    """Look up a prefactor by name; 'hermite2' depends on the z-width."""
-    if name == "hermite2":
-        return Poly3({(0, 0, 2): 1.0, (0, 0, 0): -sigma_z * sigma_z})
-    try:
-        return _NAMED_PREFACTORS[name]
-    except KeyError:
-        raise ValueError(f"unknown prefactor {name!r}") from None
-
-
 @dataclass(frozen=True)
 class GaussianPoly:
     """p(x,y,z) * exp(-sum_a ((a-c_a)/sigma_a)^2 / 2), with polynomial p.

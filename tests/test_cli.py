@@ -22,8 +22,8 @@ from heisenfourier.cli import (
     run_suite,
 )
 from heisenfourier.derivation import d_z, multiplier_defect
-from heisenfourier.field import TGrid, load_field
-from heisenfourier.grid import CapacityError, GridSpec1D
+from heisenfourier.field import load_field
+from heisenfourier.grid import CapacityError
 from heisenfourier.group import sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
 from heisenfourier.plancherel import a_norm, w_norm
@@ -38,7 +38,7 @@ def test_default_config_validates():
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        RunConfig(n_points=-1).validate()
+        RunConfig(dc_n_points=-1).validate()
     with pytest.raises(ValueError):
         RunConfig(box=(1.0, 1.0)).validate()
     with pytest.raises(ValueError):
@@ -65,6 +65,35 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("just a line\n")
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+# keys of earlier versions that shaped only `transform`; its families are now
+# sampled at the base level of their ladders
+REMOVED_KEYS = {
+    "n_points": "64",
+    "half_width": "4.0",
+    "counts": "64,96,44",
+    "delta": "0.125",
+    "k_max": "32",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_removed_transform_keys_are_unknown(tmp_path, monkeypatch, capsys, key):
+    raw = REMOVED_KEYS[key]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n")
+    env = {f"HEISENFOURIER_{key.upper()}": raw}
+    with pytest.raises(ValueError, match="unknown config key"):
+        load_config(str(path))
+    with pytest.raises(ValueError, match="unknown config key"):
+        load_config(env=env)
+    assert main(["--config", str(path), "verify", "group"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["verify", "group"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 # keys whose values may be zero or negative
@@ -286,9 +315,9 @@ def test_derivation_suite_and_ladder_share_one_source():
 
     # each row reads the one pass of derivation_nodes; the values are those
     # of the separate transforms, bit for bit
-    tg, grid = TGrid(*cli.DERIV_TG), GridSpec1D(*cli.DERIV_GRID)
-    f = sample_family(cli.DERIV_FAMILY, cli.DERIV_BOX, cli.DERIV_COUNTS)
-    h = sample_family(cli.DERIV_MODULE_PARTNER, cli.DERIV_BOX, cli.DERIV_COUNTS)
+    box, counts, tg, grid = cli._deriv_scales(cfg, 0)
+    f = sample_family(cli.DERIV_FAMILY, box, counts)
+    h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
     w_dz, a_f = w_norm(d_z(f), tg, grid), a_norm(forward_field(f, tg, grid))
     assert recs["nonvanishing_witness"].value == w_dz
     assert recs["w_norm_bound_slack"].value == w_dz - a_f
@@ -297,9 +326,10 @@ def test_derivation_suite_and_ladder_share_one_source():
         "rhs": a_f * w_norm(h, tg, grid),
     }
     # the level-1 multiplier that only converge reports
-    f1 = sample_family(cli.DERIV_FAMILY, cli.DERIV_BOX, (56, 56, 44))
-    grid1 = GridSpec1D(2 * cli.DERIV_GRID[0], cli.DERIV_GRID[1])
-    multiplier1 = multiplier_defect(f1, tg, grid1)
+    box1, counts1, tg1, grid1 = cli._deriv_scales(cfg, 1)
+    assert (box1, tg1) == (box, tg)
+    assert counts1 == (56, 56, 44) and grid1.n_points == 2 * grid.n_points
+    multiplier1 = multiplier_defect(sample_family(cli.DERIV_FAMILY, box1, counts1), tg, grid1)
     assert _ladder_column(table, "multiplier_identity")[1] == f"{multiplier1:.9e}"
 
 
@@ -396,6 +426,39 @@ def test_convergence_capacity_stop_carries_partial_rows(monkeypatch):
     assert rows[2].endswith(",2")  # improvement ratio vs level 0
 
 
+class _LevelWork(Exception):
+    pass
+
+
+# each ladder's first undefined level and the message of its capacity stop
+LADDER_STOPS = {
+    "plancherel": (3, "plancherel ladder is defined for 3 levels"),
+    "inversion": (3, "inversion ladder is defined for 3 levels"),
+    "dualconv": (2, "dual-convolution ladder is defined for 2 levels"),
+    "derivation": (2, "derivation ladder is defined for 2 levels"),
+    "representation": (3, "carrier beyond 1024 points is out of convergence range"),
+    "fusion": (7, "carrier beyond 1024 points is out of convergence range"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LADDER_STOPS))
+def test_each_ladder_stops_at_its_first_undefined_level(monkeypatch, suite):
+    """The stop comes before any sampling, transform or representation
+    work, and the level below it gets as far as that work."""
+
+    def work(*args, **kwargs):
+        raise _LevelWork
+
+    for name in ("sample_family", "forward_field", "rep_matrix", "intertwiner"):
+        monkeypatch.setattr(cli, name, work)
+    stop, message = LADDER_STOPS[suite]
+    with pytest.raises(CapacityError) as info:
+        cli.LADDERS[suite](RunConfig(), stop)
+    assert str(info.value) == message
+    with pytest.raises(_LevelWork):
+        cli.LADDERS[suite](RunConfig(), stop - 1)
+
+
 def test_main_verify_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "group", "--out", str(out)]) == 0
@@ -405,7 +468,7 @@ def test_main_verify_and_exit_codes(tmp_path, capsys):
     assert json.loads(lines[-1])["status"] == "pass"
 
     bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("n_points = -4\n")
+    bad_cfg.write_text("dc_n_points = -4\n")
     assert main(["--config", str(bad_cfg), "verify", "group"]) == 2
     capsys.readouterr()
 
@@ -465,6 +528,38 @@ def test_main_transform_writes_a_loadable_field(tmp_path, capsys):
     F = load_field(out)
     assert F.tgrid.n_nodes == 16
     assert F.dim == 32
+    capsys.readouterr()
+
+
+def test_partner_base_scales_are_the_plancherel_base_scales():
+    # the adjoint pairing's forward field is on the lattice (0.125, 32)
+    n, L, counts, delta, k_max = cli.PLANCHEREL_LADDER[0]
+    assert cli.ADJOINT_LADDER[0] == (n, L, counts)
+    assert (delta, k_max) == (0.125, 32)
+
+
+# transform --function NAME: the family and the scale function of the ladder
+# that samples it
+TRANSFORM_FAMILIES = {
+    "canonical": (cli.canonical_family, cli._plancherel_scales),
+    "partner": (lambda cfg: cli.PARTNER_FAMILY, cli._plancherel_scales),
+    "dc-left": (lambda cfg: cli.DC_LEFT, cli._dc_scales),
+    "dc-right": (lambda cfg: cli.DC_RIGHT, cli._dc_scales),
+    "derivation-odd": (lambda cfg: cli.DERIV_FAMILY, cli._deriv_scales),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_FAMILIES))
+def test_transform_writes_the_base_level_field_of_its_ladder(tmp_path, capsys, name):
+    cfg = RunConfig()
+    family, scales = TRANSFORM_FAMILIES[name]
+    box, counts, tgrid, grid = scales(cfg, 0)
+    want = forward_field(sample_family(family(cfg), box, counts), tgrid, grid)
+    out = tmp_path / name
+    assert main(["transform", "--function", name, "--out", str(out)]) == 0
+    got = load_field(out)
+    assert got.tgrid == want.tgrid
+    assert np.array_equal(got.mats, want.mats)
     capsys.readouterr()
 
 

@@ -13,7 +13,6 @@ from heisenfourier.group import (
     inv,
     load_sampled,
     mul,
-    named_prefactor,
     sample_family,
     save_sampled,
     SampledFunction3D,
@@ -77,14 +76,6 @@ def test_poly_coefficients_stay_real_when_possible():
 
 def test_poly_drops_zero_coefficients():
     assert Poly3({(1, 0, 0): 0.0}).coeffs == {}
-
-
-def test_named_prefactors():
-    assert named_prefactor("z", 0.5).coeffs == {(0, 0, 1): 1.0}
-    h2 = named_prefactor("hermite2", 0.5)
-    assert h2.coeffs == {(0, 0, 2): 1.0, (0, 0, 0): -0.25}
-    with pytest.raises(ValueError):
-        named_prefactor("cubic", 0.5)
 
 
 def test_gaussian_eval_matches_direct_formula():
