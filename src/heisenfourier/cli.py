@@ -556,16 +556,16 @@ def _fusion_level(cfg: RunConfig, level: int) -> dict:
 @_suite("fusion")
 def fusion_suite(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    # a generator frame keeps its locals, so the dense W matrices (16 MB at
-    # N = 32) live only inside this expression
-    unit = max(
-        float(np.max(np.abs(w.conj().T @ w - np.eye(len(w)))))
-        for w in (
-            _dense_w(_exact_ratio(r, s), grid)
-            for grid in map(_fusion_grid, (0, 1))
-            for r, s in _FUSION_RATIOS
+    # W of the matrix-free path, column by column: column i is W e_i
+    grid0 = _fusion_grid(0)
+    n = grid0.n_points
+    eye = np.eye(n * n)
+    unit = 0.0
+    for r, s in _FUSION_RATIOS:
+        w = np.stack(
+            [intertwiner(r, s, grid0, e.reshape(n, n)).ravel() for e in eye], axis=1
         )
-    )
+        unit = max(unit, float(np.max(np.abs(w.conj().T @ w - eye))))
     yield check("intertwiner_unitarity", unit, 1e-12)
 
     grid8 = GridSpec1D(8, 3.0)
@@ -609,7 +609,6 @@ def fusion_suite(cfg: RunConfig):
         gain = res / res_ref if res_ref > 0 else math.inf
         yield check(f"residual_gain_{label}", gain, 1.0, gain > 1.0, residual_n32=res_ref)
 
-    grid0 = _fusion_grid(0)
     v = _gaussian_pair(grid0, 0.8)
     gap = 0.0
     for r, s in _RESIDUAL_PAIRS:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .field import TGrid
-from .grid import GridSpec1D, schatten_norm
+from .grid import GridSpec1D, schatten_norm, singular_values
 from .group import SampledFunction3D
 from .schrodinger import _TransformPlan
 
@@ -54,7 +54,8 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
       - the multiplier gap ||pi_t(d_z f) - t pi_t(f)||_inf, relatively
         normalized by max(1, |t| ||pi_t(f)||_inf)
       - ||pi_t(d_z f)||_inf, the terms of w_norm(d_z f)
-      - || |t| pi_t(f) ||_1, the terms of a_norm(F_f)
+      - |t| ||pi_t(f)||_1, the terms of a_norm(F_f), from the same SVD
+        of pi_t(f) as the operator norm in the gap's normalization
 
     The multiplier comparison integrates by parts, so it is only meaningful
     when f is numerically supported inside the box; a boundary above
@@ -76,11 +77,11 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
     )
     for (k, lhs), (_, coef) in pairs:
         t = ts[k]
-        scale = max(1.0, abs(t) * schatten_norm(coef, np.inf))
+        sv = singular_values(coef)
+        scale = max(1.0, abs(t) * float(sv[0]))
         gap[k] = schatten_norm(lhs - t * coef, np.inf) / scale
         dz_norm[k] = schatten_norm(lhs, np.inf)
-        # the node matrix of forward_field(f), formed the same way
-        trace_norm[k] = schatten_norm(abs(t) * coef, 1)
+        trace_norm[k] = abs(t) * float(np.sum(sv))
     return gap, dz_norm, trace_norm
 
 

@@ -26,7 +26,7 @@ from heisenfourier.field import load_field
 from heisenfourier.grid import CapacityError
 from heisenfourier.group import sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
-from heisenfourier.plancherel import a_norm, w_norm
+from heisenfourier.plancherel import a_norm, coefficient_norms, node_sum, w_norm
 from heisenfourier.schrodinger import forward_field
 
 
@@ -314,11 +314,14 @@ def test_derivation_suite_and_ladder_share_one_source():
     assert _ladder_column(table, "multiplier_identity")[0] == multiplier
 
     # each row reads the one pass of derivation_nodes; the values are those
-    # of the separate transforms, bit for bit
+    # of the separate transforms, bit for bit, with a_norm(F_f) summed from
+    # |t| ||pi_t(f)||_1 as derivation_nodes forms it
     box, counts, tg, grid = cli._deriv_scales(cfg, 0)
     f = sample_family(cli.DERIV_FAMILY, box, counts)
     h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
-    w_dz, a_f = w_norm(d_z(f), tg, grid), a_norm(forward_field(f, tg, grid))
+    w_dz = w_norm(d_z(f), tg, grid)
+    a_f = float(tg.delta * node_sum(np.abs(tg.nodes) * coefficient_norms(f, tg, grid, 1)))
+    assert abs(a_f - a_norm(forward_field(f, tg, grid))) <= 1e-14 * a_f
     assert recs["nonvanishing_witness"].value == w_dz
     assert recs["w_norm_bound_slack"].value == w_dz - a_f
     assert recs["module_inequality"].extra == {

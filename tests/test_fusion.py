@@ -1,9 +1,13 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from heisenfourier import fusion
 from heisenfourier.cli import _FUSION_RATIOS, _RESIDUAL_PAIRS
 from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.fusion import (
@@ -51,12 +55,12 @@ def test_gamma_entries_and_determinant():
 
 
 def test_intertwiner_is_unitary():
-    for n, L in ((16, 4.0), (32, 4.0)):
-        grid = GridSpec1D(n, L)
-        eye = np.eye(n * n)
-        for r, s in ((1.0, 1.0), (0.125, 0.125), (0.1875, -0.0625), (2.0, -1.0)):
-            w = _dense_w(_exact_ratio(r, s), grid)
-            assert np.max(np.abs(w.conj().T @ w - eye)) < 1e-12
+    """The oracle W; the report's intertwiner_unitarity checks the matrix-free one."""
+    grid = GridSpec1D(16, 4.0)
+    eye = np.eye(16 * 16)
+    for r, s in _FUSION_RATIOS:
+        w = _dense_w(_exact_ratio(r, s), grid)
+        assert np.max(np.abs(w.conj().T @ w - eye)) < 1e-12
 
 
 @pytest.mark.parametrize("r, s", _FUSION_RATIOS + _RESIDUAL_PAIRS + ((0.25, -0.375),))
@@ -249,6 +253,57 @@ def test_dual_convolution_results_share_no_buffer():
         assert not np.shares_memory(out, F.mats)
         assert not np.shares_memory(out, G.mats)
     assert np.array_equal(F.mats, f_mats) and np.array_equal(G.mats, g_mats)
+
+
+@pytest.mark.parametrize("tol_skip", [0.0, 1e-3])
+def test_dual_convolution_bits_do_not_depend_on_the_worker_count(monkeypatch, tol_skip):
+    F, G, grid, tg = _dc_fields()
+    runs = []
+    # a short switch interval interleaves the workers finely, so a lost
+    # update to a shared row would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fusion, "_worker_count", lambda n_nodes, w=workers: w)
+            field, bounds = dual_convolution(
+                F, G, grid, tol_skip=tol_skip, with_theta_bounds=True
+            )
+            runs.append((field.mats, bounds))
+    finally:
+        sys.setswitchinterval(interval)
+    (mats, bounds), rest = runs[0], runs[1:]
+    for other_mats, other_bounds in rest:
+        assert np.array_equal(other_mats, mats)
+        assert np.array_equal(other_bounds, bounds)
+
+
+def test_dual_convolution_raises_a_worker_error_after_every_worker_stops(monkeypatch):
+    F, G, grid, tg = _dc_fields()
+    caller = threading.current_thread()
+    theta_dft = fusion._theta_dft
+
+    def theta_dft_failing_off_the_caller(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        return theta_dft(*args)
+
+    monkeypatch.setattr(fusion, "_worker_count", lambda n_nodes: 2)
+    monkeypatch.setattr(fusion, "_theta_dft", theta_dft_failing_off_the_caller)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="worker failed"):
+        dual_convolution(F, G, grid)
+    assert set(threading.enumerate()) == before
+
+
+def test_worker_count_is_capped_at_the_node_count(monkeypatch):
+    assert fusion._worker_count(1) == 1
+    assert 1 <= fusion._worker_count(4096) <= (os.cpu_count() or 1)
+    # without sched_getaffinity the count falls back to os.cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert fusion._worker_count(64) == 3
+    assert fusion._worker_count(2) == 2
 
 
 def test_dual_convolution_checks_lattice_compatibility():
