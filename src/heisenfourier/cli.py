@@ -1,19 +1,19 @@
-"""Suite orchestration: configuration, verification reports, convergence tables.
+"""Suite orchestration: verification reports, convergence tables, named transforms.
 
 Commands (run as python -m heisenfourier.cli):
 
-    verify <suite> [--config FILE] [--out REPORT]
-    converge <suite> --levels N [--config FILE] [--out CSV]
+    verify <suite> [--out REPORT]
+    converge <suite> --levels N [--out CSV]
     lie find-h3 <structure-file>
-    transform --function NAME --out FIELD_DIR [--config FILE]
+    transform --function NAME --out FIELD_DIR
 
 Suites: group, representation, plancherel, inversion, fusion, dualconv,
 derivation, inequalities, lie, all.  Exit code 0 when every check passes,
 1 on a failed check or capacity stop, 2 on usage or configuration errors.
 
-Config files are plain ``key = value`` lines; every key can also be set
-through the environment as HEISENFOURIER_<KEY> (uppercased).  Triples are
-comma-separated.  Reports are JSON lines; identical config and seed give
+The one run setting is the seed of the random group elements, set through
+the environment as HEISENFOURIER_SEED; every scale, family and tolerance is
+a constant of its ladder.  Reports are JSON lines; a fixed seed gives
 byte-identical reports apart from the wall-time fields.
 """
 
@@ -27,7 +27,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +43,7 @@ from .fusion import (
     partial_trace_second,
     theta1,
 )
-from .grid import CapacityError, GridSpec1D, kron, schatten_norm
+from .grid import CapacityError, GridSpec1D, schatten_norm
 from .group import (
     GaussianPoly,
     GroupElement,
@@ -69,7 +69,9 @@ from .schrodinger import forward_field, rep_matrix
 
 ENV_PREFIX = "HEISENFOURIER_"
 
-DEFAULT_TOL = {
+# the headline tolerance of each suite; individually pinned constants
+# (unitarity 1e-12, Leibniz 1e-12, exact-slack 1e-9) sit in the checks
+TOL = {
     "representation": 1e-6,
     "plancherel": 1e-2,
     "inversion": 1e-2,
@@ -82,91 +84,33 @@ DEFAULT_TOL = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings and tolerances for the verification suites.
+    """The one run setting: the seed of the random group elements that the
+    group, representation and fusion suites draw."""
 
-    box, fam_sigma and fam_shift set the canonical family of the Plancherel
-    and inversion ladders, seed the random group elements, and dc_* the
-    dual-convolution base level; every other scale is fixed by its ladder's
-    scale function.  tol holds the per-suite headline tolerance; individually
-    pinned constants (unitarity 1e-12, Leibniz 1e-12, exact-slack 1e-9) are
-    fixed by the checks themselves.
-    """
-
-    box: tuple = (5.2, 5.2, 3.2)
-    fam_sigma: tuple = (0.7, 1.0, 0.5)
-    fam_shift: float = 0.015
     seed: int = 20260816
-    dc_n_points: int = 16
-    dc_half_width: float = 2.2
-    dc_delta: float = 0.125
-    dc_k_max: int = 16
-    dc_box: tuple = (2.0, 2.9, 5.6)
-    dc_counts: tuple = (22, 42, 40)
-    tol: dict = dc_field(default_factory=lambda: dict(DEFAULT_TOL))
-
-    def validate(self) -> None:
-        for name, default in _SETTINGS.items():
-            value = getattr(self, name)
-            if isinstance(default, tuple):
-                if len(value) != 3 or any(v <= 0 for v in value):
-                    raise ValueError(f"{name} must be three positive values, got {value}")
-            elif isinstance(default, int) and int(value) != value:
-                raise ValueError(f"{name} must be an integer, got {value}")
-            elif name not in _SIGNED and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        for suite, value in self.tol.items():
-            if suite not in DEFAULT_TOL:
-                raise ValueError(f"unknown tolerance key {suite!r}")
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"tolerance {suite} must lie in (0,1), got {value}")
 
 
-# every field but tol is one config key, typed by its default; tol is set
-# per suite through tol_<suite> keys
-_SETTINGS = {f.name: f.default for f in fields(RunConfig) if f.name != "tol"}
-# scalar keys that may be zero or negative; every other key must be positive
-_SIGNED = ("fam_shift", "seed")
+def load_config(env: dict) -> RunConfig:
+    """The default config with HEISENFOURIER_SEED from env applied.
 
-
-def _parse_setting(key: str, raw: str):
-    if key.startswith("tol_"):
-        return float(raw)
-    if key not in _SETTINGS:
-        raise ValueError(f"unknown config key {key!r}")
-    default = _SETTINGS[key]
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(p) for p in raw.split(","))
-    return type(default)(raw)
-
-
-def load_config(path: Optional[str] = None, env: Optional[dict] = None) -> RunConfig:
-    """Defaults, then the config file, then HEISENFOURIER_* overrides."""
-    settings: dict = {}
-    if path is not None:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                settings[key.strip().lower()] = value.strip()
-    if env is not None:
-        for name, value in sorted(env.items()):
-            if name.startswith(ENV_PREFIX):
-                settings[name[len(ENV_PREFIX):].lower()] = value
-    kwargs: dict = {}
-    tol = dict(DEFAULT_TOL)
-    for key, raw in settings.items():
-        parsed = _parse_setting(key, raw)
-        if key.startswith("tol_"):
-            tol[key[len("tol_"):]] = parsed
-        else:
-            kwargs[key] = parsed
-    cfg = RunConfig(tol=tol, **kwargs)
-    cfg.validate()
-    return cfg
+    Any other HEISENFOURIER_* variable is an unknown key, so a removed
+    setting fails loudly instead of being ignored.
+    """
+    settings = {}
+    for name, raw in sorted(env.items()):
+        if not name.startswith(ENV_PREFIX):
+            continue
+        key = name[len(ENV_PREFIX):].lower()
+        if key != "seed":
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            seed = int(raw)
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {raw!r}")
+        settings[key] = seed
+    return RunConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +236,9 @@ def _suite(name: str):
 # shared test functions
 
 
-def canonical_family(cfg: RunConfig) -> GaussianPoly:
-    pre = Poly3({(0, 0, 1): 1.0, (0, 0, 0): cfg.fam_shift})
-    return GaussianPoly(pre, cfg.fam_sigma)
-
+CANONICAL_FAMILY = GaussianPoly(
+    Poly3({(0, 0, 1): 1.0, (0, 0, 0): 0.015}), (0.7, 1.0, 0.5)
+)
 
 PARTNER_FAMILY = GaussianPoly(
     Poly3({(1, 0, 1): 0.7, (0, 0, 1): 1.0, (0, 0, 0): 0.1}),
@@ -360,7 +303,7 @@ def group_suite(cfg: RunConfig):
             for pair in ((mul(IDENTITY, g), g), (mul(g, IDENTITY), g))
         ),
     )
-    f = sample_family(canonical_family(cfg), (2.0, 2.0, 1.5), (8, 8, 6))
+    f = sample_family(CANONICAL_FAMILY, (2.0, 2.0, 1.5), (8, 8, 6))
     back = check_map(check_map(f))
     gap = float(np.max(np.abs(back.samples - f.samples)))
     dz_gap = float(np.max(np.abs(back.dz_samples - f.dz_samples)))
@@ -401,7 +344,7 @@ def representation_suite(cfg: RunConfig):
     base = _rep_level(cfg, 0)
     hom = base["homomorphism"]
     yield check("unitarity", base["unitarity"], 1e-12)
-    yield check("homomorphism", hom, cfg.tol["representation"])
+    yield check("homomorphism", hom, TOL["representation"])
     hom_ref = _rep_level(cfg, 1)["homomorphism"]
     ratio = hom / hom_ref if hom_ref > 0 else math.inf
     yield check(
@@ -442,24 +385,25 @@ def _ladder(name: str, levels, tol: float):
     return seen
 
 
-def _plancherel_scales(cfg: RunConfig, level: int):
-    """(box, counts, t-grid, carrier) of one PLANCHEREL_LADDER level."""
+def _plancherel_scales(level: int):
+    """(box, counts, t-grid, carrier) of one PLANCHEREL_LADDER level, all on
+    the canonical family's box."""
     if level >= len(PLANCHEREL_LADDER):
         raise CapacityError("plancherel ladder is defined for 3 levels")
     n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
-    return cfg.box, counts, TGrid(delta, k_max), GridSpec1D(n, L)
+    return (5.2, 5.2, 3.2), counts, TGrid(delta, k_max), GridSpec1D(n, L)
 
 
 def _plancherel_level(cfg: RunConfig, level: int) -> dict:
-    box, counts, tgrid, grid = _plancherel_scales(cfg, level)
-    f = sample_family(canonical_family(cfg), box, counts)
+    box, counts, tgrid, grid = _plancherel_scales(level)
+    f = sample_family(CANONICAL_FAMILY, box, counts)
     return {"isometry_defect": plancherel_defect(f, tgrid, grid)}
 
 
 @_suite("plancherel")
 def plancherel_suite(cfg: RunConfig):
     levels = (_plancherel_level(cfg, i) for i in range(len(PLANCHEREL_LADDER)))
-    yield from _ladder("isometry_defect", levels, cfg.tol["plancherel"])
+    yield from _ladder("isometry_defect", levels, TOL["plancherel"])
 
 
 def _inversion_level(cfg: RunConfig, level: int) -> dict:
@@ -467,16 +411,17 @@ def _inversion_level(cfg: RunConfig, level: int) -> dict:
     field is kept for the a-norm convention check."""
     if level >= len(PLANCHEREL_LADDER):
         raise CapacityError("inversion ladder is defined for 3 levels")
-    fam = canonical_family(cfg)
-    n, L, counts = ADJOINT_LADDER[level]
-    grid = GridSpec1D(n, L)
+    box, counts, tgrid, grid = _plancherel_scales(level)
+    n, L, adj_counts = ADJOINT_LADDER[level]
+    adj_grid = GridSpec1D(n, L)
     lhs, rhs = adjoint_pairing_sides(
-        sample_family(PARTNER_FAMILY, cfg.box, counts),
-        forward_field(sample_family(fam, cfg.box, counts), TGrid(0.125, 32), grid),
-        grid,
+        sample_family(PARTNER_FAMILY, box, adj_counts),
+        forward_field(
+            sample_family(CANONICAL_FAMILY, box, adj_counts), TGrid(0.125, 32), adj_grid
+        ),
+        adj_grid,
     )
-    box, counts, tgrid, grid = _plancherel_scales(cfg, level)
-    f = sample_family(fam, box, counts)
+    f = sample_family(CANONICAL_FAMILY, box, counts)
     F = forward_field(f, tgrid, grid)
     recon = inverse_transform_grid(F, box, counts, grid)
     return {
@@ -488,7 +433,7 @@ def _inversion_level(cfg: RunConfig, level: int) -> dict:
 
 @_suite("inversion")
 def inversion_suite(cfg: RunConfig):
-    tol = cfg.tol["inversion"]
+    tol = TOL["inversion"]
     lazy = (_inversion_level(cfg, i) for i in range(len(PLANCHEREL_LADDER)))
     levels = yield from _ladder("roundtrip", lazy, tol)
     F0 = levels[0]["field"]
@@ -575,7 +520,7 @@ def fusion_suite(cfg: RunConfig):
     b /= np.linalg.norm(b)
     ratio8 = _exact_ratio(0.25, 0.125)
     w8 = _dense_w(ratio8, grid8)
-    big = w8 @ kron(a, b) @ w8.conj().T
+    big = w8 @ np.kron(a, b) @ w8.conj().T
     contracted = partial_trace_second(big, 8)
     fused = _theta_term(ratio8, grid8, a, b)
     yield check(
@@ -591,7 +536,7 @@ def fusion_suite(cfg: RunConfig):
     c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     c /= np.linalg.norm(c)
     lhs = np.trace(c @ contracted)
-    rhs = np.trace(kron(c, np.eye(8)) @ big)
+    rhs = np.trace(np.kron(c, np.eye(8)) @ big)
     yield check("partial_trace_adjoint_identity", abs(lhs - rhs), 1e-10)
 
     base = _fusion_level(cfg, 0)
@@ -602,7 +547,7 @@ def fusion_suite(cfg: RunConfig):
     ratio = oracle / oracle_ref if oracle_ref > 0 else math.inf
     yield check("composed_action_doubling_gain", ratio, 1.0, ratio > 1.0)
 
-    tol = cfg.tol["fusion"]
+    tol = TOL["fusion"]
     for (r, s), res, res_ref in zip(_RESIDUAL_PAIRS, base["residuals"], refined["residuals"]):
         label = f"r{r:+.4f}_s{s:+.4f}".replace(".", "p")
         yield check(f"residual_{label}", res, tol)
@@ -618,22 +563,20 @@ def fusion_suite(cfg: RunConfig):
     yield check("intertwiner_matrix_free_vs_dense", gap, 1e-12)
 
 
-def _dc_scales(cfg: RunConfig, level: int):
-    """(box, counts, t-grid, carrier) of the dual-convolution ladder: the dc_*
-    settings, then the carrier and t-lattice doubled."""
+def _dc_scales(level: int):
+    """(box, counts, t-grid, carrier) of the dual-convolution ladder: finer y
+    samples, and the carrier and t-lattice doubled, per level on one box."""
     if level >= 2:
         raise CapacityError("dual-convolution ladder is defined for 2 levels")
-    nx, ny, nz = cfg.dc_counts
-    counts = (cfg.dc_counts, (nx, max(56, ny), nz))[level]
+    counts = ((22, 42, 40), (22, 56, 40))[level]
     s = 2**level
-    grid = GridSpec1D(s * cfg.dc_n_points, s * cfg.dc_half_width)
-    return cfg.dc_box, counts, TGrid(cfg.dc_delta / s, s * cfg.dc_k_max), grid
+    return (2.0, 2.9, 5.6), counts, TGrid(0.125 / s, 16 * s), GridSpec1D(16 * s, 2.2 * s)
 
 
 def _dc_fields(cfg: RunConfig, level: int):
     """The carrier, DC_LEFT and DC_RIGHT sampled at one level, and their
     forward fields F and G."""
-    box, counts, tgrid, grid = _dc_scales(cfg, level)
+    box, counts, tgrid, grid = _dc_scales(level)
     f1 = sample_family(DC_LEFT, box, counts)
     f2 = sample_family(DC_RIGHT, box, counts)
     return grid, f1, f2, forward_field(f1, tgrid, grid), forward_field(f2, tgrid, grid)
@@ -662,7 +605,7 @@ def _dc_level(cfg: RunConfig, level: int) -> dict:
 
 @_suite("dualconv")
 def dualconv_suite(cfg: RunConfig):
-    tol = cfg.tol["dualconv"]
+    tol = TOL["dualconv"]
     base = _dc_level(cfg, 0)
     prod, remark = base["product_identity"], base["remark_identity"]
     yield check("product_identity", prod, tol)
@@ -685,7 +628,7 @@ _THETA1_PAIRS = ((3, 3), (4, 2), (3, -2), (-2, 4), (5, 3))
 
 @_suite("inequalities")
 def inequalities_suite(cfg: RunConfig):
-    tol = cfg.tol["inequalities"]
+    tol = TOL["inequalities"]
     grid, _, _, F, G = _dc_fields(cfg, 0)
     tgrid = F.tgrid
     FG, bounds = dual_convolution(F, G, grid, with_theta_bounds=True)
@@ -705,7 +648,7 @@ def inequalities_suite(cfg: RunConfig):
     yield check("theta1_trace_norm_slack", worst, tol, worst <= tol)
 
 
-def _deriv_scales(cfg: RunConfig, level: int):
+def _deriv_scales(level: int):
     """(box, counts, t-grid, carrier) of the derivation ladder: finer samples
     and a doubled carrier per level, on one box and t-lattice."""
     if level >= 2:
@@ -718,7 +661,7 @@ def _deriv_level(cfg: RunConfig, level: int) -> dict:
     """The odd family at one level: the multiplier, both sides of
     w_norm(d_z f) <= a_norm(F_f) and of the module inequality
     w_norm(f h) <= a_norm(F_f) w_norm(h)."""
-    box, counts, tg, carrier = _deriv_scales(cfg, level)
+    box, counts, tg, carrier = _deriv_scales(level)
     f = sample_family(DERIV_FAMILY, box, counts)
     h = sample_family(DERIV_MODULE_PARTNER, box, counts)
     gap, dz_norm, trace_norm = derivation_nodes(f, tg, carrier)
@@ -740,7 +683,7 @@ def _deriv_level(cfg: RunConfig, level: int) -> dict:
 
 @_suite("derivation")
 def derivation_suite(cfg: RunConfig):
-    tol = cfg.tol["derivation"]
+    tol = TOL["derivation"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         base = _deriv_level(cfg, 0)
@@ -748,7 +691,7 @@ def derivation_suite(cfg: RunConfig):
     yield check("multiplier_identity", mult, tol)
     gap = float(np.max(np.abs(d_z(f).samples - d_z(_plain_copy(f)).samples)))
     yield check("spectral_vs_analytic", gap, tol)
-    box, counts, tg, carrier = _deriv_scales(cfg, 0)
+    box, counts, tg, carrier = _deriv_scales(0)
     g = sample_family(DERIV_LEIBNIZ_PARTNER, box, counts)
     yield check("leibniz_identity", leibniz_defect(f, g), 1e-12)
 
@@ -948,24 +891,24 @@ def convergence_table(suite: str, cfg: RunConfig, levels: int) -> str:
 # named transforms
 
 
-# transform --function NAME: the family (from the config) and the scale
-# function of the ladder that uses it, sampled at level 0; the partner's
-# adjoint-pairing base scales are those of PLANCHEREL_LADDER[0]
+# transform --function NAME: the family and the scale function of the ladder
+# that uses it, sampled at level 0; the partner's adjoint-pairing base scales
+# are those of PLANCHEREL_LADDER[0]
 _NAMED_FUNCTIONS = {
-    "canonical": (canonical_family, _plancherel_scales),
-    "partner": (lambda cfg: PARTNER_FAMILY, _plancherel_scales),
-    "dc-left": (lambda cfg: DC_LEFT, _dc_scales),
-    "dc-right": (lambda cfg: DC_RIGHT, _dc_scales),
-    "derivation-odd": (lambda cfg: DERIV_FAMILY, _deriv_scales),
+    "canonical": (CANONICAL_FAMILY, _plancherel_scales),
+    "partner": (PARTNER_FAMILY, _plancherel_scales),
+    "dc-left": (DC_LEFT, _dc_scales),
+    "dc-right": (DC_RIGHT, _dc_scales),
+    "derivation-odd": (DERIV_FAMILY, _deriv_scales),
 }
 
 
-def _named_function(cfg: RunConfig, name: str):
+def _named_function(name: str):
     if name not in _NAMED_FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; have {', '.join(_NAMED_FUNCTIONS)}")
     family, scales = _NAMED_FUNCTIONS[name]
-    box, counts, tgrid, grid = scales(cfg, 0)
-    return sample_family(family(cfg), box, counts), tgrid, grid
+    box, counts, tgrid, grid = scales(0)
+    return sample_family(family, box, counts), tgrid, grid
 
 
 # ---------------------------------------------------------------------------
@@ -1016,8 +959,8 @@ def _cmd_lie(args) -> int:
     return 0
 
 
-def _cmd_transform(args, cfg: RunConfig) -> int:
-    f, tgrid, grid = _named_function(cfg, args.function)
+def _cmd_transform(args) -> int:
+    f, tgrid, grid = _named_function(args.function)
     field = forward_field(f, tgrid, grid)
     save_field(field, args.out)
     print(
@@ -1030,7 +973,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="heisenfourier", description=__doc__.splitlines()[0]
     )
-    parser.add_argument("--config", help="key = value settings file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -1051,17 +993,10 @@ def main(argv=None) -> int:
     p_tr.add_argument("--function", required=True)
     p_tr.add_argument("--out", required=True)
 
-    # also accepted after the subcommand; SUPPRESS keeps an absent trailing
-    # flag from clobbering a leading --config with its default
-    for p in (p_verify, p_conv, p_tr):
-        p.add_argument(
-            "--config", default=argparse.SUPPRESS, help="key = value settings file"
-        )
-
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, dict(os.environ))
-    except (ValueError, OSError) as err:
+        cfg = load_config(os.environ)
+    except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
@@ -1073,7 +1008,7 @@ def main(argv=None) -> int:
         if args.command == "lie":
             return _cmd_lie(args)
         if args.command == "transform":
-            return _cmd_transform(args, cfg)
+            return _cmd_transform(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -122,10 +122,6 @@ class OperatorField:
         return OperatorField(self.tgrid, self.mats - other.mats)
 
 
-def zero_field(tgrid: TGrid, dim: int) -> OperatorField:
-    return OperatorField(tgrid, np.zeros((tgrid.n_nodes, dim, dim), dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # directory serialization: meta.txt plus one raw little-endian complex-double
 # matrix file per node, named by the integer node index

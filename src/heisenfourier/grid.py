@@ -27,11 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_KRON_CAP = 4096
-
-
 class CapacityError(ValueError):
-    """A requested object exceeds the configured size cap."""
+    """A requested level or size lies beyond what the code supports."""
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,3 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
     if p == math.inf:
         return float(sv[0]) if sv.size else 0.0
     raise ValueError(f"p must be 1, 2 or inf, got {p}")
-
-
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_KRON_CAP) -> np.ndarray:
-    """Kronecker product with rows (i,j) |-> i*dim(b)+j, guarded by dim_cap."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > dim_cap:
-        raise CapacityError(f"kron result dimension {out_dim} exceeds cap {dim_cap}")
-    return np.kron(a, b)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -279,52 +279,3 @@ def check_map(f: SampledFunction3D) -> SampledFunction3D:
         dz = -f.dz_samples[::-1, ::-1, ::-1].copy()
     fam = f.family.reflect() if f.family is not None else None
     return SampledFunction3D(f.box, f.counts, rev, dz, fam)
-
-
-# ---------------------------------------------------------------------------
-# columnar text serialization
-
-
-def save_sampled(f: SampledFunction3D, path) -> None:
-    """Columnar text: header lines, then one 're im' pair per sample,
-    flattened with x varying fastest."""
-    flat = f.samples.ravel(order="F")
-    with open(path, "w") as fh:
-        fh.write("box {!r} {!r} {!r}\n".format(*map(float, f.box)))
-        fh.write("counts {} {} {}\n".format(*f.counts))
-        for v in flat:
-            fh.write(f"{float(v.real)!r} {float(v.imag)!r}\n")
-
-
-def _data_lines(path) -> Iterator[str]:
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield line
-
-
-def load_sampled(path) -> SampledFunction3D:
-    lines = _data_lines(path)
-    try:
-        box_line = next(lines).split()
-        counts_line = next(lines).split()
-    except StopIteration:
-        raise ValueError(f"{path}: truncated header") from None
-    if box_line[0] != "box" or counts_line[0] != "counts":
-        raise ValueError(f"{path}: malformed header")
-    box = tuple(float(v) for v in box_line[1:4])
-    counts = tuple(int(v) for v in counts_line[1:4])
-    n = counts[0] * counts[1] * counts[2]
-    vals = np.empty(n, dtype=complex)
-    i = 0
-    for line in lines:
-        if i >= n:
-            raise ValueError(f"{path}: more samples than counts announce")
-        re_s, im_s = line.split()
-        vals[i] = complex(float(re_s), float(im_s))
-        i += 1
-    if i != n:
-        raise ValueError(f"{path}: expected {n} samples, found {i}")
-    samples = vals.reshape(counts, order="F")
-    return SampledFunction3D(box, counts, samples)

@@ -34,8 +34,6 @@ from .group import SampledFunction3D, check_map
 from .schrodinger import _TransformPlan, rep_matrix
 
 __all__ = [
-    "TGrid",
-    "OperatorField",
     "inverse_transform",
     "inverse_transform_grid",
     "a_norm",

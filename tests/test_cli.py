@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ import pytest
 import heisenfourier.cli as cli
 from heisenfourier.cli import (
     CheckRecord,
-    DEFAULT_TOL,
     Report,
     RunConfig,
+    TOL,
     convergence_table,
     derivation_suite,
     fusion_suite,
@@ -31,96 +31,75 @@ from heisenfourier.schrodinger import forward_field
 
 
 def test_default_config_validates():
-    cfg = RunConfig()
-    cfg.validate()
-    assert cfg.tol == DEFAULT_TOL
+    assert load_config({}) == RunConfig()
+    assert asdict(RunConfig()) == {"seed": 20260816}
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        RunConfig(dc_n_points=-1).validate()
-    with pytest.raises(ValueError):
-        RunConfig(box=(1.0, 1.0)).validate()
-    with pytest.raises(ValueError):
-        RunConfig(tol={"plancherel": 2.0}).validate()
-    with pytest.raises(ValueError):
-        RunConfig(tol={"mystery": 0.5}).validate()
+    for raw in ("-3", "1.5", "seven", ""):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {raw!r}"):
+            load_config({"HEISENFOURIER_SEED": raw})
 
 
-def test_load_config_precedence(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# comment\nseed = 7\ndc_counts = 10,12,14\ntol_fusion = 0.1\n")
-    cfg = load_config(str(path), env={"HEISENFOURIER_SEED": "9"})
-    assert cfg.seed == 9
-    assert cfg.dc_counts == (10, 12, 14)
-    assert cfg.tol["fusion"] == 0.1
-    assert cfg.tol["plancherel"] == DEFAULT_TOL["plancherel"]
+def test_load_config_precedence():
+    # HEISENFOURIER_SEED overrides the default; unprefixed variables are not read
+    assert load_config({"HEISENFOURIER_SEED": "9", "SEED": "3"}) == RunConfig(seed=9)
+    assert load_config({"SEED": "3"}) == RunConfig()
+    assert load_config({"HEISENFOURIER_SEED": "0"}) == RunConfig(seed=0)
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("mystery = 3\n")
-    with pytest.raises(ValueError):
-        load_config(str(path))
-    path.write_text("just a line\n")
-    with pytest.raises(ValueError):
-        load_config(str(path))
+def test_load_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown config key 'mystery'"):
+        load_config({"HEISENFOURIER_MYSTERY": "3"})
 
 
-# keys of earlier versions that shaped only `transform`; its families are now
-# sampled at the base level of their ladders
+# settings of earlier versions, now constants of the ladders that read them;
+# setting one must fail loudly instead of being ignored
 REMOVED_KEYS = {
     "n_points": "64",
     "half_width": "4.0",
     "counts": "64,96,44",
     "delta": "0.125",
     "k_max": "32",
+    "box": "5.2,5.2,3.2",
+    "fam_sigma": "0.7,1.0,0.5",
+    "fam_shift": "0.015",
+    "dc_n_points": "16",
+    "dc_half_width": "2.2",
+    "dc_delta": "0.125",
+    "dc_k_max": "16",
+    "dc_box": "2.0,2.9,5.6",
+    "dc_counts": "22,42,40",
+    **{f"tol_{suite}": str(tol) for suite, tol in TOL.items()},
 }
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
-def test_removed_transform_keys_are_unknown(tmp_path, monkeypatch, capsys, key):
-    raw = REMOVED_KEYS[key]
-    path = tmp_path / "run.cfg"
-    path.write_text(f"{key} = {raw}\n")
-    env = {f"HEISENFOURIER_{key.upper()}": raw}
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(str(path))
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(env=env)
-    assert main(["--config", str(path), "verify", "group"]) == 2
-    assert "unknown config key" in capsys.readouterr().err
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_removed_config_keys_are_unknown(monkeypatch, capsys, key):
+    monkeypatch.setenv(f"HEISENFOURIER_{key.upper()}", REMOVED_KEYS[key])
     assert main(["verify", "group"]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-# keys whose values may be zero or negative
-SIGNED_KEYS = {"fam_shift", "seed"}
-
-
-@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.name != "tol"])
-def test_every_config_key_parses_to_its_type_and_rejects_zero(tmp_path, key):
-    default = getattr(RunConfig(), key)
-    is_triple = isinstance(default, tuple)
-    raw = ",".join(map(str, default)) if is_triple else str(default)
+def test_config_file_flag_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text(f"{key} = {raw}\n")
-    env_name = f"HEISENFOURIER_{key.upper()}"
-    for cfg in (load_config(str(path)), load_config(env={env_name: raw})):
-        value = getattr(cfg, key)
-        assert value == default
-        assert type(value) is type(default)
-        if is_triple:
-            assert [type(v) for v in value] == [type(v) for v in default]
+    path.write_text("seed = 7\n")
+    for argv in (
+        ["--config", str(path), "verify", "group"],
+        ["verify", "group", "--config", str(path)],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    capsys.readouterr()
 
-    zero = ",".join("0" for _ in default) if is_triple else "0"
-    if key in SIGNED_KEYS:
-        assert getattr(load_config(env={env_name: zero}), key) == 0
-    else:
-        with pytest.raises(ValueError, match=key):
-            load_config(env={env_name: zero})
+
+def test_seed_reaches_the_report_header(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.jsonl"
+    monkeypatch.setenv("HEISENFOURIER_SEED", "11")
+    assert main(["verify", "group", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == '{"config": {"seed": 11}, "schema": 1}'
+    capsys.readouterr()
 
 
 def test_records_coerce_numpy_scalars():
@@ -316,7 +295,7 @@ def test_derivation_suite_and_ladder_share_one_source():
     # each row reads the one pass of derivation_nodes; the values are those
     # of the separate transforms, bit for bit, with a_norm(F_f) summed from
     # |t| ||pi_t(f)||_1 as derivation_nodes forms it
-    box, counts, tg, grid = cli._deriv_scales(cfg, 0)
+    box, counts, tg, grid = cli._deriv_scales(0)
     f = sample_family(cli.DERIV_FAMILY, box, counts)
     h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
     w_dz = w_norm(d_z(f), tg, grid)
@@ -329,7 +308,7 @@ def test_derivation_suite_and_ladder_share_one_source():
         "rhs": a_f * w_norm(h, tg, grid),
     }
     # the level-1 multiplier that only converge reports
-    box1, counts1, tg1, grid1 = cli._deriv_scales(cfg, 1)
+    box1, counts1, tg1, grid1 = cli._deriv_scales(1)
     assert (box1, tg1) == (box, tg)
     assert counts1 == (56, 56, 44) and grid1.n_points == 2 * grid.n_points
     multiplier1 = multiplier_defect(sample_family(cli.DERIV_FAMILY, box1, counts1), tg, grid1)
@@ -462,23 +441,16 @@ def test_each_ladder_stops_at_its_first_undefined_level(monkeypatch, suite):
         cli.LADDERS[suite](RunConfig(), stop - 1)
 
 
-def test_main_verify_and_exit_codes(tmp_path, capsys):
+def test_main_verify_and_exit_codes(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HEISENFOURIER_SEED", raising=False)
     out = tmp_path / "report.json"
     assert main(["verify", "group", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "overall: pass" in text
     lines = out.read_text().splitlines()
+    assert lines[0] == '{"config": {"seed": 20260816}, "schema": 1}'
     assert json.loads(lines[-1])["status"] == "pass"
-
-    bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("dc_n_points = -4\n")
-    assert main(["--config", str(bad_cfg), "verify", "group"]) == 2
-    capsys.readouterr()
-
-    # --config is accepted on either side of the subcommand
-    good_cfg = tmp_path / "good.cfg"
-    good_cfg.write_text("seed = 11\n")
-    assert main(["verify", "group", "--config", str(good_cfg)]) == 0
+    monkeypatch.setenv("HEISENFOURIER_SEED", "7")
     assert main(["verify", "group"]) == 0
     capsys.readouterr()
 
@@ -544,20 +516,19 @@ def test_partner_base_scales_are_the_plancherel_base_scales():
 # transform --function NAME: the family and the scale function of the ladder
 # that samples it
 TRANSFORM_FAMILIES = {
-    "canonical": (cli.canonical_family, cli._plancherel_scales),
-    "partner": (lambda cfg: cli.PARTNER_FAMILY, cli._plancherel_scales),
-    "dc-left": (lambda cfg: cli.DC_LEFT, cli._dc_scales),
-    "dc-right": (lambda cfg: cli.DC_RIGHT, cli._dc_scales),
-    "derivation-odd": (lambda cfg: cli.DERIV_FAMILY, cli._deriv_scales),
+    "canonical": (cli.CANONICAL_FAMILY, cli._plancherel_scales),
+    "partner": (cli.PARTNER_FAMILY, cli._plancherel_scales),
+    "dc-left": (cli.DC_LEFT, cli._dc_scales),
+    "dc-right": (cli.DC_RIGHT, cli._dc_scales),
+    "derivation-odd": (cli.DERIV_FAMILY, cli._deriv_scales),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFORM_FAMILIES))
 def test_transform_writes_the_base_level_field_of_its_ladder(tmp_path, capsys, name):
-    cfg = RunConfig()
     family, scales = TRANSFORM_FAMILIES[name]
-    box, counts, tgrid, grid = scales(cfg, 0)
-    want = forward_field(sample_family(family(cfg), box, counts), tgrid, grid)
+    box, counts, tgrid, grid = scales(0)
+    want = forward_field(sample_family(family, box, counts), tgrid, grid)
     out = tmp_path / name
     assert main(["transform", "--function", name, "--out", str(out)]) == 0
     got = load_field(out)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heisenfourier.field import OperatorField, TGrid, load_field, save_field, zero_field
+from heisenfourier.field import OperatorField, TGrid, load_field, save_field
 
 RNG = np.random.default_rng(77)
 
@@ -82,12 +82,6 @@ def test_field_arithmetic_requires_same_lattice():
     assert np.array_equal(scaled.mats, 2j * F.mats)
     with pytest.raises(ValueError):
         F + H
-
-
-def test_zero_field():
-    Z = zero_field(TGrid(0.5, 3), 4)
-    assert Z.mats.shape == (6, 4, 4)
-    assert np.all(Z.mats == 0)
 
 
 def test_save_load_roundtrip_is_exact(tmp_path):

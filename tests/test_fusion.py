@@ -20,7 +20,7 @@ from heisenfourier.fusion import (
     partial_trace_second,
     theta1,
 )
-from heisenfourier.grid import GridSpec1D, kron, schatten_norm
+from heisenfourier.grid import GridSpec1D, schatten_norm
 from heisenfourier.group import GaussianPoly, Poly3, sample_family
 from heisenfourier.schrodinger import forward_field
 
@@ -94,7 +94,7 @@ def test_theta_term_equals_literal_partial_trace(n, half_width, r, s):
     a, b = _unit(n), _unit(n)
     ratio = _exact_ratio(r, s)
     w = _dense_w(ratio, grid)
-    big = w @ kron(a, b) @ w.conj().T
+    big = w @ np.kron(a, b) @ w.conj().T
     literal = partial_trace_second(big, n)
     fused = _theta_term(ratio, grid, a, b)
     assert np.max(np.abs(fused - literal)) < 1e-12
@@ -108,10 +108,10 @@ def test_partial_trace_adjoint_identity():
     grid = GridSpec1D(n, 3.0)
     a, b, c = _unit(n), _unit(n), _unit(n)
     w = _dense_w(_exact_ratio(0.125, 0.25), grid)
-    big = w @ kron(a, b) @ w.conj().T
+    big = w @ np.kron(a, b) @ w.conj().T
     reduced = partial_trace_second(big, n)
     lhs = np.trace(c @ reduced)
-    rhs = np.trace(kron(c, np.eye(n)) @ big)
+    rhs = np.trace(np.kron(c, np.eye(n)) @ big)
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -199,7 +199,7 @@ def test_dual_convolution_equals_the_literal_pair_sum():
             if tg.index_of(m) is None:
                 continue
             w = _dense_w(Fraction(m, k), grid)
-            big = w @ kron(F.at_k(j), G.at_k(m)) @ w.conj().T
+            big = w @ np.kron(F.at_k(j), G.at_k(m)) @ w.conj().T
             literal += tg.delta * partial_trace_second(big, n)
         assert np.max(np.abs(fused.at_k(k) - literal)) < 1e-12
 

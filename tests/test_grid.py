@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from heisenfourier.grid import (
-    CapacityError,
     GridSpec1D,
     circulant,
     fractional_shift_op,
-    kron,
     modulation_op,
     schatten_norm,
     shift_kernel,
@@ -157,21 +155,15 @@ def test_schatten_norm_rejects_other_p():
 
 
 def test_kron_index_convention():
+    # rows (i, j) -> i*dim(b) + j, the order partial_trace_second contracts
     a = np.diag([1.0, 2.0])
-    got = kron(a, np.eye(2))
+    got = np.kron(a, np.eye(2))
     assert np.array_equal(got, np.diag([1.0, 1.0, 2.0, 2.0]))
 
 
 def test_kron_trace_norm_multiplicative():
     a = RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))
     b = RNG.standard_normal((7, 7)) + 1j * RNG.standard_normal((7, 7))
-    lhs = schatten_norm(kron(a, b), 1)
+    lhs = schatten_norm(np.kron(a, b), 1)
     rhs = schatten_norm(a, 1) * schatten_norm(b, 1)
     assert abs(lhs - rhs) / rhs < 1e-10
-
-
-def test_kron_cap():
-    with pytest.raises(CapacityError):
-        kron(np.eye(65), np.eye(64))
-    out = kron(np.eye(65), np.eye(64), dim_cap=5000)
-    assert out.shape == (4160, 4160)

@@ -11,10 +11,8 @@ from heisenfourier.group import (
     box_axes,
     check_map,
     inv,
-    load_sampled,
     mul,
     sample_family,
-    save_sampled,
     SampledFunction3D,
 )
 
@@ -248,24 +246,3 @@ def test_boundary_max_sees_all_faces():
     samples[3, 1, 2] = 7.0
     f = SampledFunction3D((1.0, 1.0, 1.0), (4, 4, 4), samples)
     assert f.boundary_max() == 7.0
-
-
-def test_save_load_roundtrip(tmp_path):
-    fam = GaussianPoly(Poly3({(0, 0, 1): 1.0}), (0.7, 1.0, 0.5))
-    f = sample_family(fam, (1.5, 1.0, 1.0), (6, 4, 4))
-    path = tmp_path / "f.dat"
-    save_sampled(f, path)
-    back = load_sampled(path)
-    assert back.box == f.box
-    assert back.counts == f.counts
-    assert np.array_equal(back.samples, f.samples)
-
-
-def test_load_rejects_malformed_files(tmp_path):
-    path = tmp_path / "bad.dat"
-    path.write_text("")
-    with pytest.raises(ValueError):
-        load_sampled(path)
-    path.write_text("box 1.0 1.0 1.0\ncounts 2 2 2\n0.0 0.0\n")
-    with pytest.raises(ValueError):
-        load_sampled(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heisenfourier.field import OperatorField, TGrid, zero_field
+from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.grid import GridSpec1D, schatten_norm
 from heisenfourier.group import GaussianPoly, GroupElement, Poly3, box_axes, sample_family
 from heisenfourier.plancherel import (
@@ -34,7 +34,7 @@ def test_norms_on_hand_built_fields():
     F = OperatorField(tg, mats)
     assert a_norm(F) == pytest.approx(0.5 * (4.0 + 2.0 + 2.0 + 4.0))
     assert m_norm(F) == pytest.approx(4.0)
-    assert a_norm(zero_field(tg, 2)) == 0.0
+    assert a_norm(OperatorField(tg, np.zeros_like(mats))) == 0.0
 
 
 def test_norm_scaling():
@@ -121,7 +121,7 @@ def test_inverse_transform_point_matches_grid_version():
 
 
 def test_inverse_transform_checks_dimensions():
-    F = zero_field(TGrid(0.25, 2), 8)
+    F = OperatorField(TGrid(0.25, 2), np.zeros((4, 8, 8), dtype=complex))
     with pytest.raises(ValueError):
         inverse_transform(F, GroupElement(0.0, 0.0, 0.0), GridSpec1D(16, 2.0))
     with pytest.raises(ValueError):
