@@ -48,7 +48,7 @@ def d_z(f: SampledFunction3D) -> SampledFunction3D:
 
 
 def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
-    """Per-node terms of the derivation checks, from one pass over d_z f and f.
+    """Per-node terms of the derivation checks, from one plan pass over d_z f and f.
 
     Returns three arrays in lattice order:
       - the multiplier gap ||pi_t(d_z f) - t pi_t(f)||_inf, relatively
@@ -56,6 +56,9 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
       - ||pi_t(d_z f)||_inf, the terms of w_norm(d_z f)
       - |t| ||pi_t(f)||_1, the terms of a_norm(F_f), from the same SVD
         of pi_t(f) as the operator norm in the gap's normalization
+
+    One plan call takes both sample arrays, so each |t| builds its phase
+    tables once for both coefficients.
 
     The multiplier comparison integrates by parts, so it is only meaningful
     when f is numerically supported inside the box; a boundary above
@@ -71,17 +74,16 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
     plan = _TransformPlan(grid, f.box, f.counts)
     ts = tgrid.nodes
     gap, dz_norm, trace_norm = (np.empty(tgrid.n_nodes) for _ in range(3))
-    pairs = zip(
-        plan.coefficients(d_z(f).samples, ts, f.cell_volume),
-        plan.coefficients(f.samples, ts, f.cell_volume),
-    )
-    for (k, lhs), (_, coef) in pairs:
+
+    def each(k, lhs, coef):
         t = ts[k]
         sv = singular_values(coef)
         scale = max(1.0, abs(t) * float(sv[0]))
         gap[k] = schatten_norm(lhs - t * coef, np.inf) / scale
         dz_norm[k] = schatten_norm(lhs, np.inf)
         trace_norm[k] = abs(t) * float(np.sum(sv))
+
+    plan.coefficients((d_z(f).samples, f.samples), ts, f.cell_volume, each)
     return gap, dz_norm, trace_norm
 
 

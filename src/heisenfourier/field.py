@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from .grid import as_count
+
 _LATTICE_RTOL = 1e-9
 
 
@@ -32,8 +34,10 @@ class TGrid:
     def __post_init__(self) -> None:
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not (isinstance(self.k_max, int) and self.k_max >= 1):
-            raise ValueError(f"k_max must be a positive integer, got {self.k_max}")
+        k_max = as_count("k_max", self.k_max)
+        object.__setattr__(self, "k_max", k_max)
+        if k_max < 1:
+            raise ValueError(f"k_max must be a positive integer, got {k_max}")
 
     @property
     def ks(self) -> tuple:

@@ -28,28 +28,28 @@ literal N^2 x N^2 W, from grid's circulant shifts, as the oracle for
 both.
 
 dual_convolution runs every term through one kernel, _theta_dft, and
-splits the output nodes across the CPUs the process may run on: one
-thread per CPU, each with its own two O(N^3) work buffers, allocated
-once per call.  The gather of B depends only on the G node, so each
-worker runs it once per G node, not once per term.  Each term then
-multiplies, FFTs and phase-weights inside the buffers and leaves its
-N x N matrix in the DFT basis.  The map back from the DFT basis is
-linear, so the terms are summed there and each output node takes one
-final 2-d FFT.  A node belongs to one worker, which adds its terms in
-the serial order, so the result has the same bits on any core count.
+splits the output nodes across the CPUs the process may run on through
+split.run_split: one thread per CPU, each with its own two O(N^3) work
+buffers, allocated once per call.  The gather of B depends only on the
+G node, so each worker runs it once per G node, not once per term.  Each
+term then multiplies, FFTs and phase-weights inside the buffers and
+leaves its N x N matrix in the DFT basis.  The map back from the DFT
+basis is linear, so the terms are summed there and each output node
+takes one final 2-d FFT.  A node belongs to one worker, which adds its
+terms in the serial order, so the result has the same bits on any core
+count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from fractions import Fraction
 
 import numpy as np
 
 from .field import OperatorField
 from .grid import GridSpec1D, circulant, schatten_norm, shift_kernel, shift_phases
+from .split import run_split
 
 _DOMAIN_MSG = "fusion needs r, s, r + s all nonzero"
 
@@ -219,15 +219,6 @@ def theta1(
     )
 
 
-def _worker_count(n_nodes: int) -> int:
-    """The CPUs this process may run on, capped at n_nodes."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_nodes))
-
-
 def dual_convolution(
     field_f: OperatorField,
     field_g: OperatorField,
@@ -247,9 +238,9 @@ def dual_convolution(
     sum_j Delta * ||theta1(...)||_1 over the same terms, the node-wise
     triangle-inequality majorant of the result.
 
-    Cost: the output nodes are split across the CPUs the process may run
-    on, one thread per CPU, at most one per node; worker w owns the nodes
-    with pos_k % workers == w and the calling thread runs worker 0.  Each
+    Cost: the output nodes are dealt round-robin by split.run_split, one
+    thread per CPU, at most one per node; worker w owns the nodes with
+    pos_k % workers == w and the calling thread runs worker 0.  Each
     worker walks the G nodes m in ascending order and gathers each into
     its own work buffer once; each of its terms is one multiply, two
     N^2-batched length-N FFTs and one phase-weighted sum over n, in its
@@ -270,54 +261,40 @@ def dual_convolution(
     tn_f = np.array([schatten_norm(m, 1) for m in field_f.mats])
     tn_g = np.array([schatten_norm(m, 1) for m in field_g.mats])
     cut = tol_skip * tn_f.max() * tn_g.max()
-    workers = _worker_count(tg.n_nodes)
-    shares = [[] for _ in range(workers)]
+    terms = []
     for pos_m, m in enumerate(tg.ks):
         for pos_j, j in enumerate(tg.ks):
             pos_k = tg.index_of(j + m)
             if pos_k is None or tn_f[pos_j] * tn_g[pos_m] <= cut:
                 continue
-            shares[pos_k % workers].append((pos_m, pos_j, pos_k, Fraction(m, j + m)))
+            terms.append((pos_m, pos_j, pos_k, Fraction(m, j + m)))
     index = _gather_index(n)
     table = np.zeros((tg.n_nodes, n, n), dtype=complex)
     bounds = np.zeros(tg.n_nodes)
-    errors = []
 
-    def run(share, bg, e):
-        """Add one worker's terms, pos_m ascending, into its rows."""
-        try:
-            gathered = None
-            for pos_m, pos_j, pos_k, ratio in share:
-                if pos_m != gathered:
-                    # every index is in range; mode="clip" fills bg directly,
-                    # where the default mode gathers into a temporary first
-                    np.take(field_g.mats[pos_m], index, out=bg, mode="clip")
-                    gathered = pos_m
-                s = _theta_dft(ratio, grid, field_f.mats[pos_j], bg, e)
-                table[pos_k] += s
-                if with_theta_bounds:
-                    # _from_dft is a unitary conjugation, so it keeps the trace norm
-                    bounds[pos_k] += schatten_norm(s, 1)
-        except BaseException as exc:
-            errors.append(exc)
+    def run(nodes, bg, e):
+        """Add the terms of one worker's nodes, pos_m ascending, into their rows."""
+        mine = set(nodes)
+        gathered = None
+        for pos_m, pos_j, pos_k, ratio in terms:
+            if pos_k not in mine:
+                continue
+            if pos_m != gathered:
+                # every index is in range; mode="clip" fills bg directly,
+                # where the default mode gathers into a temporary first
+                np.take(field_g.mats[pos_m], index, out=bg, mode="clip")
+                gathered = pos_m
+            s = _theta_dft(ratio, grid, field_f.mats[pos_j], bg, e)
+            table[pos_k] += s
+            if with_theta_bounds:
+                # _from_dft is a unitary conjugation, so it keeps the trace norm
+                bounds[pos_k] += schatten_norm(s, 1)
 
-    # every buffer comes from this thread: worker-side allocations would sit
-    # in per-thread malloc arenas and raise peak RSS
-    buffers = [
-        (np.empty((n, n, n), dtype=complex), np.empty((n, n, n), dtype=complex))
-        for _ in range(workers)
-    ]
-    threads = [
-        threading.Thread(target=run, args=(shares[w], *buffers[w]))
-        for w in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    run(shares[0], *buffers[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    run_split(
+        range(tg.n_nodes),
+        run,
+        lambda: (np.empty((n, n, n), dtype=complex), np.empty((n, n, n), dtype=complex)),
+    )
     result = OperatorField(tg, tg.delta * _from_dft(table))
     if with_theta_bounds:
         return result, tg.delta * bounds

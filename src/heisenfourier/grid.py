@@ -27,8 +27,17 @@ from functools import cached_property
 
 import numpy as np
 
+
 class CapacityError(ValueError):
     """A requested level or size lies beyond what the code supports."""
+
+
+def as_count(name: str, value) -> int:
+    """value as a Python int: Python and numpy integers pass; bool, floats
+    and strings fail with a ValueError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -39,7 +48,8 @@ class GridSpec1D:
     half_width: float
 
     def __post_init__(self) -> None:
-        n = self.n_points
+        n = as_count("n_points", self.n_points)
+        object.__setattr__(self, "n_points", n)
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 8, got {n}")
         if not (math.isfinite(self.half_width) and self.half_width > 0):

@@ -12,9 +12,10 @@ _TransformPlan.invert call, which applies the z axis once for the whole
 lattice.
 
 Every lattice sum over bare coefficients (plancherel_defect, w_norm,
-coefficient_norms, the adjoint pairing) streams them from one
-_TransformPlan.coefficients call, one node at a time, and adds the node
-terms in lattice order (node_sum).  The Plancherel left side
+coefficient_norms, the adjoint pairing) takes them from one
+_TransformPlan.coefficients call, whose callback stores each node's term
+in the node's own slot on the worker threads, and adds the node terms in
+lattice order (node_sum).  The Plancherel left side
 sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the Frobenius norm, which is
 the Hilbert-Schmidt norm exactly, with no SVD.
 
@@ -107,8 +108,11 @@ def coefficient_norms(
     """Schatten p-norm of the bare coefficient pi_t(f) at every node, in node order."""
     plan = _TransformPlan(grid, f.box, f.counts)
     norms = np.empty(tgrid.n_nodes)
-    for k, coef in plan.coefficients(f.samples, tgrid.nodes, f.cell_volume):
+
+    def each(k, coef):
         norms[k] = schatten_norm(coef, p)
+
+    plan.coefficients(f.samples, tgrid.nodes, f.cell_volume, each)
     return norms
 
 
@@ -125,8 +129,11 @@ def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> f
     plan = _TransformPlan(grid, f.box, f.counts)
     ts = tgrid.nodes
     terms = np.empty(tgrid.n_nodes)
-    for k, coef in plan.coefficients(f.samples, ts, f.cell_volume):
+
+    def each(k, coef):
         terms[k] = tgrid.delta * abs(ts[k]) * np.linalg.norm(coef) ** 2
+
+    plan.coefficients(f.samples, ts, f.cell_volume, each)
     return float(abs(node_sum(terms) - rhs) / rhs)
 
 
@@ -143,6 +150,9 @@ def adjoint_pairing_sides(
     gc = check_map(g)
     plan = _TransformPlan(grid, gc.box, gc.counts)
     terms = np.empty(F.tgrid.n_nodes, dtype=complex)
-    for k, coef in plan.coefficients(gc.samples, F.tgrid.nodes, gc.cell_volume):
+
+    def each(k, coef):
         terms[k] = F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[k])
+
+    plan.coefficients(gc.samples, F.tgrid.nodes, gc.cell_volume, each)
     return lhs, complex(node_sum(terms))

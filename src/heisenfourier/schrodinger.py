@@ -18,10 +18,14 @@ operators they generate must stay band-limited within the carrier.
 
 Transforms over a frequency lattice go through one _TransformPlan per
 (grid, box) pair, which handles every node of the lattice in one call.
-The z axis is one matrix product for all nodes in each direction.  The
-forward pass streams its coefficients one node at a time, so no stack of
-node matrices is held beyond the caller's own.  The x and y axes cost two
-phase tables per |t|: the tables of -t are those of t conjugated.
+The z axis is one matrix product for all nodes in each direction, in
+the calling thread.  The x and y axes cost two phase tables per |t|: the
+tables of -t are those of t conjugated.  The |t| groups are split across
+the process's CPUs, one worker thread each, and every node is computed
+whole by one worker, so the bits do not depend on the core count.  The
+forward pass hands each coefficient to a callback, each(k, coef), which
+runs on the worker threads and writes only the caller's slot k, so no
+stack of node matrices is held beyond the caller's own.
 fourier_coefficient's "direct" path and plancherel.inverse_transform are
 the literal per-sample and per-point oracles for the two directions.
 """
@@ -36,6 +40,7 @@ import numpy as np
 from .field import OperatorField, TGrid
 from .grid import GridSpec1D, circulant_index, fractional_shift_op, shift_kernel
 from .group import GroupElement, SampledFunction3D, box_axes
+from .split import run_split
 
 
 def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
@@ -54,15 +59,20 @@ class _TransformPlan:
     """Transforms over a list of K frequency nodes on one (grid, box) pair.
 
     The shift T_x at each x node is circulant, so the plan keeps only its
-    kernel row: an (nx, N) table, plus the (N, N) circulant index table
-    that both the forward and the inverse formula gather through.
+    kernel row: an (nx, N) table, plus the (N, N) table of flat circulant
+    positions that both the forward and the inverse formula gather through.
 
-    Each direction applies the z axis once for all K nodes: coefficients
-    as one (nx*ny, nz) @ (nz, K) product, invert as one (nx*ny, K) @
-    (K, nz) product.  The x and y axes go node by node through two phase
-    tables, P (nx, ny) and E (ny, N).  The tables of -t are the complex
-    conjugates of those of t, so nodes are visited grouped by |t| and one
-    pair of tables serves both signs.  Results are keyed by the node's
+    Each direction applies the z axis once for all K nodes, in the
+    calling thread: coefficients as one (nx*ny, nz) @ (nz, K) product per
+    sample array, invert as one (nx*ny, K) @ (K, nz) product.  The x and
+    y axes go node by node through two phase tables, P (nx, ny) and
+    E (ny, N).  The tables of -t are the complex conjugates of those of
+    t, so nodes are grouped by |t| and one pair of tables serves both
+    signs.  The |t| groups are dealt round-robin to one worker thread per
+    CPU (split.run_split); a worker builds the tables of each of its
+    groups and computes that group's nodes.  Every node is computed
+    whole by one worker, with the same operations as on one core, so no
+    bit depends on the core count.  Results are keyed by the node's
     position k in the list, whatever the visiting order.
     """
 
@@ -70,56 +80,101 @@ class _TransformPlan:
         self.grid = grid
         self.xs, self.ys, self.zs = box_axes(box, counts)
         self.kernel = shift_kernel(grid, self.xs)
-        self.idx = circulant_index(grid.n_points)
+        n = grid.n_points
+        # flat positions of mat[m, (m - j) mod N], for np.take into a buffer
+        self.gather = circulant_index(n) + n * np.arange(n)[:, None]
+        self.xy = np.outer(self.xs, self.ys)
+        self.yw = np.outer(self.ys, grid.nodes)
 
-    def _phase_tables(self, t: float):
-        P = np.exp(1j * np.pi * t * np.outer(self.xs, self.ys))
-        E = np.exp(-2j * np.pi * t * np.outer(self.ys, self.grid.nodes))
-        return P, E
+    def _phase_tables(self, t: float, P: np.ndarray, E: np.ndarray) -> None:
+        """Write the tables of t into P (nx, ny) and E (ny, N)."""
+        np.exp(np.multiply(1j * np.pi * t, self.xy, out=P), out=P)
+        np.exp(np.multiply(-2j * np.pi * t, self.yw, out=E), out=E)
 
-    def _node_tables(self, ts):
-        """(k, P, E) for every node ts[k], grouped by |t|."""
+    def _split(self, ts, node, shapes) -> None:
+        """node(k, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
+
+        buffers are complex work arrays of the given shapes.  The tables and
+        buffers of every worker are allocated in the calling thread:
+        worker-side allocations would sit in per-thread malloc arenas and
+        raise peak RSS.
+        """
         groups = {}
         for k, t in enumerate(ts):
             groups.setdefault(abs(t), []).append(k)
-        for abs_t, ks in groups.items():
-            P, E = self._phase_tables(abs_t)
-            for k in ks:
-                if ts[k] < 0:
-                    yield k, np.conj(P), np.conj(E)
-                else:
-                    yield k, P, E
+        shapes = (self.xy.shape, self.yw.shape) * 2 + tuple(shapes)
 
-    def coefficients(self, samples: np.ndarray, ts, cell_volume: float):
-        """Yield (k, quadrature of f(v)*pi_{ts[k]}(v) over the box), one node at a time.
+        def work(share, P, E, conj_P, conj_E, *buffers):
+            for abs_t, ks in share:
+                self._phase_tables(abs_t, P, E)
+                if any(ts[k] < 0 for k in ks):
+                    np.conj(P, out=conj_P)
+                    np.conj(E, out=conj_E)
+                for k in ks:
+                    if ts[k] < 0:
+                        node(k, conj_P, conj_E, *buffers)
+                    else:
+                        node(k, P, E, *buffers)
 
-        The z sums of all nodes come from one product; each coefficient is
-        then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
+        run_split(
+            groups.items(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes]
+        )
+
+    def coefficients(self, samples, ts, cell_volume: float, each) -> None:
+        """each(k, coef): the quadrature of f(v)*pi_{ts[k]}(v) over the box, for every node.
+
+        samples is one (nx, ny, nz) array or a tuple of them on the same
+        box; with a tuple, each(k, coef_1, coef_2, ...) gets one
+        coefficient per array, from one pair of phase tables.  each runs
+        on the worker threads, several at once, and must write only the
+        caller's slot k; the coefficients are fresh arrays it may keep.
+        The plan holds no stack of node matrices.
+
+        The z sums of all nodes come from one product per array; each
+        coefficient is then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
         """
         ts = np.asarray(ts, dtype=float)
-        nx, ny, nz = samples.shape
+        stack = (samples,) if isinstance(samples, np.ndarray) else tuple(samples)
+        nx, ny, nz = stack[0].shape
+        n = self.grid.n_points
         ez = np.exp(np.outer(self.zs, 2j * np.pi * ts))
-        fz = samples.reshape(nx * ny, nz) @ ez
-        for k, P, E in self._node_tables(ts):
-            A = (fz[:, k].reshape(nx, ny) * P) @ E
-            out = np.take_along_axis(A.T @ self.kernel, self.idx, axis=1)
-            out *= cell_volume
-            yield k, out
+        fzs = [s.reshape(nx * ny, nz) @ ez for s in stack]
+
+        def node(k, P, E, xy, A, S):
+            coefs = []
+            for fz in fzs:
+                np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=xy), E, out=A)
+                np.matmul(A.T, self.kernel, out=S)
+                out = np.take(S, self.gather)
+                out *= cell_volume
+                coefs.append(out)
+            each(k, *coefs)
+
+        self._split(ts, node, ((nx, ny), (nx, n), (n, n)))
 
     def invert(self, mats: np.ndarray, ts, weights) -> np.ndarray:
         """Samples of v -> sum_k weights[k] Tr[mats[k] pi_{ts[k]}(v)^dagger] on the box.
 
         sum_n mat[m, n] conj(T_i[m, n])
             = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N];
-        the conjugated phase tables of t are the tables of -t.
+        the conjugated phase tables of t are the tables of -t.  Each
+        worker fills the table rows of its own nodes.
         """
         ts = np.asarray(ts, dtype=float)
         nx, ny, nz = len(self.xs), len(self.ys), len(self.zs)
+        n = self.grid.n_points
         ckernel = np.conj(self.kernel)
         table = np.empty((len(ts), nx * ny), dtype=complex)
-        for k, P, E in self._node_tables(-ts):
-            D = ckernel @ np.take_along_axis(mats[k], self.idx, axis=1).T
+
+        def node(k, P, E, G, D):
+            np.take(mats[k], self.gather, out=G, mode="clip")
+            np.matmul(ckernel, G.T, out=D)
+            # keep this product literal: from 256 KiB up numpy evaluates it in
+            # place as (D @ E.T) * P, and the rounding of a complex product
+            # depends on its operand order, so an out= buffer moves last bits
             table[k] = (P * (D @ E.T)).ravel()
+
+        self._split(-ts, node, ((n, n), (nx, n)))
         ez = np.asarray(weights)[:, None] * np.exp(np.outer(-2j * np.pi * ts, self.zs))
         return (table.T @ ez).reshape(nx, ny, nz)
 
@@ -138,9 +193,10 @@ def fourier_coefficient(
     if not math.isfinite(t):
         raise ValueError(f"representation parameter must be finite, got {t}")
     if method == "fast":
+        coefs = {}
         plan = _TransformPlan(grid, f.box, f.counts)
-        [(_, coef)] = plan.coefficients(f.samples, [t], f.cell_volume)
-        return coef
+        plan.coefficients(f.samples, [t], f.cell_volume, coefs.__setitem__)
+        return coefs[0]
     if method == "direct":
         return _coefficient_direct(f, t, grid)
     raise ValueError(f"unknown method {method!r}")
@@ -163,6 +219,9 @@ def forward_field(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
     n = grid.n_points
     ts = tgrid.nodes
     mats = np.empty((tgrid.n_nodes, n, n), dtype=complex)
-    for k, coef in plan.coefficients(f.samples, ts, f.cell_volume):
-        mats[k] = abs(ts[k]) * coef
+
+    def each(k, coef):
+        np.multiply(abs(ts[k]), coef, out=mats[k])
+
+    plan.coefficients(f.samples, ts, f.cell_volume, each)
     return OperatorField(tgrid, mats)

@@ -41,6 +41,19 @@ def test_tgrid_validation():
         TGrid(0.125, 0)
 
 
+@pytest.mark.parametrize("k_max", [True, False, np.bool_(True), 4.0, np.float64(4.0), "4"])
+def test_tgrid_k_max_must_be_an_integer(k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        TGrid(0.5, k_max)
+
+
+def test_tgrid_accepts_numpy_integers_as_python_ints():
+    tg = TGrid(0.5, np.int64(4))
+    assert type(tg.k_max) is int
+    assert tg == TGrid(0.5, 4) and hash(tg) == hash(TGrid(0.5, 4))
+    assert tg.n_nodes == 8
+
+
 def _random_field(tg, dim):
     mats = RNG.standard_normal((tg.n_nodes, dim, dim)) + 1j * RNG.standard_normal(
         (tg.n_nodes, dim, dim)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heisenfourier import fusion
+from heisenfourier import fusion, split
 from heisenfourier.cli import _FUSION_RATIOS, _RESIDUAL_PAIRS
 from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.fusion import (
@@ -265,7 +265,7 @@ def test_dual_convolution_bits_do_not_depend_on_the_worker_count(monkeypatch, to
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(fusion, "_worker_count", lambda n_nodes, w=workers: w)
+            monkeypatch.setattr(split, "_worker_count", lambda n_items, w=workers: w)
             field, bounds = dual_convolution(
                 F, G, grid, tol_skip=tol_skip, with_theta_bounds=True
             )
@@ -288,7 +288,7 @@ def test_dual_convolution_raises_a_worker_error_after_every_worker_stops(monkeyp
             raise RuntimeError("worker failed")
         return theta_dft(*args)
 
-    monkeypatch.setattr(fusion, "_worker_count", lambda n_nodes: 2)
+    monkeypatch.setattr(split, "_worker_count", lambda n_items: 2)
     monkeypatch.setattr(fusion, "_theta_dft", theta_dft_failing_off_the_caller)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="worker failed"):
@@ -297,13 +297,15 @@ def test_dual_convolution_raises_a_worker_error_after_every_worker_stops(monkeyp
 
 
 def test_worker_count_is_capped_at_the_node_count(monkeypatch):
-    assert fusion._worker_count(1) == 1
-    assert 1 <= fusion._worker_count(4096) <= (os.cpu_count() or 1)
+    # the dual convolution's split is the shared helper's
+    assert fusion.run_split is split.run_split
+    assert split._worker_count(1) == 1
+    assert 1 <= split._worker_count(4096) <= (os.cpu_count() or 1)
     # without sched_getaffinity the count falls back to os.cpu_count
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert fusion._worker_count(64) == 3
-    assert fusion._worker_count(2) == 2
+    assert split._worker_count(64) == 3
+    assert split._worker_count(2) == 2
 
 
 def test_dual_convolution_checks_lattice_compatibility():

@@ -26,6 +26,18 @@ def test_grid_rejects_bad_sizes():
         GridSpec1D(16, math.inf)
 
 
+@pytest.mark.parametrize("n", [True, np.bool_(True), 8.0, np.float64(8.0), "8"])
+def test_grid_n_points_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="n_points"):
+        GridSpec1D(n, 2.0)
+
+
+def test_grid_accepts_numpy_integers_as_python_ints():
+    grid = GridSpec1D(np.int64(8), 2.0)
+    assert type(grid.n_points) is int
+    assert grid == GridSpec1D(8, 2.0)
+
+
 def test_nodes_cover_the_interval():
     grid = GridSpec1D(8, 2.0)
     assert grid.spacing == 0.5

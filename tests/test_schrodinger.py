@@ -87,9 +87,9 @@ def test_coefficient_fast_matches_direct():
     "ts", [[0.5, -0.25, 0.75, 0.25], [0.375], [-0.5, -0.125], [-0.25, 0.25, -0.25]]
 )
 def test_plan_coefficients_match_direct_on_any_node_list(ts):
-    """Unsorted, one-signed and mixed lists: every node is yielded once, under
-    its own position, equal to the literal per-sample sum.  The samples have
-    no symmetry, so a wrong sign in the x or y phases shows."""
+    """Unsorted, one-signed and mixed lists: the callback sees every node
+    once, under its own position, equal to the literal per-sample sum.  The
+    samples have no symmetry, so a wrong sign in the x or y phases shows."""
     from heisenfourier.group import SampledFunction3D
 
     rng = np.random.default_rng(41)
@@ -97,7 +97,8 @@ def test_plan_coefficients_match_direct_on_any_node_list(ts):
     f = SampledFunction3D((1.5, 1.5, 1.5), (4, 4, 4), samples)
     grid = GridSpec1D(8, 2.0)
     plan = _TransformPlan(grid, f.box, f.counts)
-    got = list(plan.coefficients(f.samples, ts, f.cell_volume))
+    got = []
+    plan.coefficients(f.samples, ts, f.cell_volume, lambda k, coef: got.append((k, coef)))
     assert sorted(k for k, _ in got) == list(range(len(ts)))
     for k, coef in got:
         direct = _coefficient_direct(f, ts[k], grid)

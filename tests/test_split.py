@@ -1,0 +1,141 @@
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from heisenfourier import split
+from heisenfourier.derivation import derivation_nodes
+from heisenfourier.field import TGrid
+from heisenfourier.grid import GridSpec1D
+from heisenfourier.group import GaussianPoly, Poly3, sample_family
+from heisenfourier.plancherel import (
+    adjoint_pairing_sides,
+    inverse_transform_grid,
+    plancherel_defect,
+)
+from heisenfourier.schrodinger import _TransformPlan, forward_field
+
+F_ODD = GaussianPoly(Poly3({(0, 0, 1): 1.0, (1, 0, 1): 0.2}), (0.6, 0.6, 0.5))
+G_PAIR = GaussianPoly(Poly3({(0, 0, 0): 1.0, (0, 1, 0): 0.3}), (0.7, 0.8, 0.6))
+BOX = (5.0, 5.0, 4.0)
+COUNTS = (24, 28, 32)
+GRID = GridSpec1D(32, 3.2)
+# five |t| groups: uneven shares for two and three workers
+TG = TGrid(0.25, 5)
+
+
+def _transform_results():
+    f = sample_family(F_ODD, BOX, COUNTS)
+    g = sample_family(G_PAIR, BOX, COUNTS)
+    field = forward_field(f, TG, GRID)
+    return {
+        "forward": field.mats,
+        "inverse": inverse_transform_grid(field, BOX, COUNTS, GRID),
+        "defect": plancherel_defect(f, TG, GRID),
+        "pairing": adjoint_pairing_sides(g, field, GRID),
+        "derivation": derivation_nodes(f, TG, GRID),
+    }
+
+
+def test_transform_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    runs = []
+    # a short switch interval interleaves the workers finely, so a write
+    # to another node's slot would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(split, "_worker_count", lambda n_items, w=workers: w)
+            runs.append(_transform_results())
+    finally:
+        sys.setswitchinterval(interval)
+    serial, rest = runs[0], runs[1:]
+    for other in rest:
+        assert np.array_equal(other["forward"], serial["forward"])
+        assert np.array_equal(other["inverse"], serial["inverse"])
+        assert other["defect"] == serial["defect"]
+        assert other["pairing"][0] == serial["pairing"][0]
+        assert other["pairing"][1] == serial["pairing"][1]
+        for mine, want in zip(other["derivation"], serial["derivation"]):
+            assert np.array_equal(mine, want)
+
+
+def test_a_transform_raises_a_worker_error_after_every_worker_stops(monkeypatch):
+    f = sample_family(F_ODD, BOX, COUNTS)
+    field = forward_field(f, TG, GRID)
+    caller = threading.current_thread()
+    phase_tables = _TransformPlan._phase_tables
+
+    def failing_off_the_caller(self, t, *tables):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        phase_tables(self, t, *tables)
+
+    monkeypatch.setattr(split, "_worker_count", lambda n_items: 2)
+    monkeypatch.setattr(_TransformPlan, "_phase_tables", failing_off_the_caller)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="worker failed"):
+        forward_field(f, TG, GRID)
+    assert set(threading.enumerate()) == before
+    with pytest.raises(RuntimeError, match="worker failed"):
+        inverse_transform_grid(field, BOX, COUNTS, GRID)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        derivation_nodes(f, TG, GRID)
+    assert set(threading.enumerate()) == before
+
+
+def test_a_one_group_transform_starts_no_thread(monkeypatch):
+    f = sample_family(F_ODD, BOX, COUNTS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    field = forward_field(f, TGrid(0.125, 1), GRID)
+    inverse_transform_grid(field, BOX, COUNTS, GRID)
+    assert started == []
+    forward_field(f, TGrid(0.125, 2), GRID)
+    assert len(started) == 1
+
+
+def test_derivation_builds_each_phase_table_pair_once(monkeypatch):
+    f = sample_family(F_ODD, BOX, COUNTS)
+    calls = []
+    phase_tables = _TransformPlan._phase_tables
+
+    def counted(self, t, *tables):
+        calls.append(t)
+        phase_tables(self, t, *tables)
+
+    monkeypatch.setattr(_TransformPlan, "_phase_tables", counted)
+    derivation_nodes(f, TG, GRID)
+    assert sorted(calls) == sorted(set(np.abs(TG.nodes)))
+
+
+def test_run_split_deals_round_robin_with_scratch_from_the_caller(monkeypatch):
+    monkeypatch.setattr(split, "_worker_count", lambda n_items: 3)
+    caller = threading.current_thread()
+    made_by, seen = [], {}
+
+    def scratch():
+        made_by.append(threading.current_thread())
+        return (len(made_by),)
+
+    def work(share, tag):
+        seen[tag] = (share, threading.current_thread() is caller)
+
+    split.run_split(range(7), work, scratch)
+    assert made_by == [caller] * 3
+    assert seen == {1: ([0, 3, 6], True), 2: ([1, 4], False), 3: ([2, 5], False)}
+
+
+def test_run_split_runs_an_empty_list_once_on_the_caller():
+    shares = []
+    split.run_split([], lambda share: shares.append((share, threading.current_thread())), tuple)
+    assert shares == [([], threading.current_thread())]
