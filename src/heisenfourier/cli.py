@@ -3,13 +3,15 @@
 Commands (run as python -m heisenfourier.cli):
 
     verify <suite> [--out REPORT]
-    converge <suite> --levels N [--out CSV]
+    converge <ladder> --levels N [--out CSV]
     lie find-h3 <structure-file>
     transform --function NAME --out FIELD_DIR
 
 Suites: group, representation, plancherel, inversion, fusion, dualconv,
-derivation, inequalities, lie, all.  Exit code 0 when every check passes,
-1 on a failed check or capacity stop, 2 on usage or configuration errors.
+derivation, inequalities, lie, all.  Ladders: representation, plancherel,
+inversion, fusion, dualconv, derivation.  Exit code 0 when every check
+passes, 1 on a failed check or capacity stop, 2 on usage or configuration
+errors.
 
 The one run setting is the seed of the random group elements, set through
 the environment as HEISENFOURIER_SEED; every scale, family and tolerance is
@@ -155,7 +157,7 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def json_lines(self, with_seconds: bool = True) -> list[str]:
+    def json_lines(self) -> list[str]:
         lines = [
             json.dumps(
                 {"schema": self.SCHEMA, "config": self.config_echo}, sort_keys=True
@@ -169,9 +171,8 @@ class Report:
                 "tol": r.tol,
                 "passed": r.passed,
                 "extra": r.extra,
+                "seconds": round(r.seconds, 3),
             }
-            if with_seconds:
-                body["seconds"] = round(r.seconds, 3)
             lines.append(json.dumps(body, sort_keys=True))
         lines.append(
             json.dumps(
@@ -268,6 +269,42 @@ GSET = (
 )
 
 
+# the levels of each refinement ladder, coarsest first: (box, counts, t-grid,
+# carrier), except that a representation or fusion level is a bare carrier.
+# The inversion ladder's round trip runs at the plancherel level of the same
+# index; its own entries are the scales of the adjoint pairing.
+SCALES = {
+    "plancherel": (
+        ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
+        ((5.2, 5.2, 3.2), (96, 192, 44), TGrid(0.0625, 64), GridSpec1D(128, 4.0 * math.sqrt(2.0))),
+        ((5.2, 5.2, 3.2), (128, 384, 44), TGrid(0.03125, 128), GridSpec1D(256, 8.0)),
+    ),
+    "inversion": (
+        ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
+        ((5.2, 5.2, 3.2), (112, 136, 44), TGrid(0.125, 32), GridSpec1D(128, 4.0 * math.sqrt(2.0))),
+        ((5.2, 5.2, 3.2), (192, 192, 44), TGrid(0.125, 32), GridSpec1D(256, 8.0)),
+    ),
+    "dualconv": (
+        ((2.0, 2.9, 5.6), (22, 42, 40), TGrid(0.125, 16), GridSpec1D(16, 2.2)),
+        ((2.0, 2.9, 5.6), (22, 56, 40), TGrid(0.0625, 32), GridSpec1D(32, 4.4)),
+    ),
+    "derivation": (
+        ((5.0, 5.0, 4.0), (40, 40, 32), TGrid(0.25, 8), GridSpec1D(32, 3.2)),
+        ((5.0, 5.0, 4.0), (56, 56, 44), TGrid(0.25, 8), GridSpec1D(64, 3.2)),
+    ),
+    "representation": (GridSpec1D(256, 10.0), GridSpec1D(512, 10.0), GridSpec1D(1024, 10.0)),
+    "fusion": tuple(GridSpec1D(n, 4.0) for n in (16, 32, 64, 128, 256, 512, 1024)),
+}
+
+
+def _scales(suite: str, level: int):
+    """One level of a ladder's SCALES; past the last one, the capacity stop."""
+    levels = SCALES[suite]
+    if level >= len(levels):
+        raise CapacityError(f"{suite} ladder is defined for {len(levels)} levels")
+    return levels[level]
+
+
 def _dyadic_elements(rng, count: int) -> list[GroupElement]:
     raw = rng.integers(-64, 64, size=(count, 3), endpoint=True) / 64.0
     return [GroupElement(*(float(v) for v in row)) for row in raw]
@@ -311,18 +348,16 @@ def group_suite(cfg: RunConfig):
 
 
 def _rep_level(cfg: RunConfig, level: int) -> dict:
-    """Homomorphism defect of pi_t on a narrow Gaussian at carrier 256 * 2^level.
+    """Homomorphism defect of pi_t on a narrow Gaussian at one carrier.
 
     Unitarity is a property of each carrier, not a refinement defect, so
     the Gram matrices are formed at the base carrier only.
     """
-    n = 256 * 2**level
-    if n > 1024:
-        raise CapacityError("carrier beyond 1024 points is out of convergence range")
+    grid = _scales("representation", level)
+    n = grid.n_points
     rng = np.random.default_rng(cfg.seed)
     els = _dyadic_elements(rng, 20)
     pairs = [(els[2 * i], els[2 * i + 1]) for i in range(10)]
-    grid = GridSpec1D(n, 10.0)
     v = np.exp(-grid.nodes**2 / (2 * 0.22**2)).astype(complex)
     v /= np.linalg.norm(v)
     hom = 0.0
@@ -352,19 +387,6 @@ def representation_suite(cfg: RunConfig):
     )
 
 
-PLANCHEREL_LADDER = (
-    (64, 4.0, (64, 96, 44), 0.125, 32),
-    (128, 4.0 * math.sqrt(2.0), (96, 192, 44), 0.0625, 64),
-    (256, 8.0, (128, 384, 44), 0.03125, 128),
-)
-
-ADJOINT_LADDER = (
-    (64, 4.0, (64, 96, 44)),
-    (128, 4.0 * math.sqrt(2.0), (112, 136, 44)),
-    (256, 8.0, (192, 192, 44)),
-)
-
-
 def _ladder(name: str, levels, tol: float):
     """Rows <name>_level<i>, the first against tol, and <name>_decreasing.
 
@@ -385,42 +407,28 @@ def _ladder(name: str, levels, tol: float):
     return seen
 
 
-def _plancherel_scales(level: int):
-    """(box, counts, t-grid, carrier) of one PLANCHEREL_LADDER level, all on
-    the canonical family's box."""
-    if level >= len(PLANCHEREL_LADDER):
-        raise CapacityError("plancherel ladder is defined for 3 levels")
-    n, L, counts, delta, k_max = PLANCHEREL_LADDER[level]
-    return (5.2, 5.2, 3.2), counts, TGrid(delta, k_max), GridSpec1D(n, L)
-
-
 def _plancherel_level(cfg: RunConfig, level: int) -> dict:
-    box, counts, tgrid, grid = _plancherel_scales(level)
+    box, counts, tgrid, grid = _scales("plancherel", level)
     f = sample_family(CANONICAL_FAMILY, box, counts)
     return {"isometry_defect": plancherel_defect(f, tgrid, grid)}
 
 
 @_suite("plancherel")
 def plancherel_suite(cfg: RunConfig):
-    levels = (_plancherel_level(cfg, i) for i in range(len(PLANCHEREL_LADDER)))
+    levels = (_plancherel_level(cfg, i) for i in range(len(SCALES["plancherel"])))
     yield from _ladder("isometry_defect", levels, TOL["plancherel"])
 
 
 def _inversion_level(cfg: RunConfig, level: int) -> dict:
     """Adjoint pairing and round trip at one level; the round trip's forward
     field is kept for the a-norm convention check."""
-    if level >= len(PLANCHEREL_LADDER):
-        raise CapacityError("inversion ladder is defined for 3 levels")
-    box, counts, tgrid, grid = _plancherel_scales(level)
-    n, L, adj_counts = ADJOINT_LADDER[level]
-    adj_grid = GridSpec1D(n, L)
+    box, adj_counts, adj_tgrid, adj_grid = _scales("inversion", level)
     lhs, rhs = adjoint_pairing_sides(
         sample_family(PARTNER_FAMILY, box, adj_counts),
-        forward_field(
-            sample_family(CANONICAL_FAMILY, box, adj_counts), TGrid(0.125, 32), adj_grid
-        ),
+        forward_field(sample_family(CANONICAL_FAMILY, box, adj_counts), adj_tgrid, adj_grid),
         adj_grid,
     )
+    box, counts, tgrid, grid = _scales("plancherel", level)
     f = sample_family(CANONICAL_FAMILY, box, counts)
     F = forward_field(f, tgrid, grid)
     recon = inverse_transform_grid(F, box, counts, grid)
@@ -434,7 +442,7 @@ def _inversion_level(cfg: RunConfig, level: int) -> dict:
 @_suite("inversion")
 def inversion_suite(cfg: RunConfig):
     tol = TOL["inversion"]
-    lazy = (_inversion_level(cfg, i) for i in range(len(PLANCHEREL_LADDER)))
+    lazy = (_inversion_level(cfg, i) for i in range(len(SCALES["inversion"])))
     levels = yield from _ladder("roundtrip", lazy, tol)
     F0 = levels[0]["field"]
     rhs = F0.tgrid.delta * sum(
@@ -446,10 +454,6 @@ def inversion_suite(cfg: RunConfig):
 
 _FUSION_RATIOS = ((1.0, 1.0), (0.125, 0.125), (0.1875, -0.0625), (2.0, -1.0))
 _RESIDUAL_PAIRS = ((0.25, 0.125), (0.125, 0.125), (0.375, -0.0625))
-
-
-def _fusion_grid(level: int) -> GridSpec1D:
-    return GridSpec1D(16 * 2**level, 4.0)
 
 
 def _gaussian_pair(grid: GridSpec1D, sigma: float) -> np.ndarray:
@@ -487,9 +491,7 @@ def _composition_oracle(n: int) -> float:
 
 
 def _fusion_level(cfg: RunConfig, level: int) -> dict:
-    grid = _fusion_grid(level)
-    if grid.n_points > 1024:
-        raise CapacityError("carrier beyond 1024 points is out of convergence range")
+    grid = _scales("fusion", level)
     residuals = [_intertwine_residual(r, s, grid) for r, s in _RESIDUAL_PAIRS]
     return {
         "residuals": residuals,
@@ -502,7 +504,7 @@ def _fusion_level(cfg: RunConfig, level: int) -> dict:
 def fusion_suite(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     # W of the matrix-free path, column by column: column i is W e_i
-    grid0 = _fusion_grid(0)
+    grid0 = SCALES["fusion"][0]
     n = grid0.n_points
     eye = np.eye(n * n)
     unit = 0.0
@@ -563,20 +565,10 @@ def fusion_suite(cfg: RunConfig):
     yield check("intertwiner_matrix_free_vs_dense", gap, 1e-12)
 
 
-def _dc_scales(level: int):
-    """(box, counts, t-grid, carrier) of the dual-convolution ladder: finer y
-    samples, and the carrier and t-lattice doubled, per level on one box."""
-    if level >= 2:
-        raise CapacityError("dual-convolution ladder is defined for 2 levels")
-    counts = ((22, 42, 40), (22, 56, 40))[level]
-    s = 2**level
-    return (2.0, 2.9, 5.6), counts, TGrid(0.125 / s, 16 * s), GridSpec1D(16 * s, 2.2 * s)
-
-
 def _dc_fields(cfg: RunConfig, level: int):
     """The carrier, DC_LEFT and DC_RIGHT sampled at one level, and their
     forward fields F and G."""
-    box, counts, tgrid, grid = _dc_scales(level)
+    box, counts, tgrid, grid = _scales("dualconv", level)
     f1 = sample_family(DC_LEFT, box, counts)
     f2 = sample_family(DC_RIGHT, box, counts)
     return grid, f1, f2, forward_field(f1, tgrid, grid), forward_field(f2, tgrid, grid)
@@ -648,20 +640,11 @@ def inequalities_suite(cfg: RunConfig):
     yield check("theta1_trace_norm_slack", worst, tol, worst <= tol)
 
 
-def _deriv_scales(level: int):
-    """(box, counts, t-grid, carrier) of the derivation ladder: finer samples
-    and a doubled carrier per level, on one box and t-lattice."""
-    if level >= 2:
-        raise CapacityError("derivation ladder is defined for 2 levels")
-    counts = ((40, 40, 32), (56, 56, 44))[level]
-    return (5.0, 5.0, 4.0), counts, TGrid(0.25, 8), GridSpec1D(32 * 2**level, 3.2)
-
-
 def _deriv_level(cfg: RunConfig, level: int) -> dict:
     """The odd family at one level: the multiplier, both sides of
     w_norm(d_z f) <= a_norm(F_f) and of the module inequality
     w_norm(f h) <= a_norm(F_f) w_norm(h)."""
-    box, counts, tg, carrier = _deriv_scales(level)
+    box, counts, tg, carrier = _scales("derivation", level)
     f = sample_family(DERIV_FAMILY, box, counts)
     h = sample_family(DERIV_MODULE_PARTNER, box, counts)
     gap, dz_norm, trace_norm = derivation_nodes(f, tg, carrier)
@@ -691,7 +674,7 @@ def derivation_suite(cfg: RunConfig):
     yield check("multiplier_identity", mult, tol)
     gap = float(np.max(np.abs(d_z(f).samples - d_z(_plain_copy(f)).samples)))
     yield check("spectral_vs_analytic", gap, tol)
-    box, counts, tg, carrier = _deriv_scales(0)
+    box, counts, tg, carrier = SCALES["derivation"][0]
     g = sample_family(DERIV_LEIBNIZ_PARTNER, box, counts)
     yield check("leibniz_identity", leibniz_defect(f, g), 1e-12)
 
@@ -836,18 +819,6 @@ def _rows(level_fn, *checks):
     return ladder
 
 
-def _converge_exact(suite_fn):
-    # every record of an exact suite is a defect row, the same at every level
-    def runner(cfg, level):
-        return [(r.name, r.value) for r in suite_fn(cfg)]
-
-    return runner
-
-
-# suites whose rows do not depend on the level: each table runs them once
-_EXACT_SUITES = {"group": group_suite, "inequalities": inequalities_suite, "lie": lie_suite}
-
-
 LADDERS = {
     "representation": _rows(_rep_level, "homomorphism"),
     "plancherel": _rows(_plancherel_level, "isometry_defect"),
@@ -855,7 +826,6 @@ LADDERS = {
     "fusion": _rows(_fusion_level, "residual_max", "composed_action_oracle"),
     "dualconv": _rows(_dc_level, "product_identity", "remark_identity"),
     "derivation": _rows(_deriv_level, "multiplier_identity", "module_rel_excess"),
-    **{name: _converge_exact(fn) for name, fn in _EXACT_SUITES.items()},
 }
 
 
@@ -872,12 +842,11 @@ def convergence_table(suite: str, cfg: RunConfig, levels: int) -> str:
     rows = ["suite,check,level,value,gain_vs_prev"]
     prev: dict[str, float] = {}
     for level in range(levels):
-        if level == 0 or suite not in _EXACT_SUITES:
-            try:
-                results = LADDERS[suite](cfg, level)
-            except CapacityError as stop:
-                stop.partial = "\n".join(rows)
-                raise
+        try:
+            results = LADDERS[suite](cfg, level)
+        except CapacityError as stop:
+            stop.partial = "\n".join(rows)
+            raise
         for check, value in results:
             gain = ""
             if check in prev and value > 0:
@@ -891,23 +860,22 @@ def convergence_table(suite: str, cfg: RunConfig, levels: int) -> str:
 # named transforms
 
 
-# transform --function NAME: the family and the scale function of the ladder
-# that uses it, sampled at level 0; the partner's adjoint-pairing base scales
-# are those of PLANCHEREL_LADDER[0]
+# transform --function NAME: the family and the ladder that samples it, whose
+# level 0 gives the scales
 _NAMED_FUNCTIONS = {
-    "canonical": (CANONICAL_FAMILY, _plancherel_scales),
-    "partner": (PARTNER_FAMILY, _plancherel_scales),
-    "dc-left": (DC_LEFT, _dc_scales),
-    "dc-right": (DC_RIGHT, _dc_scales),
-    "derivation-odd": (DERIV_FAMILY, _deriv_scales),
+    "canonical": (CANONICAL_FAMILY, "plancherel"),
+    "partner": (PARTNER_FAMILY, "inversion"),
+    "dc-left": (DC_LEFT, "dualconv"),
+    "dc-right": (DC_RIGHT, "dualconv"),
+    "derivation-odd": (DERIV_FAMILY, "derivation"),
 }
 
 
 def _named_function(name: str):
     if name not in _NAMED_FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; have {', '.join(_NAMED_FUNCTIONS)}")
-    family, scales = _NAMED_FUNCTIONS[name]
-    box, counts, tgrid, grid = scales(0)
+    family, suite = _NAMED_FUNCTIONS[name]
+    box, counts, tgrid, grid = SCALES[suite][0]
     return sample_family(family, box, counts), tgrid, grid
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import as_count
+from .grid import as_count, as_real
 
 _LATTICE_RTOL = 1e-9
 
@@ -32,8 +32,10 @@ class TGrid:
     k_max: int
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        delta = as_real("delta", self.delta)
+        object.__setattr__(self, "delta", delta)
+        if not (delta > 0 and math.isfinite(delta)):
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         k_max = as_count("k_max", self.k_max)
         object.__setattr__(self, "k_max", k_max)
         if k_max < 1:
@@ -102,23 +104,8 @@ class OperatorField:
             return self.zero_mat()
         return self.mats[pos]
 
-    def at_t(self, t: float) -> np.ndarray:
-        """Node matrix at frequency t; zero off the punctured lattice."""
-        k = self.tgrid.lattice_k(t)
-        if k is None:
-            return self.zero_mat()
-        return self.at_k(k)
-
     def same_lattice(self, other: "OperatorField") -> bool:
         return self.tgrid == other.tgrid and self.dim == other.dim
-
-    def scaled(self, c: complex) -> "OperatorField":
-        return OperatorField(self.tgrid, c * self.mats)
-
-    def __add__(self, other: "OperatorField") -> "OperatorField":
-        if not self.same_lattice(other):
-            raise ValueError("fields live on different lattices")
-        return OperatorField(self.tgrid, self.mats + other.mats)
 
     def __sub__(self, other: "OperatorField") -> "OperatorField":
         if not self.same_lattice(other):

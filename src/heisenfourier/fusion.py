@@ -60,14 +60,6 @@ def _in_domain(r: float, s: float) -> bool:
     return r != 0.0 and s != 0.0 and r + s != 0.0
 
 
-def gamma(r: float, s: float) -> np.ndarray:
-    """Change-of-variables matrix [[r/(r+s), s/(r+s)], [-1, 1]], det 1."""
-    if not _in_domain(r, s):
-        raise ValueError(_DOMAIN_MSG + f", got r={r}, s={s}")
-    tot = r + s
-    return np.array([[r / tot, s / tot], [-1.0, 1.0]])
-
-
 def _exact_ratio(r: float, s: float) -> Fraction:
     return Fraction(s) / (Fraction(r) + Fraction(s))
 

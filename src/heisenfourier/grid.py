@@ -22,6 +22,7 @@ through a full singular value decomposition; nothing is estimated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,14 @@ def as_count(name: str, value) -> int:
     return int(value)
 
 
+def as_real(name: str, value) -> float:
+    """value as a Python float: real numbers, numpy's included, pass; bool,
+    complex numbers and strings fail with a ValueError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GridSpec1D:
     """Uniform periodic grid on [-half_width, half_width)."""
@@ -52,8 +61,10 @@ class GridSpec1D:
         object.__setattr__(self, "n_points", n)
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 8, got {n}")
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        half_width = as_real("half_width", self.half_width)
+        object.__setattr__(self, "half_width", half_width)
+        if not (math.isfinite(half_width) and half_width > 0):
+            raise ValueError(f"half_width must be positive and finite, got {half_width}")
 
     @property
     def spacing(self) -> float:

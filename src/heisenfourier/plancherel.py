@@ -69,8 +69,7 @@ def inverse_transform_grid(
     if F.dim != grid.n_points:
         raise ValueError("field dimension does not match the carrier grid")
     plan = _TransformPlan(grid, box, counts)
-    weights = np.full(F.tgrid.n_nodes, F.tgrid.delta)
-    return plan.invert(F.mats, F.tgrid.nodes, weights)
+    return plan.invert(F.mats, F.tgrid.nodes, F.tgrid.delta)
 
 
 def a_norm(F: OperatorField) -> float:

@@ -152,8 +152,8 @@ class _TransformPlan:
 
         self._split(ts, node, ((nx, ny), (nx, n), (n, n)))
 
-    def invert(self, mats: np.ndarray, ts, weights) -> np.ndarray:
-        """Samples of v -> sum_k weights[k] Tr[mats[k] pi_{ts[k]}(v)^dagger] on the box.
+    def invert(self, mats: np.ndarray, ts, delta: float) -> np.ndarray:
+        """Samples of v -> sum_k delta Tr[mats[k] pi_{ts[k]}(v)^dagger] on the box.
 
         sum_n mat[m, n] conj(T_i[m, n])
             = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N];
@@ -175,7 +175,7 @@ class _TransformPlan:
             table[k] = (P * (D @ E.T)).ravel()
 
         self._split(-ts, node, ((n, n), (nx, n)))
-        ez = np.asarray(weights)[:, None] * np.exp(np.outer(-2j * np.pi * ts, self.zs))
+        ez = delta * np.exp(np.outer(-2j * np.pi * ts, self.zs))
         return (table.T @ ez).reshape(nx, ny, nz)
 
 

@@ -123,11 +123,12 @@ def test_report_json_lines_are_deterministic():
     rep = Report(cfg)
     rep.add(CheckRecord("group", "a", 0.0, None, True, 0.123))
     rep.add(CheckRecord("group", "b", 0.5, 1.0, True, 0.456))
-    lines = rep.json_lines(with_seconds=False)
-    again = rep.json_lines(with_seconds=False)
+    lines = rep.json_lines()
+    again = rep.json_lines()
     assert lines == again
     head = json.loads(lines[0])
     assert head["schema"] == 1
+    assert [json.loads(line)["seconds"] for line in lines[1:3]] == [0.123, 0.456]
     tail = json.loads(lines[-1])
     assert tail == {"status": "pass", "checks": 2, "failures": 0}
     rep.add(CheckRecord("group", "c", 2.0, 1.0, False, 0.0))
@@ -295,7 +296,7 @@ def test_derivation_suite_and_ladder_share_one_source():
     # each row reads the one pass of derivation_nodes; the values are those
     # of the separate transforms, bit for bit, with a_norm(F_f) summed from
     # |t| ||pi_t(f)||_1 as derivation_nodes forms it
-    box, counts, tg, grid = cli._deriv_scales(0)
+    box, counts, tg, grid = cli.SCALES["derivation"][0]
     f = sample_family(cli.DERIV_FAMILY, box, counts)
     h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
     w_dz = w_norm(d_z(f), tg, grid)
@@ -308,7 +309,7 @@ def test_derivation_suite_and_ladder_share_one_source():
         "rhs": a_f * w_norm(h, tg, grid),
     }
     # the level-1 multiplier that only converge reports
-    box1, counts1, tg1, grid1 = cli._deriv_scales(1)
+    box1, counts1, tg1, grid1 = cli.SCALES["derivation"][1]
     assert (box1, tg1) == (box, tg)
     assert counts1 == (56, 56, 44) and grid1.n_points == 2 * grid.n_points
     multiplier1 = multiplier_defect(sample_family(cli.DERIV_FAMILY, box1, counts1), tg, grid1)
@@ -359,36 +360,30 @@ def test_run_suite_rejects_unknown_names():
 def test_convergence_table_shapes_and_errors():
     cfg = RunConfig()
     with pytest.raises(ValueError):
-        convergence_table("group", cfg, 1)
-    with pytest.raises(ValueError):
-        convergence_table("sorcery", cfg, 2)
-    table = convergence_table("group", cfg, 2)
-    rows = table.splitlines()
-    assert rows[0] == "suite,check,level,value,gain_vs_prev"
-    assert len(rows) == 1 + 2 * len(group_suite(cfg))
-    assert all(r.startswith("group,") for r in rows[1:])
-    # exact suite: defects pinned at zero on every level, gain column empty
-    assert all(r.endswith(",0.000000000e+00,") for r in rows[1:])
-
-
-def test_convergence_table_runs_an_exact_suite_once(monkeypatch):
-    calls = []
-
-    def exact(cfg, level):
-        calls.append(level)
-        return [("defect", 0.0), ("other", 0.5)]
-
-    monkeypatch.setitem(cli.LADDERS, "inequalities", exact)
-    rows = convergence_table("inequalities", RunConfig(), 3).splitlines()
-    assert calls == [0]
-    assert rows[1:] == [
-        f"inequalities,{check},{level},{value},{gain}"
-        for level in range(3)
-        for check, value, gain in (
-            ("defect", "0.000000000e+00", ""),
-            ("other", "5.000000000e-01", "" if level == 0 else "1"),
-        )
+        convergence_table("fusion", cfg, 1)
+    for suite in ("sorcery", "group", "inequalities", "lie"):
+        with pytest.raises(ValueError):
+            convergence_table(suite, cfg, 2)
+    table = convergence_table("fusion", cfg, 2)
+    rows = [row.split(",") for row in table.splitlines()]
+    assert rows[0] == ["suite", "check", "level", "value", "gain_vs_prev"]
+    assert [row[:3] for row in rows[1:]] == [
+        ["fusion", check, level]
+        for level in "01"
+        for check in ("residual_max", "composed_action_oracle")
     ]
+    # no predecessor at level 0; level 1 is compared with it
+    assert [row[4] for row in rows[1:3]] == ["", ""]
+    for base, refined in zip(rows[1:3], rows[3:5]):
+        assert refined[4] == f"{float(base[3]) / float(refined[3]):.6g}"
+
+
+@pytest.mark.parametrize("suite", ["group", "inequalities", "lie"])
+def test_converge_accepts_only_the_ladders(capsys, suite):
+    with pytest.raises(SystemExit) as info:
+        main(["converge", suite, "--levels", "2"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_convergence_capacity_stop_carries_partial_rows(monkeypatch):
@@ -416,10 +411,10 @@ class _LevelWork(Exception):
 LADDER_STOPS = {
     "plancherel": (3, "plancherel ladder is defined for 3 levels"),
     "inversion": (3, "inversion ladder is defined for 3 levels"),
-    "dualconv": (2, "dual-convolution ladder is defined for 2 levels"),
+    "dualconv": (2, "dualconv ladder is defined for 2 levels"),
     "derivation": (2, "derivation ladder is defined for 2 levels"),
-    "representation": (3, "carrier beyond 1024 points is out of convergence range"),
-    "fusion": (7, "carrier beyond 1024 points is out of convergence range"),
+    "representation": (3, "representation ladder is defined for 3 levels"),
+    "fusion": (7, "fusion ladder is defined for 7 levels"),
 }
 
 
@@ -480,11 +475,11 @@ def test_main_checks_the_out_path_before_any_work(tmp_path, monkeypatch, capsys)
         raise AssertionError("ran although --out cannot be written")
 
     monkeypatch.setitem(cli.SUITES, "group", never)
-    monkeypatch.setitem(cli.LADDERS, "group", never)
+    monkeypatch.setitem(cli.LADDERS, "fusion", never)
     out = str(tmp_path / "no" / "such" / "out")
     assert main(["verify", "group", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert main(["converge", "group", "--levels", "2", "--out", out]) == 2
+    assert main(["converge", "fusion", "--levels", "2", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -507,27 +502,23 @@ def test_main_transform_writes_a_loadable_field(tmp_path, capsys):
 
 
 def test_partner_base_scales_are_the_plancherel_base_scales():
-    # the adjoint pairing's forward field is on the lattice (0.125, 32)
-    n, L, counts, delta, k_max = cli.PLANCHEREL_LADDER[0]
-    assert cli.ADJOINT_LADDER[0] == (n, L, counts)
-    assert (delta, k_max) == (0.125, 32)
+    assert cli.SCALES["inversion"][0] == cli.SCALES["plancherel"][0]
 
 
-# transform --function NAME: the family and the scale function of the ladder
-# that samples it
+# transform --function NAME: the family and the ladder that samples it
 TRANSFORM_FAMILIES = {
-    "canonical": (cli.CANONICAL_FAMILY, cli._plancherel_scales),
-    "partner": (cli.PARTNER_FAMILY, cli._plancherel_scales),
-    "dc-left": (cli.DC_LEFT, cli._dc_scales),
-    "dc-right": (cli.DC_RIGHT, cli._dc_scales),
-    "derivation-odd": (cli.DERIV_FAMILY, cli._deriv_scales),
+    "canonical": (cli.CANONICAL_FAMILY, "plancherel"),
+    "partner": (cli.PARTNER_FAMILY, "inversion"),
+    "dc-left": (cli.DC_LEFT, "dualconv"),
+    "dc-right": (cli.DC_RIGHT, "dualconv"),
+    "derivation-odd": (cli.DERIV_FAMILY, "derivation"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFORM_FAMILIES))
 def test_transform_writes_the_base_level_field_of_its_ladder(tmp_path, capsys, name):
-    family, scales = TRANSFORM_FAMILIES[name]
-    box, counts, tgrid, grid = scales(0)
+    family, suite = TRANSFORM_FAMILIES[name]
+    box, counts, tgrid, grid = cli.SCALES[suite][0]
     want = forward_field(sample_family(family, box, counts), tgrid, grid)
     out = tmp_path / name
     assert main(["transform", "--function", name, "--out", str(out)]) == 0

@@ -47,6 +47,20 @@ def test_tgrid_k_max_must_be_an_integer(k_max):
         TGrid(0.5, k_max)
 
 
+@pytest.mark.parametrize("delta", [True, np.bool_(True), "0.5", 0.5j, None])
+def test_tgrid_delta_must_be_a_real_number(delta):
+    with pytest.raises(ValueError, match="delta"):
+        TGrid(delta, 4)
+
+
+def test_tgrid_stores_numpy_reals_as_python_floats():
+    tg = TGrid(np.float64(0.5), 4)
+    assert type(tg.delta) is float
+    assert tg == TGrid(0.5, 4)
+    assert tg.nodes.dtype == np.float64
+    assert TGrid(1, 4).nodes.dtype == np.float64
+
+
 def test_tgrid_accepts_numpy_integers_as_python_ints():
     tg = TGrid(0.5, np.int64(4))
     assert type(tg.k_max) is int
@@ -67,8 +81,7 @@ def test_field_node_access():
     assert np.array_equal(F.at_k(-2), F.mats[0])
     assert np.array_equal(F.at_k(1), F.mats[2])
     assert np.array_equal(F.at_k(0), np.zeros((3, 3)))
-    assert np.array_equal(F.at_t(0.5), F.at_k(2))
-    assert np.array_equal(F.at_t(0.3), np.zeros((3, 3)))
+    assert np.array_equal(F.at_k(3), np.zeros((3, 3)))
 
 
 def test_field_shape_checks():
@@ -87,14 +100,10 @@ def test_field_arithmetic_requires_same_lattice():
     F = _random_field(TGrid(0.25, 2), 3)
     G = _random_field(TGrid(0.25, 2), 3)
     H = _random_field(TGrid(0.125, 2), 3)
-    total = F + G
-    assert np.array_equal(total.mats, F.mats + G.mats)
     diff = F - G
     assert np.array_equal(diff.mats, F.mats - G.mats)
-    scaled = F.scaled(2j)
-    assert np.array_equal(scaled.mats, 2j * F.mats)
     with pytest.raises(ValueError):
-        F + H
+        F - H
 
 
 def test_save_load_roundtrip_is_exact(tmp_path):

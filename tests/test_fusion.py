@@ -15,7 +15,6 @@ from heisenfourier.fusion import (
     _exact_ratio,
     _theta_term,
     dual_convolution,
-    gamma,
     intertwiner,
     partial_trace_second,
     theta1,
@@ -41,17 +40,6 @@ def test_exact_ratio_is_rational():
     assert _exact_ratio(0.25, 0.125) == Fraction(1, 3)
     assert _exact_ratio(0.375, -0.0625) == Fraction(-0.0625) / Fraction(0.3125)
     assert _exact_ratio(1.0, 1.0) == Fraction(1, 2)
-
-
-def test_gamma_entries_and_determinant():
-    g = gamma(0.25, 0.125)
-    want = np.array([[2.0 / 3.0, 1.0 / 3.0], [-1.0, 1.0]])
-    assert np.max(np.abs(g - want)) < 1e-15
-    assert abs(np.linalg.det(g) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        gamma(0.25, -0.25)
-    with pytest.raises(ValueError):
-        gamma(0.0, 0.25)
 
 
 def test_intertwiner_is_unitary():

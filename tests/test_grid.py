@@ -32,6 +32,19 @@ def test_grid_n_points_must_be_an_integer(n):
         GridSpec1D(n, 2.0)
 
 
+@pytest.mark.parametrize("half_width", [True, np.bool_(True), "2.0", 2.0j, None])
+def test_grid_half_width_must_be_a_real_number(half_width):
+    with pytest.raises(ValueError, match="half_width"):
+        GridSpec1D(8, half_width)
+
+
+def test_grid_stores_numpy_reals_as_python_floats():
+    grid = GridSpec1D(8, np.float32(2.0))
+    assert type(grid.half_width) is float
+    assert grid == GridSpec1D(8, 2.0) == GridSpec1D(8, 2)
+    assert grid.spacing == 0.5
+
+
 def test_grid_accepts_numpy_integers_as_python_ints():
     grid = GridSpec1D(np.int64(8), 2.0)
     assert type(grid.n_points) is int

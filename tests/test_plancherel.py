@@ -42,8 +42,8 @@ def test_norm_scaling():
     rng = np.random.default_rng(8)
     mats = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
     F = OperatorField(tg, mats)
-    assert a_norm(F.scaled(-2.0)) == pytest.approx(2.0 * a_norm(F))
-    assert m_norm(F.scaled(0.5j)) == pytest.approx(0.5 * m_norm(F))
+    assert a_norm(OperatorField(tg, -2.0 * mats)) == pytest.approx(2.0 * a_norm(F))
+    assert m_norm(OperatorField(tg, 0.5j * mats)) == pytest.approx(0.5 * m_norm(F))
 
 
 def test_w_norm_positive_homogeneous():
@@ -99,7 +99,7 @@ def test_inverse_on_positive_nodes_matches_pointwise():
     # the same sum over a one-signed node list
     pos = tg.nodes[tg.k_max :]
     plan = _TransformPlan(grid, box, counts)
-    one_signed = plan.invert(F.mats[tg.k_max :], pos, np.full(pos.size, tg.delta))
+    one_signed = plan.invert(F.mats[tg.k_max :], pos, tg.delta)
     xs, ys, zs = box_axes(box, counts)
     for i, j, k in np.ndindex(*counts):
         point = inverse_transform(F, GroupElement(xs[i], ys[j], zs[k]), grid)
