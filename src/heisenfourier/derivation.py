@@ -15,7 +15,7 @@ import numpy as np
 from .field import TGrid
 from .grid import GridSpec1D, schatten_norm, singular_values
 from .group import SampledFunction3D
-from .schrodinger import _TransformPlan
+from .schrodinger import node_terms
 
 _DZ_SCALE = 1j / (2.0 * math.pi)
 
@@ -23,28 +23,20 @@ BOUNDARY_TOL = 1e-12
 
 
 def d_z(f: SampledFunction3D) -> SampledFunction3D:
-    """-(1/(2 pi i)) df/dz on the same grid; records which path produced it."""
-    if f.dz_samples is not None:
-        out = _DZ_SCALE * f.dz_samples
-        method = "analytic"
+    """-(1/(2 pi i)) df/dz on the same grid: closed form when f carries a
+    family, spectral otherwise."""
+    fam = f.family
+    if fam is not None:
+        out = _DZ_SCALE * fam.dz_eval_grid(*f.axes)
+        fam = type(fam)(fam.dz_poly().scale(_DZ_SCALE), fam.sigma, fam.center, fam.z_freq)
     else:
         n_z = f.counts[2]
         if n_z < 8:
             raise ValueError(f"spectral z-derivative needs n_z >= 8, got {n_z}")
-        dz_step = f.spacings[2]
-        freqs = np.fft.fftfreq(n_z, d=dz_step)
+        freqs = np.fft.fftfreq(n_z, d=f.spacings[2])
         # (i/2pi) * (2 pi i nu) = -nu
         out = np.fft.ifft(-freqs * np.fft.fft(f.samples, axis=2), axis=2)
-        method = "spectral"
-    fam = None
-    if f.family is not None:
-        fam = type(f.family)(
-            f.family.dz_poly().scale(_DZ_SCALE),
-            f.family.sigma,
-            f.family.center,
-            f.family.z_freq,
-        )
-    return SampledFunction3D(f.box, f.counts, out, None, fam, dz_method=method)
+    return SampledFunction3D(f.box, f.counts, out, fam)
 
 
 def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
@@ -57,7 +49,7 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
       - |t| ||pi_t(f)||_1, the terms of a_norm(F_f), from the same SVD
         of pi_t(f) as the operator norm in the gap's normalization
 
-    One plan call takes both sample arrays, so each |t| builds its phase
+    One node_terms pass takes both functions, so each |t| builds its phase
     tables once for both coefficients.
 
     The multiplier comparison integrates by parts, so it is only meaningful
@@ -71,19 +63,16 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
             "assumes numerically compact support",
             stacklevel=2,
         )
-    plan = _TransformPlan(grid, f.box, f.counts)
     ts = tgrid.nodes
-    gap, dz_norm, trace_norm = (np.empty(tgrid.n_nodes) for _ in range(3))
 
-    def each(k, lhs, coef):
+    def term(k, lhs, coef):
         t = ts[k]
         sv = singular_values(coef)
         scale = max(1.0, abs(t) * float(sv[0]))
-        gap[k] = schatten_norm(lhs - t * coef, np.inf) / scale
-        dz_norm[k] = schatten_norm(lhs, np.inf)
-        trace_norm[k] = abs(t) * float(np.sum(sv))
+        gap = schatten_norm(lhs - t * coef, np.inf) / scale
+        return gap, schatten_norm(lhs, np.inf), abs(t) * float(np.sum(sv))
 
-    plan.coefficients((d_z(f).samples, f.samples), ts, f.cell_volume, each)
+    gap, dz_norm, trace_norm = node_terms((d_z(f), f), ts, grid, term).T
     return gap, dz_norm, trace_norm
 
 
@@ -97,7 +86,7 @@ def leibniz_defect(f: SampledFunction3D, g: SampledFunction3D) -> float:
     if not f.same_grid(g):
         raise ValueError("leibniz comparison requires identical grids")
     prod = f * g
-    if prod.dz_samples is None:
+    if prod.family is None:
         raise ValueError("closed-form product derivative unavailable for this pair")
     lhs = d_z(prod).samples
     rhs = f.samples * d_z(g).samples + g.samples * d_z(f).samples

@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import OperatorField
-from .grid import GridSpec1D, circulant, schatten_norm, shift_kernel, shift_phases
+from .grid import GridSpec1D, circulant, schatten_norm, schatten_norms, shift_kernel, shift_phases
 from .split import run_split
 
 _DOMAIN_MSG = "fusion needs r, s, r + s all nonzero"
@@ -250,8 +250,8 @@ def dual_convolution(
         raise ValueError(f"tol_skip must be finite and >= 0, got {tol_skip}")
     tg = field_f.tgrid
     n = grid.n_points
-    tn_f = np.array([schatten_norm(m, 1) for m in field_f.mats])
-    tn_g = np.array([schatten_norm(m, 1) for m in field_g.mats])
+    tn_f = schatten_norms(field_f.mats, 1)
+    tn_g = schatten_norms(field_g.mats, 1)
     cut = tol_skip * tn_f.max() * tn_g.max()
     terms = []
     for pos_m, m in enumerate(tg.ks):

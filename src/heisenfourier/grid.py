@@ -16,7 +16,9 @@ the matrix; every other module takes its shifts from these three, in
 whichever basis it works.
 
 Operators are plain complex numpy matrices.  Schatten norms always go
-through a full singular value decomposition; nothing is estimated.
+through a full singular value decomposition, one per matrix, also for
+the per-node norms of a whole field (schatten_norms); nothing is
+estimated.
 """
 
 from __future__ import annotations
@@ -153,3 +155,8 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
     if p == math.inf:
         return float(sv[0]) if sv.size else 0.0
     raise ValueError(f"p must be 1, 2 or inf, got {p}")
+
+
+def schatten_norms(mats, p: float) -> np.ndarray:
+    """schatten_norm of each matrix of a stack, in stack order."""
+    return np.array([schatten_norm(m, p) for m in mats])

@@ -195,18 +195,15 @@ def box_axes(box, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class SampledFunction3D:
     """Complex samples of f on the cell-centered grid of a box.
 
-    dz_samples, when present, holds closed-form samples of df/dz on the
-    same grid.  family, when present, is the generating GaussianPoly and
-    travels through pointwise products so that product derivatives stay
-    closed-form.
+    family, when present, is the generating GaussianPoly: the closed form
+    that derivation.d_z evaluates.  It travels through pointwise products
+    and the check map, so their derivatives stay closed-form.
     """
 
     box: tuple[float, float, float]
     counts: tuple[int, int, int]
     samples: np.ndarray
-    dz_samples: Optional[np.ndarray] = None
     family: Optional[GaussianPoly] = None
-    dz_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -240,7 +237,6 @@ class SampledFunction3D:
         if not self.same_grid(other):
             raise ValueError("pointwise product requires identical grids")
         fam = None
-        dz = None
         if (
             self.family is not None
             and other.family is not None
@@ -248,11 +244,7 @@ class SampledFunction3D:
         ):
             # closed-form derivatives only survive products within a shared center
             fam = self.family * other.family
-            xs, ys, zs = self.axes
-            dz = fam.dz_eval_grid(xs, ys, zs).astype(complex)
-        return SampledFunction3D(
-            self.box, self.counts, self.samples * other.samples, dz, fam
-        )
+        return SampledFunction3D(self.box, self.counts, self.samples * other.samples, fam)
 
     def boundary_max(self) -> float:
         """Largest |f| over the six boundary faces of the sample cube."""
@@ -264,18 +256,15 @@ class SampledFunction3D:
 def sample_family(
     fam: GaussianPoly, box, counts, with_dz: bool = True
 ) -> SampledFunction3D:
+    """Samples of fam on the box grid; with_dz=False leaves the family off,
+    so derivatives of the result take the spectral path."""
     xs, ys, zs = box_axes(box, counts)
     samples = fam.eval_grid(xs, ys, zs).astype(complex)
-    dz = fam.dz_eval_grid(xs, ys, zs).astype(complex) if with_dz else None
-    return SampledFunction3D(tuple(box), tuple(counts), samples, dz, fam)
+    return SampledFunction3D(tuple(box), tuple(counts), samples, fam if with_dz else None)
 
 
 def check_map(f: SampledFunction3D) -> SampledFunction3D:
     """f |-> f-check with f-check(v) = f(v^{-1}); exact index reflection."""
     rev = f.samples[::-1, ::-1, ::-1].copy()
-    dz = None
-    if f.dz_samples is not None:
-        # d/dz of v |-> f(-v) is -(df/dz)(-v)
-        dz = -f.dz_samples[::-1, ::-1, ::-1].copy()
     fam = f.family.reflect() if f.family is not None else None
-    return SampledFunction3D(f.box, f.counts, rev, dz, fam)
+    return SampledFunction3D(f.box, f.counts, rev, fam)

@@ -237,7 +237,8 @@ def find_h3(L: LieAlgebra) -> H3Embedding:
 def load_structure(path) -> LieAlgebra:
     """Plain text: first line n, then one line 'i j k value' per nonzero
     constant with 1-based indices; values are integers or rationals p/q.
-    Unlisted entries are zero up to antisymmetry."""
+    Unlisted entries are zero up to antisymmetry; a repeated (i, j, k) is
+    an error."""
     lines = []
     with open(path) as fh:
         for raw in fh:
@@ -256,7 +257,10 @@ def load_structure(path) -> LieAlgebra:
         if len(parts) != 4:
             raise ValueError(f"{path}: malformed line {line!r}")
         i, j, k = (int(p) for p in parts[:3])
-        entries.setdefault((i, j), {})[k] = Fraction(parts[3])
+        comps = entries.setdefault((i, j), {})
+        if k in comps:
+            raise ValueError(f"{path}: repeated entry ({i}, {j}, {k})")
+        comps[k] = Fraction(parts[3])
     return LieAlgebra.from_brackets(dim, entries)
 
 

@@ -11,11 +11,11 @@ oracle; inverse_transform_grid fills the whole box through one
 _TransformPlan.invert call, which applies the z axis once for the whole
 lattice.
 
-Every lattice sum over bare coefficients (plancherel_defect, w_norm,
-coefficient_norms, the adjoint pairing) takes them from one
-_TransformPlan.coefficients call, whose callback stores each node's term
-in the node's own slot on the worker threads, and adds the node terms in
-lattice order (node_sum).  The Plancherel left side
+Every lattice sum takes its per-node terms as one array in node order
+and adds them in lattice order (node_sum): over bare coefficients
+(plancherel_defect, w_norm, coefficient_norms, the adjoint pairing) from
+one schrodinger.node_terms pass, over stored fields from one
+grid.schatten_norms call.  The Plancherel left side
 sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the Frobenius norm, which is
 the Hilbert-Schmidt norm exactly, with no SVD.
 
@@ -30,9 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from .field import OperatorField, TGrid
-from .grid import GridSpec1D, schatten_norm
+from .grid import GridSpec1D, schatten_norm, schatten_norms
 from .group import SampledFunction3D, check_map
-from .schrodinger import _TransformPlan, rep_matrix
+from .schrodinger import _TransformPlan, node_terms, rep_matrix
 
 __all__ = [
     "inverse_transform",
@@ -74,18 +74,12 @@ def inverse_transform_grid(
 
 def a_norm(F: OperatorField) -> float:
     """Lattice L1 norm of trace norms; the Fourier-algebra norm."""
-    total = 0.0
-    for pos in range(F.tgrid.n_nodes):
-        total += schatten_norm(F.mats[pos], 1)
-    return F.tgrid.delta * total
+    return float(F.tgrid.delta * node_sum(schatten_norms(F.mats, 1)))
 
 
 def m_norm(G: OperatorField) -> float:
     """Sup over nodes of the trace norm."""
-    best = 0.0
-    for pos in range(G.tgrid.n_nodes):
-        best = max(best, schatten_norm(G.mats[pos], 1))
-    return best
+    return float(np.max(schatten_norms(G.mats, 1)))
 
 
 def node_sum(terms):
@@ -105,14 +99,7 @@ def coefficient_norms(
     f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, p: float
 ) -> np.ndarray:
     """Schatten p-norm of the bare coefficient pi_t(f) at every node, in node order."""
-    plan = _TransformPlan(grid, f.box, f.counts)
-    norms = np.empty(tgrid.n_nodes)
-
-    def each(k, coef):
-        norms[k] = schatten_norm(coef, p)
-
-    plan.coefficients(f.samples, tgrid.nodes, f.cell_volume, each)
-    return norms
+    return node_terms(f, tgrid.nodes, grid, lambda k, coef: schatten_norm(coef, p))
 
 
 def w_norm(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
@@ -125,14 +112,12 @@ def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> f
     rhs = f.l2_norm_sq()
     if rhs == 0.0:
         raise ValueError("relative defect undefined for the zero function")
-    plan = _TransformPlan(grid, f.box, f.counts)
     ts = tgrid.nodes
-    terms = np.empty(tgrid.n_nodes)
 
-    def each(k, coef):
-        terms[k] = tgrid.delta * abs(ts[k]) * np.linalg.norm(coef) ** 2
+    def term(k, coef):
+        return tgrid.delta * abs(ts[k]) * np.linalg.norm(coef) ** 2
 
-    plan.coefficients(f.samples, ts, f.cell_volume, each)
+    terms = node_terms(f, ts, grid, term)
     return float(abs(node_sum(terms) - rhs) / rhs)
 
 
@@ -146,12 +131,9 @@ def adjoint_pairing_sides(
     """
     values = inverse_transform_grid(F, g.box, g.counts, grid)
     lhs = complex(np.sum(g.samples * values) * g.cell_volume)
-    gc = check_map(g)
-    plan = _TransformPlan(grid, gc.box, gc.counts)
-    terms = np.empty(F.tgrid.n_nodes, dtype=complex)
 
-    def each(k, coef):
-        terms[k] = F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[k])
+    def term(k, coef):
+        return F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[k])
 
-    plan.coefficients(gc.samples, F.tgrid.nodes, gc.cell_volume, each)
+    terms = node_terms(check_map(g), F.tgrid.nodes, grid, term)
     return lhs, complex(node_sum(terms))

@@ -22,10 +22,10 @@ The z axis is one matrix product for all nodes in each direction, in
 the calling thread.  The x and y axes cost two phase tables per |t|: the
 tables of -t are those of t conjugated.  The |t| groups are split across
 the process's CPUs, one worker thread each, and every node is computed
-whole by one worker, so the bits do not depend on the core count.  The
-forward pass hands each coefficient to a callback, each(k, coef), which
-runs on the worker threads and writes only the caller's slot k, so no
-stack of node matrices is held beyond the caller's own.
+whole by one worker, so the bits do not depend on the core count.
+node_terms(fs, ts, grid, term) gives term(k, *coefs) for every node k,
+in node order, with term run on the worker threads; only forward_field
+keeps the coefficients, written straight into the field's node slots.
 fourier_coefficient's "direct" path and plancherel.inverse_transform are
 the literal per-sample and per-point oracles for the two directions.
 """
@@ -49,6 +49,8 @@ def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
     if not math.isfinite(t):
         raise ValueError(f"representation parameter must be finite, got {t}")
     x, y, z = g
+    if not all(math.isfinite(c) for c in (x, y, z)):
+        raise ValueError(f"group element coordinates must be finite, got {tuple(g)}")
     phase = cmath.exp(2j * math.pi * t * z + 1j * math.pi * t * y * x)
     mod = np.exp(-2j * np.pi * (t * y) * grid.nodes)
     # diagonal modulation as a row scaling of the shift
@@ -120,25 +122,23 @@ class _TransformPlan:
             groups.items(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes]
         )
 
-    def coefficients(self, samples, ts, cell_volume: float, each) -> None:
-        """each(k, coef): the quadrature of f(v)*pi_{ts[k]}(v) over the box, for every node.
+    def coefficients(self, samples: tuple, ts, cell_volume: float, each) -> None:
+        """each(k, coef_1, coef_2, ...): the quadrature of f(v)*pi_{ts[k]}(v)
+        over the box for every node, one coefficient per (nx, ny, nz) array
+        of samples, all from one pair of phase tables.
 
-        samples is one (nx, ny, nz) array or a tuple of them on the same
-        box; with a tuple, each(k, coef_1, coef_2, ...) gets one
-        coefficient per array, from one pair of phase tables.  each runs
-        on the worker threads, several at once, and must write only the
-        caller's slot k; the coefficients are fresh arrays it may keep.
-        The plan holds no stack of node matrices.
+        each runs on the worker threads, several at once, and must write
+        only the caller's slot k; the coefficients are fresh arrays it may
+        keep.  The plan holds no stack of node matrices.
 
         The z sums of all nodes come from one product per array; each
         coefficient is then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
         """
         ts = np.asarray(ts, dtype=float)
-        stack = (samples,) if isinstance(samples, np.ndarray) else tuple(samples)
-        nx, ny, nz = stack[0].shape
+        nx, ny, nz = samples[0].shape
         n = self.grid.n_points
         ez = np.exp(np.outer(self.zs, 2j * np.pi * ts))
-        fzs = [s.reshape(nx * ny, nz) @ ez for s in stack]
+        fzs = [s.reshape(nx * ny, nz) @ ez for s in samples]
 
         def node(k, P, E, xy, A, S):
             coefs = []
@@ -179,6 +179,27 @@ class _TransformPlan:
         return (table.T @ ez).reshape(nx, ny, nz)
 
 
+def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
+    """np.array([term(k, *coefs) for every k]) in node order, coefs the
+    bare coefficients pi_{ts[k]}(f) of each f in fs, from one plan pass.
+
+    fs is one sampled function or a tuple of them on one box.  term runs
+    on the worker threads, several at once; it returns node k's value and
+    writes nothing shared.
+    """
+    fs = (fs,) if isinstance(fs, SampledFunction3D) else tuple(fs)
+    if not all(fs[0].same_grid(g) for g in fs[1:]):
+        raise ValueError("node terms need functions sampled on one box")
+    values = [None] * len(ts)
+
+    def each(k, *coefs):
+        values[k] = term(k, *coefs)
+
+    plan = _TransformPlan(grid, fs[0].box, fs[0].counts)
+    plan.coefficients(tuple(f.samples for f in fs), ts, fs[0].cell_volume, each)
+    return np.array(values)
+
+
 def fourier_coefficient(
     f: SampledFunction3D, t: float, grid: GridSpec1D, method: str = "fast"
 ) -> np.ndarray:
@@ -193,10 +214,7 @@ def fourier_coefficient(
     if not math.isfinite(t):
         raise ValueError(f"representation parameter must be finite, got {t}")
     if method == "fast":
-        coefs = {}
-        plan = _TransformPlan(grid, f.box, f.counts)
-        plan.coefficients(f.samples, [t], f.cell_volume, coefs.__setitem__)
-        return coefs[0]
+        return node_terms(f, [t], grid, lambda k, coef: coef)[0]
     if method == "direct":
         return _coefficient_direct(f, t, grid)
     raise ValueError(f"unknown method {method!r}")
@@ -223,5 +241,5 @@ def forward_field(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
     def each(k, coef):
         np.multiply(abs(ts[k]), coef, out=mats[k])
 
-    plan.coefficients(f.samples, ts, f.cell_volume, each)
+    plan.coefficients((f.samples,), ts, f.cell_volume, each)
     return OperatorField(tgrid, mats)

@@ -465,6 +465,12 @@ def test_main_lie_find_h3(tmp_path, capsys):
 def test_main_file_errors_exit_2_with_a_message(tmp_path, capsys):
     assert main(["lie", "find-h3", str(tmp_path / "no-such.alg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    repeated = tmp_path / "repeated.alg"
+    repeated.write_text("3\n1 2 3 1\n1 2 3 5\n")
+    assert main(["lie", "find-h3", str(repeated)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeated entry (1, 2, 3)" in captured.err
     out = tmp_path / "no" / "such" / "report.jsonl"
     assert main(["verify", "group", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

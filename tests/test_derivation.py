@@ -30,17 +30,18 @@ TG = TGrid(0.25, 8)
 def test_dz_prefers_the_analytic_path():
     f = sample_family(F_ODD, BOX, COUNTS)
     df = d_z(f)
-    assert df.dz_method == "analytic"
     assert df.family is not None
-    want = (1j / (2 * math.pi)) * f.dz_samples
+    want = (1j / (2 * math.pi)) * F_ODD.dz_eval_grid(*f.axes)
     assert np.array_equal(df.samples, want)
 
 
 def test_dz_spectral_fallback_agrees_with_analytic():
     f = sample_family(F_ODD, BOX, COUNTS)
-    plain = SampledFunction3D(f.box, f.counts, f.samples.copy())
+    # with_dz=False leaves the family off, so d_z has no closed form to use
+    plain = sample_family(F_ODD, BOX, COUNTS, with_dz=False)
+    assert plain.family is None and np.array_equal(plain.samples, f.samples)
     spectral = d_z(plain)
-    assert spectral.dz_method == "spectral"
+    assert spectral.family is None
     assert np.max(np.abs(spectral.samples - d_z(f).samples)) < 1e-6
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from heisenfourier.field import OperatorField, TGrid, load_field, save_field
 
@@ -32,6 +33,17 @@ def test_lattice_lookup_scales_with_tiny_delta():
     assert tg.lattice_k(3e-12) == 3
     assert tg.lattice_k(tg.nodes[0] + tg.nodes[-1] + tg.nodes[5]) == 2
     assert tg.lattice_k(1e-30) == 0
+
+
+@given(
+    delta=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+    k=st.integers(-10**6, 10**6),
+)
+@example(delta=5e-324, k=-999_999)
+@example(delta=1e-12, k=3)
+def test_lattice_k_inverts_the_node_product(delta, k):
+    """Subnormal and tiny spacings included: k*delta maps back to k."""
+    assert TGrid(delta, 1).lattice_k(k * delta) == k
 
 
 def test_tgrid_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from heisenfourier.grid import (
     GridSpec1D,
@@ -9,6 +10,7 @@ from heisenfourier.grid import (
     fractional_shift_op,
     modulation_op,
     schatten_norm,
+    schatten_norms,
     shift_kernel,
     singular_values,
 )
@@ -177,6 +179,19 @@ def test_schatten_norm_unitary_invariance():
 def test_schatten_norm_rejects_other_p():
     with pytest.raises(ValueError):
         schatten_norm(np.eye(3), 3)
+
+
+@given(
+    shape=st.tuples(st.integers(0, 4), st.integers(1, 6)),
+    p=st.sampled_from((1, 2, math.inf)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schatten_norms_is_schatten_norm_per_matrix(shape, p, seed):
+    rng = np.random.default_rng(seed)
+    count, n = shape
+    mats = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    want = np.array([schatten_norm(m, p) for m in mats])
+    assert np.array_equal(schatten_norms(mats, p), want)
 
 
 def test_kron_index_convention():

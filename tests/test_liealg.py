@@ -164,6 +164,10 @@ def test_load_structure_errors(tmp_path):
     short.write_text("3\n1 2 1\n")
     with pytest.raises(ValueError, match="malformed"):
         load_structure(short)
+    repeated = tmp_path / "repeated.alg"
+    repeated.write_text("3\n1 2 3 1\n1 2 3 5\n")
+    with pytest.raises(ValueError, match=r"repeated\.alg: repeated entry \(1, 2, 3\)"):
+        load_structure(repeated)
 
 
 def test_load_structure_accepts_rationals(tmp_path):

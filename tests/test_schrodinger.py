@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D, fractional_shift_op, modulation_op, schatten_norm
@@ -11,6 +12,7 @@ from heisenfourier.schrodinger import (
     _TransformPlan,
     forward_field,
     fourier_coefficient,
+    node_terms,
     rep_matrix,
 )
 
@@ -27,6 +29,15 @@ def test_rep_rejects_zero_and_nonfinite_t():
         rep_matrix(0.0, g, grid)
     with pytest.raises(ValueError):
         rep_matrix(math.inf, g, grid)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rep_rejects_nonfinite_coordinates(axis, bad):
+    coords = [0.1, 0.2, 0.3]
+    coords[axis] = bad
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        rep_matrix(0.5, GroupElement(*coords), GridSpec1D(8, 2.0))
 
 
 def test_rep_central_elements_are_phases():
@@ -98,11 +109,61 @@ def test_plan_coefficients_match_direct_on_any_node_list(ts):
     grid = GridSpec1D(8, 2.0)
     plan = _TransformPlan(grid, f.box, f.counts)
     got = []
-    plan.coefficients(f.samples, ts, f.cell_volume, lambda k, coef: got.append((k, coef)))
+    plan.coefficients((f.samples,), ts, f.cell_volume, lambda k, coef: got.append((k, coef)))
     assert sorted(k for k, _ in got) == list(range(len(ts)))
     for k, coef in got:
         direct = _coefficient_direct(f, ts[k], grid)
         assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
+
+
+@st.composite
+def node_lists(draw):
+    """Nodes drawn from a pool of up to three |t|, each with its own sign,
+    so lists repeat nodes, pair t with -t and are often one-signed."""
+    pool = draw(st.lists(st.floats(0.0625, 1.5), min_size=1, max_size=3))
+    picks = st.tuples(st.integers(0, len(pool) - 1), st.sampled_from((1.0, -1.0)))
+    return [sign * pool[i] for i, sign in draw(st.lists(picks, min_size=1, max_size=5))]
+
+
+@settings(max_examples=30)
+@given(
+    ts=node_lists(),
+    n_fs=st.integers(1, 2),
+    counts=st.tuples(*[st.sampled_from((2, 4))] * 3),
+    half=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ts=[0.25, 0.25, -0.25], n_fs=2, counts=(4, 4, 4), half=1.5, seed=0)
+@example(ts=[-0.5, -0.125], n_fs=1, counts=(4, 2, 4), half=1.0, seed=1)
+def test_node_terms_match_direct_sums(ts, n_fs, counts, half, seed):
+    """Every node's value under its own position, for one or two functions
+    per pass, equal to the literal per-sample sums."""
+    from heisenfourier.group import SampledFunction3D
+
+    rng = np.random.default_rng(seed)
+    box = (half, 1.25 * half, 0.75 * half)
+    fs = tuple(
+        SampledFunction3D(box, counts, rng.standard_normal(counts) + 1j * rng.standard_normal(counts))
+        for _ in range(n_fs)
+    )
+    grid = GridSpec1D(8, 2.0)
+    got = node_terms(fs if n_fs > 1 else fs[0], ts, grid, lambda k, *coefs: np.stack(coefs))
+    assert got.shape == (len(ts), n_fs, 8, 8)
+    for k, t in enumerate(ts):
+        for coef, f in zip(got[k], fs):
+            direct = _coefficient_direct(f, t, grid)
+            assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
+
+
+def test_node_terms_reject_mixed_boxes():
+    f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
+    grid = GridSpec1D(8, 2.0)
+    for other in (
+        sample_family(CANON, (1.5, 1.5, 1.0), (4, 4, 4)),
+        sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 2)),
+    ):
+        with pytest.raises(ValueError, match="one box"):
+            node_terms((f, other), [0.5], grid, lambda k, a, b: 0.0)
 
 
 def test_coefficient_is_linear():
