@@ -8,10 +8,12 @@ Commands (run as python -m heisenfourier.cli):
     transform --function NAME --out FIELD_DIR
 
 Suites: group, representation, plancherel, inversion, fusion, dualconv,
-derivation, inequalities, lie, all.  Ladders: representation, plancherel,
-inversion, fusion, dualconv, derivation.  Exit code 0 when every check
-passes, 1 on a failed check or capacity stop, 2 on usage or configuration
-errors.
+derivation, inequalities, lie, all; run_suite returns their CheckRecords.
+Ladders: representation, plancherel, inversion, fusion, dualconv,
+derivation; convergence_rows yields each level's CSV rows as soon as the
+level is done, and a level past the ladder's SCALES is a capacity stop.
+Exit code 0 when every check passes, 1 on a failed check or capacity
+stop, 2 on usage or configuration errors.
 
 The one run setting is the seed of the random group elements, set through
 the environment as HEISENFOURIER_SEED; every scale, family and tolerance is
@@ -30,7 +32,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from .group import (
     sample_family,
 )
 from .liealg import BUNDLED, bracket, bundled_structure, find_h3, is_nilpotent, load_structure, lower_central_series
+from .liealg import _basis_of_full_space
 from .plancherel import (
     a_norm,
     adjoint_pairing_sides,
@@ -141,60 +144,39 @@ class CheckRecord:
         }
 
 
-class Report:
-    """Ordered check records plus a config echo; JSON-lines serializable."""
+SCHEMA = 1
 
-    SCHEMA = 1
 
-    def __init__(self, config: RunConfig):
-        self.config_echo = asdict(config)
-        self.records: list[CheckRecord] = []
+def report_lines(cfg: RunConfig, records) -> list[str]:
+    """The JSON-lines report: config header, one line per record, status tail."""
+    failures = sum(not r.passed for r in records)
+    lines = [json.dumps({"schema": SCHEMA, "config": asdict(cfg)}, sort_keys=True)]
+    for r in records:
+        body = {
+            "suite": r.suite,
+            "check": r.name,
+            "value": r.value,
+            "tol": r.tol,
+            "passed": r.passed,
+            "extra": r.extra,
+            "seconds": round(r.seconds, 3),
+        }
+        lines.append(json.dumps(body, sort_keys=True))
+    status = {"status": "fail" if failures else "pass", "checks": len(records), "failures": failures}
+    lines.append(json.dumps(status, sort_keys=True))
+    return lines
 
-    def add(self, record: CheckRecord) -> None:
-        self.records.append(record)
 
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def json_lines(self) -> list[str]:
-        lines = [
-            json.dumps(
-                {"schema": self.SCHEMA, "config": self.config_echo}, sort_keys=True
-            )
-        ]
-        for r in self.records:
-            body = {
-                "suite": r.suite,
-                "check": r.name,
-                "value": r.value,
-                "tol": r.tol,
-                "passed": r.passed,
-                "extra": r.extra,
-                "seconds": round(r.seconds, 3),
-            }
-            lines.append(json.dumps(body, sort_keys=True))
-        lines.append(
-            json.dumps(
-                {
-                    "status": "pass" if self.passed else "fail",
-                    "checks": len(self.records),
-                    "failures": sum(not r.passed for r in self.records),
-                },
-                sort_keys=True,
-            )
-        )
-        return lines
-
-    def summary(self) -> str:
-        out = []
-        for r in self.records:
-            flag = "PASS" if r.passed else "FAIL"
-            tol = f" tol {r.tol:.3g}" if r.tol is not None else ""
-            out.append(f"[{flag}] {r.suite}.{r.name}: {r.value:.6g}{tol}")
-        status = "pass" if self.passed else "FAIL"
-        out.append(f"overall: {status} ({len(self.records)} checks)")
-        return "\n".join(out)
+def summary(records) -> str:
+    """One PASS/FAIL line per record and an overall line."""
+    out = []
+    for r in records:
+        flag = "PASS" if r.passed else "FAIL"
+        tol = f" tol {r.tol:.3g}" if r.tol is not None else ""
+        out.append(f"[{flag}] {r.suite}.{r.name}: {r.value:.6g}{tol}")
+    status = "pass" if all(r.passed for r in records) else "FAIL"
+    out.append(f"overall: {status} ({len(records)} checks)")
+    return "\n".join(out)
 
 
 def check(name: str, value, tol=None, passed=None, **extra):
@@ -272,7 +254,11 @@ GSET = (
 # the levels of each refinement ladder, coarsest first: (box, counts, t-grid,
 # carrier), except that a representation or fusion level is a bare carrier.
 # The inversion ladder's round trip runs at the plancherel level of the same
-# index; its own entries are the scales of the adjoint pairing.
+# index; its own entries are the scales of the adjoint pairing.  Neither
+# check converges at the other's scales: the adjoint pairing at the plancherel
+# scales reads 1.737e-5, 6.893e-5, 3.770e-5, which does not decrease, and the
+# round trip at the inversion scales, where delta stays 0.125, stalls on the
+# dropped t = 0 term at 7.842e-3, 7.531e-3, 7.530e-3.
 SCALES = {
     "plancherel": (
         ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
@@ -666,7 +652,9 @@ def derivation_suite(cfg: RunConfig):
         base = _deriv_level(cfg, 0)
     f, mult = base["f"], base["multiplier_identity"]
     yield check("multiplier_identity", mult, tol)
-    gap = float(np.max(np.abs(d_z(f).samples - d_z(_plain_copy(f)).samples)))
+    # the same samples without the family take the spectral path
+    plain = SampledFunction3D(f.box, f.counts, f.samples)
+    gap = float(np.max(np.abs(d_z(f).samples - d_z(plain).samples)))
     yield check("spectral_vs_analytic", gap, tol)
     box, counts, tg, carrier = SCALES["derivation"][0]
     g = sample_family(DERIV_LEIBNIZ_PARTNER, box, counts)
@@ -715,11 +703,6 @@ def derivation_suite(cfg: RunConfig):
     yield check("boundary_decay_gain", d_small - mult, passed=mult < d_small)
 
 
-def _plain_copy(f):
-    """Same samples without the family, so d_z takes the spectral path."""
-    return SampledFunction3D(f.box, f.counts, f.samples.copy())
-
-
 _LIE_EXPECTED = {
     "abelian2": {"dims": (2, 0), "degree": 1},
     "h3": {"dims": (3, 1, 0), "degree": 2},
@@ -729,17 +712,13 @@ _LIE_EXPECTED = {
 }
 
 
-def _basis(L) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(L.dim)) for i in range(L.dim)]
-
-
 def _basis_pair_h3(L) -> bool:
     """Exhaustive search: do two basis vectors e_i, e_j span an h3 copy?
 
     Independent of find_h3 apart from the bracket itself: no central
     series, no span tests, every pair tried.
     """
-    for e, f in itertools.combinations(_basis(L), 2):
+    for e, f in itertools.combinations(_basis_of_full_space(L.dim), 2):
         z = bracket(L, e, f)
         if any(z) and not any(bracket(L, e, z)) and not any(bracket(L, f, z)):
             return True
@@ -759,7 +738,7 @@ def lie_suite(cfg: RunConfig):
         relations_ok = emb is None or (
             any(emb.z)
             and bracket(L, emb.x, emb.y) == emb.z
-            and not any(c for e in _basis(L) for c in bracket(L, e, emb.z))
+            and not any(c for e in _basis_of_full_space(L.dim) for c in bracket(L, e, emb.z))
         )
         oracle_ok = (emb is not None) == _basis_pair_h3(L)
         ok = shape_ok and relations_ok and oracle_ok
@@ -774,7 +753,7 @@ def lie_suite(cfg: RunConfig):
     yield check("abelian_rejected", missed)
 
 
-SUITES: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
+SUITES = {
     "group": group_suite,
     "representation": representation_suite,
     "plancherel": plancherel_suite,
@@ -785,73 +764,56 @@ SUITES: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
     "inequalities": inequalities_suite,
     "lie": lie_suite,
 }
-SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, cfg: RunConfig) -> Report:
+def run_suite(name: str, cfg: RunConfig) -> list[CheckRecord]:
+    """The records of one suite, or of every suite in order for "all"."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    report = Report(cfg)
-    names = SUITE_NAMES if name == "all" else (name,)
-    for suite in names:
-        for record in SUITES[suite](cfg):
-            report.add(record)
-    return report
+    names = SUITES if name == "all" else (name,)
+    return [record for suite in names for record in SUITES[suite](cfg)]
 
 
 # ---------------------------------------------------------------------------
 # convergence tables
 
 
-def _rows(level_fn, *checks):
-    """The ladder that reports the named values of a level function."""
-
-    def ladder(cfg, level):
-        values = level_fn(cfg, level)
-        return [(check, values[check]) for check in checks]
-
-    return ladder
-
-
+# each ladder's level function and the values of it that converge reports
 LADDERS = {
-    "representation": _rows(_rep_level, "homomorphism"),
-    "plancherel": _rows(_plancherel_level, "isometry_defect"),
-    "inversion": _rows(_inversion_level, "roundtrip", "adjoint_pairing"),
-    "fusion": _rows(_fusion_level, "residual_max", "composed_action_oracle"),
-    "dualconv": _rows(_dc_level, "product_identity", "remark_identity"),
-    "derivation": _rows(_deriv_level, "multiplier_identity", "module_rel_excess"),
+    "representation": (_rep_level, ("homomorphism",)),
+    "plancherel": (_plancherel_level, ("isometry_defect",)),
+    "inversion": (_inversion_level, ("roundtrip", "adjoint_pairing")),
+    "fusion": (_fusion_level, ("residual_max", "composed_action_oracle")),
+    "dualconv": (_dc_level, ("product_identity", "remark_identity")),
+    "derivation": (_deriv_level, ("multiplier_identity", "module_rel_excess")),
 }
 
 
-def convergence_table(suite: str, cfg: RunConfig, levels: int) -> str:
+def convergence_rows(ladder: str, cfg: RunConfig, levels: int):
     """CSV rows defect-vs-level with successive improvement ratios.
 
-    A CapacityError mid-ladder is re-raised with the partial table attached
-    as the exception's `partial` attribute.
+    Yields the header, then each level's rows as soon as that level is
+    done; a level past the ladder's table raises the CapacityError of
+    _scales after the rows of the levels before it.
     """
     if levels < 2:
         raise ValueError("levels must be at least 2")
-    if suite not in LADDERS:
-        raise ValueError(f"unknown suite {suite!r}")
-    rows = ["suite,check,level,value,gain_vs_prev"]
+    if ladder not in LADDERS:
+        raise ValueError(f"unknown ladder {ladder!r}")
+    level_fn, names = LADDERS[ladder]
+    yield "suite,check,level,value,gain_vs_prev"
     prev: dict[str, float] = {}
     for level in range(levels):
-        try:
-            results = LADDERS[suite](cfg, level)
-        except CapacityError as stop:
-            stop.partial = "\n".join(rows)
-            raise
-        for check, value in results:
-            gain = ""
-            if check in prev and value > 0:
-                gain = f"{prev[check] / value:.6g}"
-            prev[check] = value
-            rows.append(f"{suite},{check},{level},{value:.9e},{gain}")
-    return "\n".join(rows)
+        values = level_fn(cfg, level)
+        for name in names:
+            value = values[name]
+            gain = f"{prev[name] / value:.6g}" if name in prev and value > 0 else ""
+            prev[name] = value
+            yield f"{ladder},{name},{level},{value:.9e},{gain}"
 
 
 # ---------------------------------------------------------------------------
-# named transforms
+# entry point
 
 
 # transform --function NAME: the family and the ladder that samples it, whose
@@ -865,18 +827,6 @@ _NAMED_FUNCTIONS = {
 }
 
 
-def _named_function(name: str):
-    if name not in _NAMED_FUNCTIONS:
-        raise ValueError(f"unknown function {name!r}; have {', '.join(_NAMED_FUNCTIONS)}")
-    family, suite = _NAMED_FUNCTIONS[name]
-    box, counts, tgrid, grid = SCALES[suite][0]
-    return sample_family(family, box, counts), tgrid, grid
-
-
-# ---------------------------------------------------------------------------
-# entry point
-
-
 def _open_out(path: Optional[str]):
     # opened before any work, so a bad path fails at once
     return open(path, "w") if path else contextlib.nullcontext()
@@ -884,30 +834,28 @@ def _open_out(path: Optional[str]):
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     with _open_out(args.out) as fh:
-        report = run_suite(args.suite, cfg)
-        print(report.summary())
+        records = run_suite(args.suite, cfg)
+        print(summary(records))
         if fh:
-            fh.write("\n".join(report.json_lines()) + "\n")
-    return 0 if report.passed else 1
+            fh.write("\n".join(report_lines(cfg, records)) + "\n")
+    return 0 if all(r.passed for r in records) else 1
 
 
 def _cmd_converge(args, cfg: RunConfig) -> int:
     with _open_out(args.out) as fh:
         try:
-            table, stop = convergence_table(args.suite, cfg, args.levels), None
-        except CapacityError as err:
-            table, stop = getattr(err, "partial", ""), err
-        if table:
-            print(table)
-            if fh:
-                fh.write(table + "\n")
-    if stop is not None:
-        print(f"capacity stop: {stop}", file=sys.stderr)
-        return 1
+            for row in convergence_rows(args.suite, cfg, args.levels):
+                print(row, flush=True)
+                if fh:
+                    fh.write(row + "\n")
+                    fh.flush()
+        except CapacityError as stop:
+            print(f"capacity stop: {stop}", file=sys.stderr)
+            return 1
     return 0
 
 
-def _cmd_lie(args) -> int:
+def _cmd_lie(args, cfg: RunConfig) -> int:
     L = load_structure(args.structure_file)
     try:
         emb = find_h3(L)
@@ -921,39 +869,42 @@ def _cmd_lie(args) -> int:
     return 0
 
 
-def _cmd_transform(args) -> int:
-    f, tgrid, grid = _named_function(args.function)
-    field = forward_field(f, tgrid, grid)
+def _cmd_transform(args, cfg: RunConfig) -> int:
+    if args.function not in _NAMED_FUNCTIONS:
+        raise ValueError(f"unknown function {args.function!r}; have {', '.join(_NAMED_FUNCTIONS)}")
+    family, ladder = _NAMED_FUNCTIONS[args.function]
+    box, counts, tgrid, grid = SCALES[ladder][0]
+    field = forward_field(sample_family(family, box, counts), tgrid, grid)
     save_field(field, args.out)
-    print(
-        f"wrote {field.tgrid.n_nodes} nodes of dimension {field.dim} to {args.out}"
-    )
+    print(f"wrote {field.tgrid.n_nodes} nodes of dimension {field.dim} to {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="heisenfourier", description=__doc__.splitlines()[0]
-    )
+    parser = argparse.ArgumentParser(prog="heisenfourier", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--out", help="write the JSON-lines report here")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_conv = sub.add_parser("converge", help="defect-vs-refinement table")
     p_conv.add_argument("suite", choices=tuple(LADDERS))
     p_conv.add_argument("--levels", type=int, required=True)
     p_conv.add_argument("--out", help="write the CSV table here")
+    p_conv.set_defaults(run=_cmd_converge)
 
     p_lie = sub.add_parser("lie", help="lie-algebra utilities")
     lie_sub = p_lie.add_subparsers(dest="lie_command", required=True)
     p_find = lie_sub.add_parser("find-h3", help="extract an h3 copy")
     p_find.add_argument("structure_file")
+    p_find.set_defaults(run=_cmd_lie)
 
     p_tr = sub.add_parser("transform", help="write a named forward field")
     p_tr.add_argument("--function", required=True)
     p_tr.add_argument("--out", required=True)
+    p_tr.set_defaults(run=_cmd_transform)
 
     args = parser.parse_args(argv)
     try:
@@ -963,18 +914,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        if args.command == "converge":
-            return _cmd_converge(args, cfg)
-        if args.command == "lie":
-            return _cmd_lie(args)
-        if args.command == "transform":
-            return _cmd_transform(args)
+        return args.run(args, cfg)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

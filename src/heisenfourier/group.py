@@ -21,6 +21,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .grid import as_count, as_real
+
 
 class GroupElement(NamedTuple):
     x: float
@@ -206,8 +208,11 @@ class SampledFunction3D:
     family: Optional[GaussianPoly] = None
 
     def __post_init__(self) -> None:
+        # normalized here, so grids compare equal whatever sequence types built them
+        self.box = tuple(as_real("box", h) for h in self.box)
+        self.counts = tuple(as_count("counts", n) for n in self.counts)
         self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != tuple(self.counts):
+        if self.samples.shape != self.counts:
             raise ValueError(
                 f"sample shape {self.samples.shape} does not match counts {self.counts}"
             )

@@ -166,15 +166,14 @@ class _TransformPlan:
         ckernel = np.conj(self.kernel)
         table = np.empty((len(ts), nx * ny), dtype=complex)
 
-        def node(k, P, E, G, D):
+        def node(k, P, E, G, D, X):
             np.take(mats[k], self.gather, out=G, mode="clip")
             np.matmul(ckernel, G.T, out=D)
-            # keep this product literal: from 256 KiB up numpy evaluates it in
-            # place as (D @ E.T) * P, and the rounding of a complex product
-            # depends on its operand order, so an out= buffer moves last bits
-            table[k] = (P * (D @ E.T)).ravel()
+            np.matmul(D, E.T, out=X)
+            # the operand order of a complex product sets its last bits
+            np.multiply(X, P, out=table[k].reshape(nx, ny))
 
-        self._split(-ts, node, ((n, n), (nx, n)))
+        self._split(-ts, node, ((n, n), (nx, n), (nx, ny)))
         ez = delta * np.exp(np.outer(-2j * np.pi * ts, self.zs))
         return (table.T @ ez).reshape(nx, ny, nz)
 

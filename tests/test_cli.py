@@ -7,10 +7,9 @@ import pytest
 import heisenfourier.cli as cli
 from heisenfourier.cli import (
     CheckRecord,
-    Report,
     RunConfig,
     TOL,
-    convergence_table,
+    convergence_rows,
     derivation_suite,
     fusion_suite,
     group_suite,
@@ -18,8 +17,10 @@ from heisenfourier.cli import (
     lie_suite,
     load_config,
     main,
+    report_lines,
     representation_suite,
     run_suite,
+    summary,
 )
 from heisenfourier.derivation import d_z, multiplier_defect
 from heisenfourier.field import load_field
@@ -120,19 +121,29 @@ def test_records_coerce_numpy_scalars():
 
 def test_report_json_lines_are_deterministic():
     cfg = RunConfig()
-    rep = Report(cfg)
-    rep.add(CheckRecord("group", "a", 0.0, None, True, 0.123))
-    rep.add(CheckRecord("group", "b", 0.5, 1.0, True, 0.456))
-    lines = rep.json_lines()
-    again = rep.json_lines()
+    records = [
+        CheckRecord("group", "a", 0.0, None, True, 0.123),
+        CheckRecord("group", "b", 0.5, 1.0, True, 0.456),
+    ]
+    lines = report_lines(cfg, records)
+    again = report_lines(cfg, records)
     assert lines == again
     head = json.loads(lines[0])
     assert head["schema"] == 1
     assert [json.loads(line)["seconds"] for line in lines[1:3]] == [0.123, 0.456]
     tail = json.loads(lines[-1])
     assert tail == {"status": "pass", "checks": 2, "failures": 0}
-    rep.add(CheckRecord("group", "c", 2.0, 1.0, False, 0.0))
-    assert json.loads(rep.json_lines()[-1])["status"] == "fail"
+    assert summary(records).splitlines()[-1] == "overall: pass (2 checks)"
+    records.append(CheckRecord("group", "c", 2.0, 1.0, False, 0.0))
+    assert json.loads(report_lines(cfg, records)[-1]) == {
+        "status": "fail",
+        "checks": 3,
+        "failures": 1,
+    }
+    assert summary(records).splitlines()[-2:] == [
+        "[FAIL] group.c: 2 tol 1",
+        "overall: FAIL (3 checks)",
+    ]
 
 
 def test_suite_rows_default_rules_and_timing(monkeypatch):
@@ -278,13 +289,13 @@ def test_lie_corpus_requires_a_central_z(monkeypatch):
     assert all(r.passed for name, r in records.items() if name != "corpus_upper4")
 
 
-def _ladder_column(table, check):
-    return [row.split(",")[3] for row in table.splitlines()[1:] if row.split(",")[1] == check]
+def _ladder_column(rows, check):
+    return [row.split(",")[3] for row in rows[1:] if row.split(",")[1] == check]
 
 
 def test_derivation_suite_and_ladder_share_one_source():
     cfg = RunConfig()
-    table = convergence_table("derivation", cfg, 2)
+    table = list(convergence_rows("derivation", cfg, 2))
     records = derivation_suite(cfg)
     assert _names(records, "derivation") == CHECK_NAMES["derivation"]
     recs = {r.name: r for r in records}
@@ -318,7 +329,7 @@ def test_derivation_suite_and_ladder_share_one_source():
 
 def test_fusion_suite_and_ladder_share_one_source():
     cfg = RunConfig()
-    table = convergence_table("fusion", cfg, 2)
+    table = list(convergence_rows("fusion", cfg, 2))
     records = fusion_suite(cfg)
     assert _names(records, "fusion") == CHECK_NAMES["fusion"]
     recs = {r.name: r for r in records}
@@ -333,7 +344,7 @@ def test_fusion_ladder_runs_past_the_dense_w_size():
     dense W would have 2^28 entries, and its first two levels are the
     values that verify reports."""
     cfg = RunConfig()
-    table = convergence_table("fusion", cfg, 4)
+    table = list(convergence_rows("fusion", cfg, 4))
     recs = {r.name: r for r in fusion_suite(cfg)}
     gains = [r for name, r in recs.items() if name.startswith("residual_gain_")]
     oracle = recs["composed_action_oracle"].value
@@ -360,12 +371,11 @@ def test_run_suite_rejects_unknown_names():
 def test_convergence_table_shapes_and_errors():
     cfg = RunConfig()
     with pytest.raises(ValueError):
-        convergence_table("fusion", cfg, 1)
+        next(convergence_rows("fusion", cfg, 1))
     for suite in ("sorcery", "group", "inequalities", "lie"):
         with pytest.raises(ValueError):
-            convergence_table(suite, cfg, 2)
-    table = convergence_table("fusion", cfg, 2)
-    rows = [row.split(",") for row in table.splitlines()]
+            next(convergence_rows(suite, cfg, 2))
+    rows = [row.split(",") for row in convergence_rows("fusion", cfg, 2)]
     assert rows[0] == ["suite", "check", "level", "value", "gain_vs_prev"]
     assert [row[:3] for row in rows[1:]] == [
         ["fusion", check, level]
@@ -386,21 +396,53 @@ def test_converge_accepts_only_the_ladders(capsys, suite):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_convergence_capacity_stop_carries_partial_rows(monkeypatch):
-    def toy(cfg, level):
-        if level >= 2:
-            raise CapacityError("toy ladder stops at 2 levels")
-        return [("defect", 1.0 / (level + 1))]
+def _toy_ladder(cfg, level):
+    if level >= 2:
+        raise CapacityError("toy ladder stops at 2 levels")
+    return {"defect": 1.0 / (level + 1)}
 
-    monkeypatch.setitem(cli.LADDERS, "dualconv", toy)
-    with pytest.raises(CapacityError) as info:
-        convergence_table("dualconv", RunConfig(), 9)
-    partial = getattr(info.value, "partial", "")
-    rows = partial.splitlines()
+
+def test_convergence_capacity_stop_carries_partial_rows(monkeypatch):
+    monkeypatch.setitem(cli.LADDERS, "dualconv", (_toy_ladder, ("defect",)))
+    rows = convergence_rows("dualconv", RunConfig(), 9)
+    assert next(rows) == "suite,check,level,value,gain_vs_prev"
+    assert next(rows).endswith(",")  # no predecessor at level 0
+    assert next(rows).endswith(",2")  # improvement ratio vs level 0
+    with pytest.raises(CapacityError, match="toy ladder stops at 2 levels"):
+        next(rows)
+
+
+def test_converge_writes_the_completed_rows_before_a_capacity_stop(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setitem(cli.LADDERS, "dualconv", (_toy_ladder, ("defect",)))
+    out = tmp_path / "table.csv"
+    assert main(["converge", "dualconv", "--levels", "9", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
     assert rows[0] == "suite,check,level,value,gain_vs_prev"
     assert len(rows) == 3
-    assert rows[1].endswith(",")  # no predecessor at level 0
-    assert rows[2].endswith(",2")  # improvement ratio vs level 0
+    assert rows[1].endswith(",")
+    assert rows[2].endswith(",2")
+    assert out.read_text() == captured.out
+    assert captured.err == "capacity stop: toy ladder stops at 2 levels\n"
+
+
+def test_converge_prints_each_level_as_soon_as_it_is_done(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "table.csv"
+    level0 = "suite,check,level,value,gain_vs_prev\nfusion,defect,0,1.000000000e+00,\n"
+
+    def toy(cfg, level):
+        if level == 1:
+            # level 0's rows are on stdout and in --out before level 1 starts
+            assert capsys.readouterr().out == level0
+            assert out.read_text() == level0
+        return {"defect": 1.0 / (level + 1)}
+
+    monkeypatch.setitem(cli.LADDERS, "fusion", (toy, ("defect",)))
+    assert main(["converge", "fusion", "--levels", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "fusion,defect,1,5.000000000e-01,2\n"
+    assert out.read_text() == level0 + "fusion,defect,1,5.000000000e-01,2\n"
 
 
 class _LevelWork(Exception):
@@ -429,11 +471,12 @@ def test_each_ladder_stops_at_its_first_undefined_level(monkeypatch, suite):
     for name in ("sample_family", "forward_field", "rep_matrix", "intertwiner"):
         monkeypatch.setattr(cli, name, work)
     stop, message = LADDER_STOPS[suite]
+    level_fn, _ = cli.LADDERS[suite]
     with pytest.raises(CapacityError) as info:
-        cli.LADDERS[suite](RunConfig(), stop)
+        level_fn(RunConfig(), stop)
     assert str(info.value) == message
     with pytest.raises(_LevelWork):
-        cli.LADDERS[suite](RunConfig(), stop - 1)
+        level_fn(RunConfig(), stop - 1)
 
 
 def test_main_verify_and_exit_codes(tmp_path, monkeypatch, capsys):
@@ -481,7 +524,7 @@ def test_main_checks_the_out_path_before_any_work(tmp_path, monkeypatch, capsys)
         raise AssertionError("ran although --out cannot be written")
 
     monkeypatch.setitem(cli.SUITES, "group", never)
-    monkeypatch.setitem(cli.LADDERS, "fusion", never)
+    monkeypatch.setitem(cli.LADDERS, "fusion", (never, ("residual_max",)))
     out = str(tmp_path / "no" / "such" / "out")
     assert main(["verify", "group", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -125,3 +127,30 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     back = load_field(tmp_path / "field")
     assert back.tgrid == tg
     assert np.array_equal(back.mats, F.mats)
+
+
+# parts that a float format could lose: signed zeros, subnormals, extremes
+_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.7e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@given(
+    delta=st.floats(min_value=1e-300, max_value=1e3),
+    k_max=st.integers(1, 4),
+    dim=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    placed=st.lists(st.tuples(st.integers(0, 2**16), _PARTS, _PARTS), max_size=6),
+)
+def test_save_load_round_trip_is_bit_exact(delta, k_max, dim, seed, placed):
+    tgrid = TGrid(delta, k_max)
+    rng = np.random.default_rng(seed)
+    shape = (tgrid.n_nodes, dim, dim)
+    mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for pos, re, im in placed:
+        mats.flat[pos % mats.size] = complex(re, im)
+    with tempfile.TemporaryDirectory() as path:
+        save_field(OperatorField(tgrid, mats), path)
+        back = load_field(path)
+    assert back.tgrid == tgrid
+    assert back.mats.tobytes() == mats.tobytes()

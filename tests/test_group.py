@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from heisenfourier.derivation import leibniz_defect
+from heisenfourier.grid import GridSpec1D
 from heisenfourier.group import (
     GaussianPoly,
     GroupElement,
@@ -15,6 +17,7 @@ from heisenfourier.group import (
     sample_family,
     SampledFunction3D,
 )
+from heisenfourier.schrodinger import node_terms
 
 RNG = np.random.default_rng(402)
 
@@ -199,6 +202,38 @@ def test_product_keeps_family_only_for_shared_centers():
     )
     mixed = f * h
     assert mixed.family is None
+
+
+def test_grids_from_lists_and_tuples_are_one_grid():
+    box, counts = (1.5, 1.5, 1.5), (8, 8, 8)
+    f = sample_family(GaussianPoly(Poly3.const(1.0), (0.5, 0.6, 0.4)), box, counts)
+    fam = GaussianPoly(Poly3({(0, 0, 1): 1.0}), (0.6, 0.5, 0.7))
+    g = sample_family(fam, box, counts)
+    g_list = SampledFunction3D(list(box), list(counts), g.samples, fam)
+    assert (g_list.box, g_list.counts) == (box, counts)
+    assert f.same_grid(g_list) and g_list.same_grid(f)
+    assert np.array_equal((f * g_list).samples, (f * g).samples)
+    assert (f * g_list).family == f.family * fam
+    ts, grid = [-0.5, 0.25], GridSpec1D(8, 2.0)
+
+    def gap(k, a, b):
+        return float(np.max(np.abs(a - b)))
+
+    assert np.array_equal(node_terms((f, g_list), ts, grid, gap), node_terms((f, g), ts, grid, gap))
+    assert leibniz_defect(f, g_list) == leibniz_defect(f, g)
+
+
+def test_sampled_grid_fields_take_only_numbers_of_their_kind():
+    zeros = np.zeros((4, 4, 4))
+    for counts in ((4.0, 4, 4), (4, True, 4), (4, 4, "4")):
+        with pytest.raises(ValueError, match="counts must be an integer"):
+            SampledFunction3D((1.0, 1.0, 1.0), counts, zeros)
+    for box in ((1.0, "1", 1.0), (1.0, 1.0, 1j)):
+        with pytest.raises(ValueError, match="box must be a real number"):
+            SampledFunction3D(box, (4, 4, 4), zeros)
+    f = SampledFunction3D((1, np.float32(1.0), 1.0), (np.int64(4), 4, 4), zeros)
+    assert f.box == (1.0, 1.0, 1.0) and f.counts == (4, 4, 4)
+    assert all(type(h) is float for h in f.box) and all(type(n) is int for n in f.counts)
 
 
 def test_product_requires_matching_grids():
