@@ -13,6 +13,7 @@ the zero matrix; the excluded set has vanishing measure weight.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -118,8 +119,38 @@ class OperatorField:
 # matrix file per node, named by the integer node index
 
 
+def _read_header(dirpath) -> tuple:
+    """(tgrid, dim) from dirpath's meta.txt; a ValueError that names the
+    file when it is not a field header."""
+    path = os.path.join(dirpath, "meta.txt")
+    meta = {}
+    try:
+        with open(path) as fh:
+            for line in fh:
+                parts = line.split()
+                if len(parts) == 2:
+                    meta[parts[0]] = parts[1]
+        tgrid = TGrid(float(meta["delta"]), int(meta["k_max"]))
+        dim = int(meta["dim"])
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+    except KeyError as missing:
+        raise ValueError(f"{path}: metadata lacks {missing}") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: not a field header ({err})") from None
+    return tgrid, dim
+
+
 def save_field(F: OperatorField, dirpath) -> None:
+    """Write F into dirpath.  The node files listed by a meta.txt already
+    there are deleted first, and no other file; a meta.txt that is not a
+    field header is a ValueError, and then no file is deleted."""
     os.makedirs(dirpath, exist_ok=True)
+    if os.path.exists(os.path.join(dirpath, "meta.txt")):
+        old, _ = _read_header(dirpath)
+        for k in old.ks:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(dirpath, f"{k}.bin"))
     with open(os.path.join(dirpath, "meta.txt"), "w") as fh:
         fh.write(f"delta {F.tgrid.delta!r}\n")
         fh.write(f"k_max {F.tgrid.k_max}\n")
@@ -131,17 +162,7 @@ def save_field(F: OperatorField, dirpath) -> None:
 
 
 def load_field(dirpath) -> OperatorField:
-    meta = {}
-    with open(os.path.join(dirpath, "meta.txt")) as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) == 2:
-                meta[parts[0]] = parts[1]
-    try:
-        tgrid = TGrid(float(meta["delta"]), int(meta["k_max"]))
-        dim = int(meta["dim"])
-    except KeyError as missing:
-        raise ValueError(f"{dirpath}: metadata lacks {missing}") from None
+    tgrid, dim = _read_header(dirpath)
     mats = np.empty((tgrid.n_nodes, dim, dim), dtype=complex)
     for pos, k in enumerate(tgrid.ks):
         path = os.path.join(dirpath, f"{k}.bin")

@@ -1,8 +1,7 @@
 """Exact structure-constant engine: brackets, lower central series, h3 copies.
 
-Everything runs in Fraction arithmetic; subspace questions go through a
-rational reduced row echelon form, so rank and membership decisions are
-never floating-point.
+Everything runs in Fraction arithmetic; subspaces go through a rational
+reduced row echelon form, so rank decisions are never floating-point.
 """
 
 from dataclasses import dataclass
@@ -49,20 +48,6 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
         if rank == len(work):
             break
     return tuple(tuple(r) for r in work[:rank] if not _is_zero(r))
-
-
-def _reduce_against(basis: Sequence[Vector], v: Sequence[Fraction]) -> Vector:
-    out = list(v)
-    for row in basis:
-        lead = next(i for i, c in enumerate(row) if c != 0)
-        if out[lead] != 0:
-            factor = out[lead]
-            out = [a - factor * b for a, b in zip(out, row)]
-    return tuple(out)
-
-
-def _in_span(basis: Sequence[Vector], v: Sequence[Fraction]) -> bool:
-    return _is_zero(_reduce_against(basis, v))
 
 
 @dataclass(frozen=True)
@@ -207,20 +192,17 @@ class H3Embedding(NamedTuple):
 
 
 def find_h3(L: LieAlgebra) -> H3Embedding:
-    """First basis vector x of C_{d-1} outside C_d with a basis partner y
-    giving [x, y] != 0; all three h3 relations are then checked exactly."""
-    nil, degree = is_nilpotent(L)
-    if not nil:
+    """First basis vector x of C_{d-1} with a basis partner y giving a
+    central [x, y] != 0, d the nilpotency degree; the centrality is checked
+    exactly.  No x in C_d is skipped explicitly: [C_d, g] = C_{d+1} = 0."""
+    flag = lower_central_series(L)
+    if not flag.terminates_at_zero:
         raise ValueError("lower central series does not reach zero")
+    degree = len(flag.spaces) - 1
     if degree < 2:
         raise ValueError("abelian algebra contains no h3 copy")
-    flag = lower_central_series(L)
-    upper = flag.spaces[degree - 2]
-    lower = flag.spaces[degree - 1]
     basis = _basis_of_full_space(L.dim)
-    for x in upper:
-        if _in_span(lower, x):
-            continue
+    for x in flag.spaces[degree - 2]:
         for y in basis:
             z = bracket(L, x, y)
             # z central implies [x, z] = [y, z] = 0
@@ -253,14 +235,15 @@ def load_structure(path) -> LieAlgebra:
         raise ValueError(f"{path}: first line must be the dimension") from None
     entries: dict = {}
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}: malformed line {line!r}")
-        i, j, k = (int(p) for p in parts[:3])
+        try:
+            i, j, k, raw = line.split()
+            i, j, k, value = int(i), int(j), int(k), Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{path}: malformed line {line!r}") from None
         comps = entries.setdefault((i, j), {})
         if k in comps:
             raise ValueError(f"{path}: repeated entry ({i}, {j}, {k})")
-        comps[k] = Fraction(parts[3])
+        comps[k] = value
     return LieAlgebra.from_brackets(dim, entries)
 
 

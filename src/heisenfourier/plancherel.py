@@ -7,9 +7,8 @@ The inverse transform evaluates
 for a stored field F.  Because fields follow the measure-absorbed
 convention (node matrices carry the |t| density), the weights are plain
 delta.  inverse_transform is the literal pointwise sum, kept as the
-oracle; inverse_transform_grid fills the whole box through one
-_TransformPlan.invert call, which applies the z axis once for the whole
-lattice.
+oracle of schrodinger.inverse_transform_grid, which fills a whole box in
+one pass and is exported from here too.
 
 Every lattice sum takes its per-node terms as one array in node order
 and adds them in lattice order (node_sum): over bare coefficients
@@ -32,7 +31,7 @@ import numpy as np
 from .field import OperatorField, TGrid
 from .grid import GridSpec1D, schatten_norm, schatten_norms
 from .group import SampledFunction3D, check_map
-from .schrodinger import _TransformPlan, node_terms, rep_matrix
+from .schrodinger import inverse_transform_grid, node_terms, rep_matrix
 
 __all__ = [
     "inverse_transform",
@@ -56,20 +55,6 @@ def inverse_transform(F: OperatorField, g, grid: GridSpec1D) -> complex:
         rep = rep_matrix(t, g, grid)
         total += F.tgrid.delta * np.einsum("mn,mn->", F.mats[pos], np.conj(rep))
     return complex(total)
-
-
-def inverse_transform_grid(
-    F: OperatorField, box, counts, grid: GridSpec1D
-) -> np.ndarray:
-    """Inverse transform sampled on a whole box grid in one pass.
-
-    Same quadrature as inverse_transform, vectorized over the sample
-    points and the lattice; used by the round-trip and pairing checks.
-    """
-    if F.dim != grid.n_points:
-        raise ValueError("field dimension does not match the carrier grid")
-    plan = _TransformPlan(grid, box, counts)
-    return plan.invert(F.mats, F.tgrid.nodes, F.tgrid.delta)
 
 
 def a_norm(F: OperatorField) -> float:

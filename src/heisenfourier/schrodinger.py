@@ -16,16 +16,13 @@ no leftover grid factors.  Errors enter only through aliasing, so test
 functions must decay to numerical noise inside their sample box and the
 operators they generate must stay band-limited within the carrier.
 
-Transforms over a frequency lattice go through one _TransformPlan per
-(grid, box) pair, which handles every node of the lattice in one call.
-The z axis is one matrix product for all nodes in each direction, in
-the calling thread.  The x and y axes cost two phase tables per |t|: the
-tables of -t are those of t conjugated.  The |t| groups are split across
-the process's CPUs, one worker thread each, and every node is computed
-whole by one worker, so the bits do not depend on the core count.
-node_terms(fs, ts, grid, term) gives term(k, *coefs) for every node k,
-in node order, with term run on the worker threads; only forward_field
-keeps the coefficients, written straight into the field's node slots.
+The transform has one driver per direction: node_terms for the forward
+coefficients of any node list, inverse_transform_grid for the inverse of
+a field on a box.  Each applies the z axis for all nodes in one matrix
+product in the calling thread, then the x and y axes node by node
+through two phase tables per |t|, with the |t| groups split across the
+process's CPUs (_split).  forward_field is node_terms with a term that
+writes |t|*coef into the field's node slot, so the field is held once.
 fourier_coefficient's "direct" path and plancherel.inverse_transform are
 the literal per-sample and per-point oracles for the two directions.
 """
@@ -43,11 +40,15 @@ from .group import GroupElement, SampledFunction3D, box_axes
 from .split import run_split
 
 
-def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
+def _check_t(t) -> None:
     if t == 0:
         raise ValueError("representation parameter t must be nonzero")
     if not math.isfinite(t):
         raise ValueError(f"representation parameter must be finite, got {t}")
+
+
+def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
+    _check_t(t)
     x, y, z = g
     if not all(math.isfinite(c) for c in (x, y, z)):
         raise ValueError(f"group element coordinates must be finite, got {tuple(g)}")
@@ -57,146 +58,125 @@ def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
     return phase * (mod[:, None] * fractional_shift_op(grid, x))
 
 
-class _TransformPlan:
-    """Transforms over a list of K frequency nodes on one (grid, box) pair.
+def _box_tables(grid: GridSpec1D, xs, ys) -> tuple:
+    """The t-free tables of a box: the shift kernel rows (nx, N), as T_x
+    is circulant; the flat positions of mat[m, (m - j) mod N] (N, N) that
+    both directions gather through; and the products xy (nx, ny) and
+    yw (ny, N) that the phase tables exponentiate."""
+    n = grid.n_points
+    gather = circulant_index(n) + n * np.arange(n)[:, None]
+    return shift_kernel(grid, xs), gather, np.outer(xs, ys), np.outer(ys, grid.nodes)
 
-    The shift T_x at each x node is circulant, so the plan keeps only its
-    kernel row: an (nx, N) table, plus the (N, N) table of flat circulant
-    positions that both the forward and the inverse formula gather through.
 
-    Each direction applies the z axis once for all K nodes, in the
-    calling thread: coefficients as one (nx*ny, nz) @ (nz, K) product per
-    sample array, invert as one (nx*ny, K) @ (K, nz) product.  The x and
-    y axes go node by node through two phase tables, P (nx, ny) and
-    E (ny, N).  The tables of -t are the complex conjugates of those of
-    t, so nodes are grouped by |t| and one pair of tables serves both
-    signs.  The |t| groups are dealt round-robin to one worker thread per
-    CPU (split.run_split); a worker builds the tables of each of its
-    groups and computes that group's nodes.  Every node is computed
-    whole by one worker, with the same operations as on one core, so no
-    bit depends on the core count.  Results are keyed by the node's
-    position k in the list, whatever the visiting order.
+def _phase_tables(t: float, xy, yw, P: np.ndarray, E: np.ndarray) -> None:
+    """Write the tables of t into P (nx, ny) and E (ny, N)."""
+    np.exp(np.multiply(1j * np.pi * t, xy, out=P), out=P)
+    np.exp(np.multiply(-2j * np.pi * t, yw, out=E), out=E)
+
+
+def _split(ts, xy, yw, node, shapes) -> None:
+    """node(k, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
+
+    One pair of tables serves each |t| group; the tables of -t are those
+    of t conjugated.  The groups are dealt to run_split's workers, which
+    compute every node whole, so no bit depends on the core count.  The
+    tables and the buffers, complex arrays of the given shapes, come from
+    run_split's scratch in the calling thread.
     """
+    groups = {}
+    for k, t in enumerate(ts):
+        groups.setdefault(abs(t), []).append(k)
+    shapes = (xy.shape, yw.shape) * 2 + tuple(shapes)
 
-    def __init__(self, grid: GridSpec1D, box, counts):
-        self.grid = grid
-        self.xs, self.ys, self.zs = box_axes(box, counts)
-        self.kernel = shift_kernel(grid, self.xs)
-        n = grid.n_points
-        # flat positions of mat[m, (m - j) mod N], for np.take into a buffer
-        self.gather = circulant_index(n) + n * np.arange(n)[:, None]
-        self.xy = np.outer(self.xs, self.ys)
-        self.yw = np.outer(self.ys, grid.nodes)
+    def work(share, P, E, conj_P, conj_E, *buffers):
+        for abs_t, ks in share:
+            _phase_tables(abs_t, xy, yw, P, E)
+            if any(ts[k] < 0 for k in ks):
+                np.conj(P, out=conj_P)
+                np.conj(E, out=conj_E)
+            for k in ks:
+                if ts[k] < 0:
+                    node(k, conj_P, conj_E, *buffers)
+                else:
+                    node(k, P, E, *buffers)
 
-    def _phase_tables(self, t: float, P: np.ndarray, E: np.ndarray) -> None:
-        """Write the tables of t into P (nx, ny) and E (ny, N)."""
-        np.exp(np.multiply(1j * np.pi * t, self.xy, out=P), out=P)
-        np.exp(np.multiply(-2j * np.pi * t, self.yw, out=E), out=E)
-
-    def _split(self, ts, node, shapes) -> None:
-        """node(k, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
-
-        buffers are complex work arrays of the given shapes.  The tables and
-        buffers of every worker are allocated in the calling thread:
-        worker-side allocations would sit in per-thread malloc arenas and
-        raise peak RSS.
-        """
-        groups = {}
-        for k, t in enumerate(ts):
-            groups.setdefault(abs(t), []).append(k)
-        shapes = (self.xy.shape, self.yw.shape) * 2 + tuple(shapes)
-
-        def work(share, P, E, conj_P, conj_E, *buffers):
-            for abs_t, ks in share:
-                self._phase_tables(abs_t, P, E)
-                if any(ts[k] < 0 for k in ks):
-                    np.conj(P, out=conj_P)
-                    np.conj(E, out=conj_E)
-                for k in ks:
-                    if ts[k] < 0:
-                        node(k, conj_P, conj_E, *buffers)
-                    else:
-                        node(k, P, E, *buffers)
-
-        run_split(
-            groups.items(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes]
-        )
-
-    def coefficients(self, samples: tuple, ts, cell_volume: float, each) -> None:
-        """each(k, coef_1, coef_2, ...): the quadrature of f(v)*pi_{ts[k]}(v)
-        over the box for every node, one coefficient per (nx, ny, nz) array
-        of samples, all from one pair of phase tables.
-
-        each runs on the worker threads, several at once, and must write
-        only the caller's slot k; the coefficients are fresh arrays it may
-        keep.  The plan holds no stack of node matrices.
-
-        The z sums of all nodes come from one product per array; each
-        coefficient is then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
-        """
-        ts = np.asarray(ts, dtype=float)
-        nx, ny, nz = samples[0].shape
-        n = self.grid.n_points
-        ez = np.exp(np.outer(self.zs, 2j * np.pi * ts))
-        fzs = [s.reshape(nx * ny, nz) @ ez for s in samples]
-
-        def node(k, P, E, xy, A, S):
-            coefs = []
-            for fz in fzs:
-                np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=xy), E, out=A)
-                np.matmul(A.T, self.kernel, out=S)
-                out = np.take(S, self.gather)
-                out *= cell_volume
-                coefs.append(out)
-            each(k, *coefs)
-
-        self._split(ts, node, ((nx, ny), (nx, n), (n, n)))
-
-    def invert(self, mats: np.ndarray, ts, delta: float) -> np.ndarray:
-        """Samples of v -> sum_k delta Tr[mats[k] pi_{ts[k]}(v)^dagger] on the box.
-
-        sum_n mat[m, n] conj(T_i[m, n])
-            = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N];
-        the conjugated phase tables of t are the tables of -t.  Each
-        worker fills the table rows of its own nodes.
-        """
-        ts = np.asarray(ts, dtype=float)
-        nx, ny, nz = len(self.xs), len(self.ys), len(self.zs)
-        n = self.grid.n_points
-        ckernel = np.conj(self.kernel)
-        table = np.empty((len(ts), nx * ny), dtype=complex)
-
-        def node(k, P, E, G, D, X):
-            np.take(mats[k], self.gather, out=G, mode="clip")
-            np.matmul(ckernel, G.T, out=D)
-            np.matmul(D, E.T, out=X)
-            # the operand order of a complex product sets its last bits
-            np.multiply(X, P, out=table[k].reshape(nx, ny))
-
-        self._split(-ts, node, ((n, n), (nx, n), (nx, ny)))
-        ez = delta * np.exp(np.outer(-2j * np.pi * ts, self.zs))
-        return (table.T @ ez).reshape(nx, ny, nz)
+    run_split(groups.items(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
 
 
 def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     """np.array([term(k, *coefs) for every k]) in node order, coefs the
-    bare coefficients pi_{ts[k]}(f) of each f in fs, from one plan pass.
+    bare coefficients pi_{ts[k]}(f) of each f in fs, from one pass.
 
-    fs is one sampled function or a tuple of them on one box.  term runs
-    on the worker threads, several at once; it returns node k's value and
-    writes nothing shared.
+    fs is one sampled function or a tuple of them on one box; ts is any
+    list of nonzero finite nodes.  term runs on the worker threads,
+    several at once; it returns node k's value and writes nothing but
+    its own slot k.  The coefficients are fresh arrays it may keep.
+
+    The z sums of all nodes come from one (nx*ny, nz) @ (nz, K) product
+    per function, in the calling thread; each coefficient is then
+    sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
     """
     fs = (fs,) if isinstance(fs, SampledFunction3D) else tuple(fs)
     if not all(fs[0].same_grid(g) for g in fs[1:]):
         raise ValueError("node terms need functions sampled on one box")
+    ts = np.asarray(ts, dtype=float)
+    for t in ts:
+        _check_t(t)
+    xs, ys, zs = fs[0].axes
+    kernel, gather, xy, yw = _box_tables(grid, xs, ys)
+    nx, ny, nz = fs[0].counts
+    n = grid.n_points
+    cell_volume = fs[0].cell_volume
+    ez = np.exp(np.outer(zs, 2j * np.pi * ts))
+    fzs = [f.samples.reshape(nx * ny, nz) @ ez for f in fs]
     values = [None] * len(ts)
 
-    def each(k, *coefs):
+    def node(k, P, E, XY, A, S):
+        coefs = []
+        for fz in fzs:
+            np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
+            np.matmul(A.T, kernel, out=S)
+            out = np.take(S, gather)
+            out *= cell_volume
+            coefs.append(out)
         values[k] = term(k, *coefs)
 
-    plan = _TransformPlan(grid, fs[0].box, fs[0].counts)
-    plan.coefficients(tuple(f.samples for f in fs), ts, fs[0].cell_volume, each)
+    _split(ts, xy, yw, node, ((nx, ny), (nx, n), (n, n)))
     return np.array(values)
+
+
+def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> np.ndarray:
+    """Samples of v -> sum_k delta Tr[F(t_k) pi_{t_k}(v)^dagger] on the box.
+
+    Same quadrature as plancherel.inverse_transform, the pointwise oracle.
+    The x and y axes go node by node through
+
+        sum_n mat[m, n] conj(T_i[m, n])
+            = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N]
+
+    and the conjugated phase tables of t, which are the tables of -t;
+    the z axis is one (nx*ny, K) @ (K, nz) product for the whole lattice.
+    """
+    if F.dim != grid.n_points:
+        raise ValueError("field dimension does not match the carrier grid")
+    xs, ys, zs = box_axes(box, counts)
+    kernel, gather, xy, yw = _box_tables(grid, xs, ys)
+    ts = F.tgrid.nodes
+    nx, ny, nz = len(xs), len(ys), len(zs)
+    n = grid.n_points
+    ckernel = np.conj(kernel)
+    table = np.empty((len(ts), nx * ny), dtype=complex)
+
+    def node(k, P, E, G, D, X):
+        np.take(F.mats[k], gather, out=G, mode="clip")
+        np.matmul(ckernel, G.T, out=D)
+        np.matmul(D, E.T, out=X)
+        # the operand order of a complex product sets its last bits
+        np.multiply(X, P, out=table[k].reshape(nx, ny))
+
+    _split(-ts, xy, yw, node, ((n, n), (nx, n), (nx, ny)))
+    ez = F.tgrid.delta * np.exp(np.outer(-2j * np.pi * ts, zs))
+    return (table.T @ ez).reshape(nx, ny, nz)
 
 
 def fourier_coefficient(
@@ -208,10 +188,6 @@ def fourier_coefficient(
     circulant shift kernels; "direct" is the literal per-sample sum kept
     as the reference path.  Both produce the same quadrature.
     """
-    if t == 0:
-        raise ValueError("representation parameter t must be nonzero")
-    if not math.isfinite(t):
-        raise ValueError(f"representation parameter must be finite, got {t}")
     if method == "fast":
         return node_terms(f, [t], grid, lambda k, coef: coef)[0]
     if method == "direct":
@@ -232,13 +208,12 @@ def _coefficient_direct(f: SampledFunction3D, t: float, grid: GridSpec1D):
 
 def forward_field(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
     """The measure-absorbed transform: node matrix |t_k| * pi_{t_k}(f)."""
-    plan = _TransformPlan(grid, f.box, f.counts)
-    n = grid.n_points
     ts = tgrid.nodes
-    mats = np.empty((tgrid.n_nodes, n, n), dtype=complex)
+    mats = np.empty((tgrid.n_nodes, grid.n_points, grid.n_points), dtype=complex)
 
-    def each(k, coef):
+    def term(k, coef):
+        # written in place and not returned, so the field is held once
         np.multiply(abs(ts[k]), coef, out=mats[k])
 
-    plan.coefficients((f.samples,), ts, f.cell_volume, each)
+    node_terms(f, ts, grid, term)
     return OperatorField(tgrid, mats)

@@ -505,6 +505,16 @@ def test_main_lie_find_h3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", ["1 2 x 1", "1 2 3 abc", "1 2 3 1/0"])
+def test_main_lie_malformed_lines_exit_2_naming_the_file(tmp_path, capsys, line):
+    path = tmp_path / "bad.alg"
+    path.write_text(f"3\n{line}\n")
+    assert main(["lie", "find-h3", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: malformed line {line!r}\n"
+
+
 def test_main_file_errors_exit_2_with_a_message(tmp_path, capsys):
     assert main(["lie", "find-h3", str(tmp_path / "no-such.alg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

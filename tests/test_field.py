@@ -129,6 +129,47 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert np.array_equal(back.mats, F.mats)
 
 
+def _files(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_save_replaces_the_field_already_in_the_directory(tmp_path):
+    small = _random_field(TGrid(0.25, 2), 4)
+    save_field(_random_field(TGrid(0.125, 4), 8), tmp_path / "reused")
+    save_field(small, tmp_path / "reused")
+    save_field(small, tmp_path / "fresh")
+    assert _files(tmp_path / "reused") == _files(tmp_path / "fresh")
+
+
+def test_save_deletes_only_the_node_files_the_old_header_lists(tmp_path):
+    save_field(_random_field(TGrid(0.125, 4), 8), tmp_path)
+    (tmp_path / "notes.txt").write_text("kept")
+    (tmp_path / "9.bin").write_bytes(b"not a node of the old field")
+    save_field(_random_field(TGrid(0.25, 2), 4), tmp_path)
+    assert (tmp_path / "notes.txt").read_text() == "kept"
+    assert (tmp_path / "9.bin").read_bytes() == b"not a node of the old field"
+    assert sorted(p.name for p in tmp_path.glob("*.bin")) == [
+        "-1.bin", "-2.bin", "1.bin", "2.bin", "9.bin"
+    ]
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        "delta 0.25\nk_max 2\n",
+        "delta x\nk_max 2\ndim 4\n",
+        "delta 0.25\nk_max -1\ndim 4\n",
+        "delta 0.25\nk_max 2\ndim 0\n",
+    ],
+)
+def test_save_over_a_foreign_meta_file_deletes_nothing(tmp_path, meta):
+    (tmp_path / "meta.txt").write_text(meta)
+    (tmp_path / "1.bin").write_bytes(b"theirs")
+    with pytest.raises(ValueError, match="meta.txt"):
+        save_field(_random_field(TGrid(0.25, 2), 4), tmp_path)
+    assert _files(tmp_path) == {"1.bin": b"theirs", "meta.txt": meta.encode()}
+
+
 # parts that a float format could lose: signed zeros, subnormals, extremes
 _PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.7e308]) | st.floats(
     allow_nan=False, allow_infinity=False

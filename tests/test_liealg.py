@@ -7,7 +7,6 @@ from heisenfourier.liealg import (
     H3Embedding,
     LieAlgebra,
     _basis_of_full_space,
-    _in_span,
     bracket,
     bundled_structure,
     find_h3,
@@ -34,6 +33,19 @@ def test_bundled_corpus_series_and_degrees():
         assert flag.dims == dims, name
         assert nil and degree == want_degree, name
         assert flag.terminates_at_zero
+
+
+def test_the_last_nonzero_series_term_is_central():
+    """[C_d, g] = C_{d+1} = 0, d the nilpotency degree: find_h3 needs no
+    test that keeps x out of C_d, since such an x brackets to zero."""
+    for name in BUNDLED:
+        L = bundled_structure(name)
+        flag = lower_central_series(L)
+        last = flag.spaces[-2]
+        assert last, name
+        for x in last:
+            for e in _basis_of_full_space(L.dim):
+                assert all(c == 0 for c in bracket(L, x, e)), name
 
 
 def test_bundled_lookup_rejects_unknown_names():
@@ -75,8 +87,6 @@ def _first_embedding_by_exhaustion(L):
     flag = lower_central_series(L)
     basis = _basis_of_full_space(L.dim)
     for x in flag.spaces[degree - 2]:
-        if _in_span(flag.spaces[degree - 1], x):
-            continue
         for y in basis:
             z = bracket(L, x, y)
             if all(c == 0 for c in z):

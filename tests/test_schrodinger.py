@@ -9,7 +9,6 @@ from heisenfourier.grid import GridSpec1D, fractional_shift_op, modulation_op, s
 from heisenfourier.group import GaussianPoly, GroupElement, Poly3, mul, sample_family
 from heisenfourier.schrodinger import (
     _coefficient_direct,
-    _TransformPlan,
     forward_field,
     fourier_coefficient,
     node_terms,
@@ -98,7 +97,7 @@ def test_coefficient_fast_matches_direct():
     "ts", [[0.5, -0.25, 0.75, 0.25], [0.375], [-0.5, -0.125], [-0.25, 0.25, -0.25]]
 )
 def test_plan_coefficients_match_direct_on_any_node_list(ts):
-    """Unsorted, one-signed and mixed lists: the callback sees every node
+    """Unsorted, one-signed and mixed lists: the term sees every node
     once, under its own position, equal to the literal per-sample sum.  The
     samples have no symmetry, so a wrong sign in the x or y phases shows."""
     from heisenfourier.group import SampledFunction3D
@@ -107,9 +106,8 @@ def test_plan_coefficients_match_direct_on_any_node_list(ts):
     samples = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
     f = SampledFunction3D((1.5, 1.5, 1.5), (4, 4, 4), samples)
     grid = GridSpec1D(8, 2.0)
-    plan = _TransformPlan(grid, f.box, f.counts)
     got = []
-    plan.coefficients((f.samples,), ts, f.cell_volume, lambda k, coef: got.append((k, coef)))
+    node_terms(f, ts, grid, lambda k, coef: got.append((k, coef)))
     assert sorted(k for k, _ in got) == list(range(len(ts)))
     for k, coef in got:
         direct = _coefficient_direct(f, ts[k], grid)
@@ -166,6 +164,28 @@ def test_node_terms_reject_mixed_boxes():
             node_terms((f, other), [0.5], grid, lambda k, a, b: 0.0)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0.0, "must be nonzero"),
+        (-0.0, "must be nonzero"),
+        (math.nan, "finite, got nan"),
+        (math.inf, "finite, got inf"),
+        (-math.inf, "finite, got -inf"),
+    ],
+)
+def test_node_lists_reject_zero_and_nonfinite_nodes(bad, message):
+    """A node list is checked at node_terms' boundary with rep_matrix's
+    messages, and so is fourier_coefficient's t on either path."""
+    f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
+    grid = GridSpec1D(8, 2.0)
+    with pytest.raises(ValueError, match=message):
+        node_terms(f, [0.5, bad, -0.25], grid, lambda k, coef: 0.0)
+    for method in ("fast", "direct"):
+        with pytest.raises(ValueError, match=message):
+            fourier_coefficient(f, bad, grid, method=method)
+
+
 def test_coefficient_is_linear():
     box = (3.0, 3.0, 2.0)
     counts = (12, 12, 8)
@@ -215,3 +235,12 @@ def test_forward_field_absorbs_the_measure():
     for pos, t in enumerate(tg.nodes):
         want = abs(t) * fourier_coefficient(f, t, grid)
         assert np.max(np.abs(F.mats[pos] - want)) < 1e-14
+
+
+def test_forward_field_is_node_terms_scaled_by_abs_t():
+    f = sample_family(CANON, (3.0, 3.0, 2.0), (12, 12, 8))
+    grid = GridSpec1D(16, 2.5)
+    tg = TGrid(0.25, 3)
+    ts = tg.nodes
+    want = node_terms(f, ts, grid, lambda k, coef: abs(ts[k]) * coef)
+    assert np.array_equal(forward_field(f, tg, grid).mats, want)

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from heisenfourier import split
+from heisenfourier import schrodinger, split
 from heisenfourier.derivation import derivation_nodes
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D
@@ -15,7 +15,7 @@ from heisenfourier.plancherel import (
     inverse_transform_grid,
     plancherel_defect,
 )
-from heisenfourier.schrodinger import _TransformPlan, forward_field
+from heisenfourier.schrodinger import forward_field
 
 F_ODD = GaussianPoly(Poly3({(0, 0, 1): 1.0, (1, 0, 1): 0.2}), (0.6, 0.6, 0.5))
 G_PAIR = GaussianPoly(Poly3({(0, 0, 0): 1.0, (0, 1, 0): 0.3}), (0.7, 0.8, 0.6))
@@ -66,15 +66,15 @@ def test_a_transform_raises_a_worker_error_after_every_worker_stops(monkeypatch)
     f = sample_family(F_ODD, BOX, COUNTS)
     field = forward_field(f, TG, GRID)
     caller = threading.current_thread()
-    phase_tables = _TransformPlan._phase_tables
+    phase_tables = schrodinger._phase_tables
 
-    def failing_off_the_caller(self, t, *tables):
+    def failing_off_the_caller(t, *tables):
         if threading.current_thread() is not caller:
             raise RuntimeError("worker failed")
-        phase_tables(self, t, *tables)
+        phase_tables(t, *tables)
 
     monkeypatch.setattr(split, "_worker_count", lambda n_items: 2)
-    monkeypatch.setattr(_TransformPlan, "_phase_tables", failing_off_the_caller)
+    monkeypatch.setattr(schrodinger, "_phase_tables", failing_off_the_caller)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="worker failed"):
         forward_field(f, TG, GRID)
@@ -107,13 +107,13 @@ def test_a_one_group_transform_starts_no_thread(monkeypatch):
 def test_derivation_builds_each_phase_table_pair_once(monkeypatch):
     f = sample_family(F_ODD, BOX, COUNTS)
     calls = []
-    phase_tables = _TransformPlan._phase_tables
+    phase_tables = schrodinger._phase_tables
 
-    def counted(self, t, *tables):
+    def counted(t, *tables):
         calls.append(t)
-        phase_tables(self, t, *tables)
+        phase_tables(t, *tables)
 
-    monkeypatch.setattr(_TransformPlan, "_phase_tables", counted)
+    monkeypatch.setattr(schrodinger, "_phase_tables", counted)
     derivation_nodes(f, TG, GRID)
     assert sorted(calls) == sorted(set(np.abs(TG.nodes)))
 
