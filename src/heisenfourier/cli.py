@@ -355,7 +355,8 @@ def _rep_level(cfg: RunConfig, level: int) -> dict:
             hom = max(hom, float(np.linalg.norm(m1 @ (m2 @ v) - m12 @ v)))
             if level == 0:
                 gram = m1.conj().T @ m1
-                unit = max(unit, float(np.max(np.abs(gram - np.eye(n)))))
+                gram.flat[:: n + 1] -= 1.0
+                unit = max(unit, float(np.max(np.abs(gram))))
     return {"homomorphism": hom, "unitarity": unit if level == 0 else None}
 
 

@@ -12,8 +12,10 @@ blocks themselves.
 A translation is also circulant, T_x[m, n] = c_x[(m - n) mod N], so it
 is fixed by one kernel row c_x, the inverse DFT of its phases.
 shift_phases gives the phases, shift_kernel the kernel row and circulant
-the matrix; every other module takes its shifts from these three, in
-whichever basis it works.
+the matrix; every other module takes its shifts from these, in whichever
+basis it works.  circulant is one copy of a strided view of the kernel
+row (circulant_view), with no index table and no gather;
+circulant_index is the table, kept for the transform's gather.
 
 Operators are plain complex numpy matrices.  Schatten norms always go
 through a full singular value decomposition, one per matrix, also for
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class CapacityError(ValueError):
@@ -113,9 +116,23 @@ def circulant_index(n: int) -> np.ndarray:
     return (ar[:, None] - ar[None, :]) % n
 
 
+def circulant_view(kernel: np.ndarray) -> np.ndarray:
+    """Read-only strided view C[..., m, n] = kernel[..., (m - n) mod N].
+
+    A window of width N slides over the reversed kernel written twice, so
+    window i holds kernel[(N - 1 - i - n) mod N]; taking the windows in
+    reverse order, m = N - 1 - i, gives (m - n) mod N.  No index table.
+    """
+    n = kernel.shape[-1]
+    reversed_ = kernel[..., ::-1]
+    twice = np.concatenate((reversed_, reversed_), axis=-1)
+    return sliding_window_view(twice, n, axis=-1)[..., n - 1 :: -1, :]
+
+
 def circulant(kernel: np.ndarray) -> np.ndarray:
-    """Circulant matrices C[..., m, n] = kernel[..., (m - n) mod N], C-contiguous."""
-    return np.take(kernel, circulant_index(kernel.shape[-1]), axis=-1)
+    """Circulant matrices C[..., m, n] = kernel[..., (m - n) mod N], as one
+    C-contiguous copy of circulant_view."""
+    return circulant_view(kernel).copy()
 
 
 def fractional_shift_op(grid: GridSpec1D, x: float) -> np.ndarray:

@@ -244,7 +244,10 @@ def load_structure(path) -> LieAlgebra:
         if k in comps:
             raise ValueError(f"{path}: repeated entry ({i}, {j}, {k})")
         comps[k] = value
-    return LieAlgebra.from_brackets(dim, entries)
+    try:
+        return LieAlgebra.from_brackets(dim, entries)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 _DATA_DIR = Path(__file__).parent / "data"

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .field import OperatorField, TGrid
-from .grid import GridSpec1D, circulant_index, fractional_shift_op, shift_kernel
+from .grid import GridSpec1D, circulant_index, circulant_view, shift_kernel
 from .group import GroupElement, SampledFunction3D, box_axes
 from .split import run_split
 
@@ -54,8 +54,12 @@ def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
         raise ValueError(f"group element coordinates must be finite, got {tuple(g)}")
     phase = cmath.exp(2j * math.pi * t * z + 1j * math.pi * t * y * x)
     mod = np.exp(-2j * np.pi * (t * y) * grid.nodes)
-    # diagonal modulation as a row scaling of the shift
-    return phase * (mod[:, None] * fractional_shift_op(grid, x))
+    # diagonal modulation as a row scaling of the shift T_x, read from
+    # T_x's strided view into one fresh array.  The order of a complex
+    # product sets its last bits, so phase stays the left operand of a
+    # temporary: numpy then multiplies a temporary of 256 KiB or more in
+    # place as temporary * phase, and smaller ones as phase * temporary.
+    return phase * (mod[:, None] * circulant_view(shift_kernel(grid, x)))
 
 
 def _box_tables(grid: GridSpec1D, xs, ys) -> tuple:

@@ -479,6 +479,14 @@ def test_each_ladder_stops_at_its_first_undefined_level(monkeypatch, suite):
         level_fn(RunConfig(), stop - 1)
 
 
+def test_rep_level_matches_the_literal_rep_matrix(monkeypatch, literal_rep_matrix):
+    """The report values of the representation suite's base level, from
+    the strided circulant and from the index-table gather, bit for bit."""
+    fast = cli._rep_level(RunConfig(), 0)
+    monkeypatch.setattr(cli, "rep_matrix", literal_rep_matrix)
+    assert cli._rep_level(RunConfig(), 0) == fast
+
+
 def test_main_verify_and_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("HEISENFOURIER_SEED", raising=False)
     out = tmp_path / "report.json"
@@ -513,6 +521,22 @@ def test_main_lie_malformed_lines_exit_2_naming_the_file(tmp_path, capsys, line)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: malformed line {line!r}\n"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("1 4 3 1", "basis index out of range in (1, 4)"),
+        ("1 2 3 1\n2 1 3 5", "inconsistent antisymmetric pair at (2, 1, 3)"),
+    ],
+)
+def test_main_lie_inconsistent_structure_exits_2_naming_the_file(tmp_path, capsys, lines, message):
+    path = tmp_path / "bad.alg"
+    path.write_text(f"3\n{lines}\n")
+    assert main(["lie", "find-h3", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def test_main_file_errors_exit_2_with_a_message(tmp_path, capsys):

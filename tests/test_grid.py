@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from heisenfourier.grid import (
     GridSpec1D,
     circulant,
+    circulant_index,
     fractional_shift_op,
     modulation_op,
     schatten_norm,
@@ -112,6 +113,18 @@ def test_circulant_kernels_match_the_literal_shift(n):
         want = _literal_shift(grid, x)
         assert np.max(np.abs(op - want)) < 1e-13
         assert np.max(np.abs(fractional_shift_op(grid, x) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16, 256])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_circulant_equals_the_index_table_gather(n, lead):
+    # the strided copy against the literal gather through (m - j) mod n
+    kernel = RNG.standard_normal(lead + (n,)) + 1j * RNG.standard_normal(lead + (n,))
+    mats = circulant(kernel)
+    assert np.array_equal(mats, np.take(kernel, circulant_index(n), axis=-1))
+    # a fresh array, not a strided view of the kernel
+    assert mats.flags["C_CONTIGUOUS"] and mats.flags["WRITEABLE"]
+    assert not np.shares_memory(mats, kernel)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

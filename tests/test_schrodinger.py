@@ -57,6 +57,15 @@ def test_rep_factors_into_shift_and_modulation():
     assert np.max(np.abs(m_mod - modulation_op(grid, t * y))) < 1e-14
 
 
+@pytest.mark.parametrize("n", [16, 128, 512])
+@pytest.mark.parametrize("t, g", [(0.5, (0.37, -0.82, 1.1)), (-1.25, (-2.0, 0.6875, -0.3))])
+def test_rep_matrix_equals_the_literal_gather(literal_rep_matrix, n, t, g):
+    # bit for bit; 128 and 512 are past numpy's in-place threshold for
+    # temporaries, 16 below it
+    grid = GridSpec1D(n, 10.0)
+    assert np.array_equal(rep_matrix(t, GroupElement(*g), grid), literal_rep_matrix(t, g, grid))
+
+
 def test_rep_is_unitary():
     grid = GridSpec1D(32, 4.0)
     eye = np.eye(32)
