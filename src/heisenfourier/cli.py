@@ -59,7 +59,7 @@ from .group import (
     mul,
     sample_family,
 )
-from .liealg import BUNDLED, bracket, bundled_structure, find_h3, is_nilpotent, load_structure, lower_central_series
+from .liealg import BUNDLED, bracket, bundled_structure, find_h3, load_structure, lower_central_series
 from .liealg import _basis_of_full_space
 from .plancherel import (
     a_norm,
@@ -731,7 +731,8 @@ def lie_suite(cfg: RunConfig):
     for name in BUNDLED:
         L = bundled_structure(name)
         flag = lower_central_series(L)
-        nil, degree = is_nilpotent(L)
+        degree = flag.nilpotency_degree
+        nil = degree is not None
         expected = _LIE_EXPECTED[name]
         shape_ok = flag.dims == expected["dims"] and nil and degree == expected["degree"]
         emb = find_h3(L) if degree >= 2 else None

@@ -155,6 +155,11 @@ class SubspaceFlag:
     def terminates_at_zero(self) -> bool:
         return len(self.spaces[-1]) == 0
 
+    @property
+    def nilpotency_degree(self) -> Optional[int]:
+        """For a lower central series: the least d with C_{d+1} = 0, or None."""
+        return len(self.spaces) - 1 if self.terminates_at_zero else None
+
 
 def _basis_of_full_space(n: int) -> tuple[Vector, ...]:
     return tuple(
@@ -179,10 +184,8 @@ def lower_central_series(L: LieAlgebra) -> SubspaceFlag:
 
 def is_nilpotent(L: LieAlgebra) -> tuple[bool, Optional[int]]:
     """(True, least d with C_{d+1} = 0) or (False, None)."""
-    flag = lower_central_series(L)
-    if flag.terminates_at_zero:
-        return True, len(flag.spaces) - 1
-    return False, None
+    degree = lower_central_series(L).nilpotency_degree
+    return degree is not None, degree
 
 
 class H3Embedding(NamedTuple):
@@ -196,9 +199,9 @@ def find_h3(L: LieAlgebra) -> H3Embedding:
     central [x, y] != 0, d the nilpotency degree; the centrality is checked
     exactly.  No x in C_d is skipped explicitly: [C_d, g] = C_{d+1} = 0."""
     flag = lower_central_series(L)
-    if not flag.terminates_at_zero:
+    degree = flag.nilpotency_degree
+    if degree is None:
         raise ValueError("lower central series does not reach zero")
-    degree = len(flag.spaces) - 1
     if degree < 2:
         raise ValueError("abelian algebra contains no h3 copy")
     basis = _basis_of_full_space(L.dim)

@@ -21,8 +21,11 @@ coefficients of any node list, inverse_transform_grid for the inverse of
 a field on a box.  Each applies the z axis for all nodes in one matrix
 product in the calling thread, then the x and y axes node by node
 through two phase tables per |t|, with the |t| groups split across the
-process's CPUs (_split).  forward_field is node_terms with a term that
-writes |t|*coef into the field's node slot, so the field is held once.
+process's CPUs (_split).  Each table is the product of the exponentials
+of a coarse and a fine factor of its uniform axis (_phase_tables), so
+an R x C table costs R * (C/q + q) complex exponentials, q near
+sqrt(C).  forward_field is node_terms with a term that writes |t|*coef
+into the field's node slot, so the field is held once.
 fourier_coefficient's "direct" path and plancherel.inverse_transform are
 the literal per-sample and per-point oracles for the two directions.
 """
@@ -62,39 +65,75 @@ def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
     return phase * (mod[:, None] * circulant_view(shift_kernel(grid, x)))
 
 
+def _coarse_fine(a, b) -> tuple:
+    """outer(a, b) for a uniform b as a coarse and a fine factor,
+    outer(a, b[::q]) and outer(a, b[:q] - b[0]), by
+
+        b[q*i + j] = b[q*i] + (b[j] - b[0]),
+
+    q the largest divisor of len(b) not above its square root.  The
+    factors are complex, so the workers' products need no cast: numpy
+    buffers a cast in the worker's own malloc arena, which raises peak RSS."""
+    n = len(b)
+    q = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return np.outer(a, b[::q]).astype(complex), np.outer(a, b[:q] - b[0]).astype(complex)
+
+
 def _box_tables(grid: GridSpec1D, xs, ys) -> tuple:
     """The t-free tables of a box: the shift kernel rows (nx, N), as T_x
     is circulant; the flat positions of mat[m, (m - j) mod N] (N, N) that
-    both directions gather through; and the products xy (nx, ny) and
-    yw (ny, N) that the phase tables exponentiate."""
+    both directions gather through; and the coarse and fine factors of
+    xy = outer(xs, ys) and yw = outer(ys, grid.nodes) (_coarse_fine)
+    whose exponentials the phase tables multiply."""
     n = grid.n_points
     gather = circulant_index(n) + n * np.arange(n)[:, None]
-    return shift_kernel(grid, xs), gather, np.outer(xs, ys), np.outer(ys, grid.nodes)
+    factors = (_coarse_fine(xs, ys), _coarse_fine(ys, grid.nodes))
+    return shift_kernel(grid, xs), gather, factors
 
 
-def _phase_tables(t: float, xy, yw, P: np.ndarray, E: np.ndarray) -> None:
-    """Write the tables of t into P (nx, ny) and E (ny, N)."""
-    np.exp(np.multiply(1j * np.pi * t, xy, out=P), out=P)
-    np.exp(np.multiply(-2j * np.pi * t, yw, out=E), out=E)
+def _phase_tables(t: float, factors, exps, P: np.ndarray, E: np.ndarray) -> None:
+    """Write the tables of t, exp(i*pi*t*xy) into P (nx, ny) and
+    exp(-2*pi*i*t*yw) into E (ny, N).
+
+    Each table is the broadcast product of the exponentials of its coarse
+    and fine factors, which are written into the exps pairs first: at
+    the plancherel level-2 scales (128 x 384 samples, N = 256) that is
+    17,408 complex exponentials per pair of tables instead of 147,456.
+    Neither factor's argument exceeds the table's, so each entry differs
+    from the literal exponential by a few roundoffs times the largest
+    argument, as the literal's own rounding of the argument does."""
+    for table, c, (coarse, fine), (e_coarse, e_fine) in zip(
+        (P, E), (1j * np.pi * t, -2j * np.pi * t), factors, exps
+    ):
+        np.exp(np.multiply(c, coarse, out=e_coarse), out=e_coarse)
+        np.exp(np.multiply(c, fine, out=e_fine), out=e_fine)
+        np.multiply(
+            e_coarse[:, :, None],
+            e_fine[:, None, :],
+            out=table.reshape(e_coarse.shape + e_fine.shape[1:]),
+        )
 
 
-def _split(ts, xy, yw, node, shapes) -> None:
+def _split(ts, factors, node, shapes) -> None:
     """node(k, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
 
     One pair of tables serves each |t| group; the tables of -t are those
     of t conjugated.  The groups are dealt to run_split's workers, which
     compute every node whole, so no bit depends on the core count.  The
-    tables and the buffers, complex arrays of the given shapes, come from
-    run_split's scratch in the calling thread.
+    tables, the exponentials of their factors and the buffers, complex
+    arrays of the given shapes, come from run_split's scratch in the
+    calling thread.
     """
     groups = {}
     for k, t in enumerate(ts):
         groups.setdefault(abs(t), []).append(k)
-    shapes = (xy.shape, yw.shape) * 2 + tuple(shapes)
+    table_shapes = [(len(coarse), coarse.shape[1] * fine.shape[1]) for coarse, fine in factors]
+    shapes = table_shapes * 2 + [a.shape for pair in factors for a in pair] + list(shapes)
 
     def work(share, P, E, conj_P, conj_E, *buffers):
+        exps, buffers = (buffers[0:2], buffers[2:4]), buffers[4:]
         for abs_t, ks in share:
-            _phase_tables(abs_t, xy, yw, P, E)
+            _phase_tables(abs_t, factors, exps, P, E)
             if any(ts[k] < 0 for k in ks):
                 np.conj(P, out=conj_P)
                 np.conj(E, out=conj_E)
@@ -127,7 +166,7 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     for t in ts:
         _check_t(t)
     xs, ys, zs = fs[0].axes
-    kernel, gather, xy, yw = _box_tables(grid, xs, ys)
+    kernel, gather, factors = _box_tables(grid, xs, ys)
     nx, ny, nz = fs[0].counts
     n = grid.n_points
     cell_volume = fs[0].cell_volume
@@ -145,7 +184,7 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
             coefs.append(out)
         values[k] = term(k, *coefs)
 
-    _split(ts, xy, yw, node, ((nx, ny), (nx, n), (n, n)))
+    _split(ts, factors, node, ((nx, ny), (nx, n), (n, n)))
     return np.array(values)
 
 
@@ -164,7 +203,7 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     if F.dim != grid.n_points:
         raise ValueError("field dimension does not match the carrier grid")
     xs, ys, zs = box_axes(box, counts)
-    kernel, gather, xy, yw = _box_tables(grid, xs, ys)
+    kernel, gather, factors = _box_tables(grid, xs, ys)
     ts = F.tgrid.nodes
     nx, ny, nz = len(xs), len(ys), len(zs)
     n = grid.n_points
@@ -178,7 +217,7 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
         # the operand order of a complex product sets its last bits
         np.multiply(X, P, out=table[k].reshape(nx, ny))
 
-    _split(-ts, xy, yw, node, ((n, n), (nx, n), (nx, ny)))
+    _split(-ts, factors, node, ((n, n), (nx, n), (nx, ny)))
     ez = F.tgrid.delta * np.exp(np.outer(-2j * np.pi * ts, zs))
     return (table.T @ ez).reshape(nx, ny, nz)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import heisenfourier.cli as cli
+import heisenfourier.liealg as liealg
 from heisenfourier.cli import (
     CheckRecord,
     RunConfig,
@@ -287,6 +288,23 @@ def test_lie_corpus_requires_a_central_z(monkeypatch):
     records = {r.name: r for r in lie_suite(RunConfig())}
     assert not records["corpus_upper4"].passed
     assert all(r.passed for name, r in records.items() if name != "corpus_upper4")
+
+
+def test_lie_suite_builds_each_series_once_outside_find_h3(monkeypatch):
+    """One lower central series per bundled algebra, and one in each
+    find_h3 call: for the four algebras of degree 2 or more and for
+    abelian_rejected."""
+    builds = []
+    real = liealg.lower_central_series
+
+    def counted(L):
+        builds.append(L.dim)
+        return real(L)
+
+    monkeypatch.setattr(liealg, "lower_central_series", counted)
+    monkeypatch.setattr(cli, "lower_central_series", counted)
+    assert all(r.passed for r in list(lie_suite(RunConfig())))
+    assert len(builds) == 10
 
 
 def _ladder_column(rows, check):

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D, fractional_shift_op, modulation_op, schatten_norm
-from heisenfourier.group import GaussianPoly, GroupElement, Poly3, mul, sample_family
+from heisenfourier.group import GaussianPoly, GroupElement, Poly3, box_axes, mul, sample_family
 from heisenfourier.schrodinger import (
+    _box_tables,
     _coefficient_direct,
+    _phase_tables,
     forward_field,
     fourier_coefficient,
     node_terms,
@@ -160,6 +162,38 @@ def test_node_terms_match_direct_sums(ts, n_fs, counts, half, seed):
         for coef, f in zip(got[k], fs):
             direct = _coefficient_direct(f, t, grid)
             assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
+
+
+@settings(max_examples=40)
+@given(
+    counts=st.tuples(*[st.integers(1, 96).map(lambda k: 2 * k)] * 2, st.just(2)),
+    n=st.sampled_from([2**k for k in range(3, 10)]),
+    half=st.floats(0.5, 8.0),
+    width=st.floats(1.0, 10.0),
+    t=st.floats(1 / 64, 8.0),
+)
+@example(counts=(2, 2, 2), n=8, half=1.0, width=2.0, t=0.5)
+@example(counts=(94, 134, 2), n=512, half=6.0, width=10.0, t=8.0)
+@example(counts=(144, 94, 2), n=64, half=3.0, width=4.0, t=1 / 64)
+@example(counts=(134, 144, 2), n=128, half=5.2, width=5.6, t=2.0)
+@example(counts=(128, 384, 44), n=256, half=5.2, width=8.0, t=4.0)
+def test_phase_tables_match_the_literal_exponentials(counts, n, half, width, t):
+    """P = exp(i*pi*t*outer(xs, ys)) and E = exp(-2*pi*i*t*outer(ys, nodes))
+    from their coarse and fine factors, within 4 roundoffs of the largest
+    argument (of 1 when every argument is small, for the one complex
+    multiply).  Counts 2 and 2*prime split with steps of 1 and 2."""
+    grid = GridSpec1D(n, width)
+    xs, ys, _ = box_axes((half, half, 1.0), counts)
+    _, _, factors = _box_tables(grid, xs, ys)
+    P = np.empty((len(xs), len(ys)), dtype=complex)
+    E = np.empty((len(ys), n), dtype=complex)
+    exps = [tuple(np.empty_like(a) for a in pair) for pair in factors]
+    _phase_tables(t, factors, exps, P, E)
+    for table, c, a, b in ((P, 1j * np.pi * t, xs, ys), (E, -2j * np.pi * t, ys, grid.nodes)):
+        arg = c * np.outer(a, b)
+        literal = np.exp(arg)
+        bound = 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(arg)))
+        assert np.max(np.abs(table - literal)) <= bound
 
 
 def test_node_terms_reject_mixed_boxes():

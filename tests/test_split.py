@@ -21,18 +21,21 @@ F_ODD = GaussianPoly(Poly3({(0, 0, 1): 1.0, (1, 0, 1): 0.2}), (0.6, 0.6, 0.5))
 G_PAIR = GaussianPoly(Poly3({(0, 0, 0): 1.0, (0, 1, 0): 0.3}), (0.7, 0.8, 0.6))
 BOX = (5.0, 5.0, 4.0)
 COUNTS = (24, 28, 32)
+# y count 2 * 13: the coarse and fine split of the P table's y axis has
+# steps of 2 (COUNTS' 28 splits by 4)
+COUNTS_2P = (24, 26, 32)
 GRID = GridSpec1D(32, 3.2)
 # five |t| groups: uneven shares for two and three workers
 TG = TGrid(0.25, 5)
 
 
-def _transform_results():
-    f = sample_family(F_ODD, BOX, COUNTS)
-    g = sample_family(G_PAIR, BOX, COUNTS)
+def _transform_results(counts):
+    f = sample_family(F_ODD, BOX, counts)
+    g = sample_family(G_PAIR, BOX, counts)
     field = forward_field(f, TG, GRID)
     return {
         "forward": field.mats,
-        "inverse": inverse_transform_grid(field, BOX, COUNTS, GRID),
+        "inverse": inverse_transform_grid(field, BOX, counts, GRID),
         "defect": plancherel_defect(f, TG, GRID),
         "pairing": adjoint_pairing_sides(g, field, GRID),
         "derivation": derivation_nodes(f, TG, GRID),
@@ -40,26 +43,27 @@ def _transform_results():
 
 
 def test_transform_bits_do_not_depend_on_the_worker_count(monkeypatch):
-    runs = []
+    runs = {counts: [] for counts in (COUNTS, COUNTS_2P)}
     # a short switch interval interleaves the workers finely, so a write
     # to another node's slot would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(split, "_worker_count", lambda n_items, w=workers: w)
-            runs.append(_transform_results())
+        for counts, box_runs in runs.items():
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(split, "_worker_count", lambda n_items, w=workers: w)
+                box_runs.append(_transform_results(counts))
     finally:
         sys.setswitchinterval(interval)
-    serial, rest = runs[0], runs[1:]
-    for other in rest:
-        assert np.array_equal(other["forward"], serial["forward"])
-        assert np.array_equal(other["inverse"], serial["inverse"])
-        assert other["defect"] == serial["defect"]
-        assert other["pairing"][0] == serial["pairing"][0]
-        assert other["pairing"][1] == serial["pairing"][1]
-        for mine, want in zip(other["derivation"], serial["derivation"]):
-            assert np.array_equal(mine, want)
+    for serial, *rest in runs.values():
+        for other in rest:
+            assert np.array_equal(other["forward"], serial["forward"])
+            assert np.array_equal(other["inverse"], serial["inverse"])
+            assert other["defect"] == serial["defect"]
+            assert other["pairing"][0] == serial["pairing"][0]
+            assert other["pairing"][1] == serial["pairing"][1]
+            for mine, want in zip(other["derivation"], serial["derivation"]):
+                assert np.array_equal(mine, want)
 
 
 def test_a_transform_raises_a_worker_error_after_every_worker_stops(monkeypatch):
