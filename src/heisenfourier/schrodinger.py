@@ -24,7 +24,12 @@ through two phase tables per |t|, with the |t| groups split across the
 process's CPUs (_split).  Each table is the product of the exponentials
 of a coarse and a fine factor of its uniform axis (_phase_tables), so
 an R x C table costs R * (C/q + q) complex exponentials, q near
-sqrt(C).  forward_field is node_terms with a term that writes |t|*coef
+sqrt(C).  A forward node costs an (nx, ny) @ (ny, N) x/y product and
+the circulant stage, an (N, nx) @ (nx, N) product and a gather; for
+real samples pi_{-t}(f) differs from conj pi_t(f) only through the
+kernel's unpaired Nyquist term, so a real f takes one x/y product per
+|t| and -t reuses its conjugate, while the circulant stage stays per
+node.  forward_field is node_terms with a term that writes |t|*coef
 into the field's node slot, so the field is held once.
 fourier_coefficient's "direct" path and plancherel.inverse_transform are
 the literal per-sample and per-point oracles for the two directions.
@@ -115,14 +120,16 @@ def _phase_tables(t: float, factors, exps, P: np.ndarray, E: np.ndarray) -> None
 
 
 def _split(ts, factors, node, shapes) -> None:
-    """node(k, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
+    """node(k, prev, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
 
     One pair of tables serves each |t| group; the tables of -t are those
     of t conjugated.  The groups are dealt to run_split's workers, which
-    compute every node whole, so no bit depends on the core count.  The
-    tables, the exponentials of their factors and the buffers, complex
-    arrays of the given shapes, come from run_split's scratch in the
-    calling thread.
+    compute every group whole and in node order, so no bit depends on
+    the core count.  prev is the node of k's group that ran just before
+    k on the same buffers, or None for the group's first node, so a node
+    may reuse what prev left in them.  The tables, the exponentials of
+    their factors and the buffers, complex arrays of the given shapes,
+    come from run_split's scratch in the calling thread.
     """
     groups = {}
     for k, t in enumerate(ts):
@@ -137,11 +144,9 @@ def _split(ts, factors, node, shapes) -> None:
             if any(ts[k] < 0 for k in ks):
                 np.conj(P, out=conj_P)
                 np.conj(E, out=conj_E)
-            for k in ks:
-                if ts[k] < 0:
-                    node(k, conj_P, conj_E, *buffers)
-                else:
-                    node(k, P, E, *buffers)
+            for prev, k in zip([None] + ks[:-1], ks):
+                tables = (conj_P, conj_E) if ts[k] < 0 else (P, E)
+                node(k, prev, *tables, *buffers)
 
     run_split(groups.items(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
 
@@ -150,19 +155,32 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     """np.array([term(k, *coefs) for every k]) in node order, coefs the
     bare coefficients pi_{ts[k]}(f) of each f in fs, from one pass.
 
-    fs is one sampled function or a tuple of them on one box; ts is any
-    list of nonzero finite nodes.  term runs on the worker threads,
-    several at once; it returns node k's value and writes nothing but
-    its own slot k.  The coefficients are fresh arrays it may keep.
+    fs is one sampled function or a non-empty tuple of them on one box;
+    ts is a 1-d list of nonzero finite nodes.  term runs on the worker
+    threads, several at once; it returns node k's value and writes
+    nothing but its own slot k.  The coefficients are fresh arrays it
+    may keep.
 
     The z sums of all nodes come from one (nx*ny, nz) @ (nz, K) product
     per function, in the calling thread; each coefficient is then
-    sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N].
+    sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
+    A = (fz_k * P) @ E, fz_k the z sums of node k as an (nx, ny) array
+    and P, E the x/y phase tables of ts[k].  For a real f the z sums and
+    the tables of -t are those of t conjugated, and so is A: a real f
+    takes one (nx, ny) @ (ny, N) product per |t| group, computed by the
+    group's first node and used by each later node as it is (same t) or
+    conjugated in place (-t).  The circulant stage stays per node, as
+    the kernel's unpaired Nyquist term breaks the symmetry.  A complex
+    f, such as d_z f, takes the product at every node.
     """
     fs = (fs,) if isinstance(fs, SampledFunction3D) else tuple(fs)
+    if not fs:
+        raise ValueError("node terms need at least one function in fs")
     if not all(fs[0].same_grid(g) for g in fs[1:]):
         raise ValueError("node terms need functions sampled on one box")
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"ts must be a 1-d list of nodes, got shape {ts.shape}")
     for t in ts:
         _check_t(t)
     xs, ys, zs = fs[0].axes
@@ -172,19 +190,24 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     cell_volume = fs[0].cell_volume
     ez = np.exp(np.outer(zs, 2j * np.pi * ts))
     fzs = [f.samples.reshape(nx * ny, nz) @ ez for f in fs]
+    reals = [not f.samples.imag.any() for f in fs]
     values = [None] * len(ts)
 
-    def node(k, P, E, XY, A, S):
+    def node(k, prev, P, E, XY, S, *As):
         coefs = []
-        for fz in fzs:
-            np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
+        for fz, real, A in zip(fzs, reals, As):
+            if not real or prev is None:
+                np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
+            elif (ts[prev] < 0) != (ts[k] < 0):
+                # A still holds the product of -ts[k]
+                np.conj(A, out=A)
             np.matmul(A.T, kernel, out=S)
             out = np.take(S, gather)
             out *= cell_volume
             coefs.append(out)
         values[k] = term(k, *coefs)
 
-    _split(ts, factors, node, ((nx, ny), (nx, n), (n, n)))
+    _split(ts, factors, node, ((nx, ny), (n, n)) + ((nx, n),) * len(fs))
     return np.array(values)
 
 
@@ -210,7 +233,7 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     ckernel = np.conj(kernel)
     table = np.empty((len(ts), nx * ny), dtype=complex)
 
-    def node(k, P, E, G, D, X):
+    def node(k, prev, P, E, G, D, X):
         np.take(F.mats[k], gather, out=G, mode="clip")
         np.matmul(ckernel, G.T, out=D)
         np.matmul(D, E.T, out=X)

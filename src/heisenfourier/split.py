@@ -32,7 +32,13 @@ def run_split(items, work, scratch) -> None:
     workers is _worker_count(len(items)).  scratch() runs in the calling
     thread, once per worker, before any thread starts: buffers allocated
     in a worker would sit in its per-thread malloc arena and raise peak
-    RSS.  An exception in any worker is raised here once every worker
+    RSS.  A caller's own large arrays can do the same: glibc raises its
+    mmap threshold to the size of each freed mmapped block up to 32 MB,
+    so after a freed transform z table of one column per |t| (25 MB at
+    the transform benchmark's scale, against 50 MB for one per node) the
+    workers' 1 MB per-node arrays come from their arenas and stay
+    resident: that benchmark's peak RSS went from 322 to 343 MB.  An
+    exception in any worker is raised here once every worker
     has stopped, so a caller never sees a partly written result.
     """
     items = list(items)

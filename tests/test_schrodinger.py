@@ -137,31 +137,40 @@ def node_lists(draw):
 @settings(max_examples=30)
 @given(
     ts=node_lists(),
-    n_fs=st.integers(1, 2),
+    complex_samples=st.lists(st.booleans(), min_size=1, max_size=2),
     counts=st.tuples(*[st.sampled_from((2, 4))] * 3),
     half=st.floats(0.5, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(ts=[0.25, 0.25, -0.25], n_fs=2, counts=(4, 4, 4), half=1.5, seed=0)
-@example(ts=[-0.5, -0.125], n_fs=1, counts=(4, 2, 4), half=1.0, seed=1)
-def test_node_terms_match_direct_sums(ts, n_fs, counts, half, seed):
+@example(ts=[0.25, 0.25, -0.25], complex_samples=[True, True], counts=(4, 4, 4), half=1.5, seed=0)
+@example(ts=[-0.5, -0.125], complex_samples=[True], counts=(4, 2, 4), half=1.0, seed=1)
+@example(ts=[0.25, -0.25, 0.25, -0.25], complex_samples=[False], counts=(4, 4, 4), half=1.5, seed=0)
+@example(ts=[-0.5, 0.5, 0.5], complex_samples=[True, False], counts=(4, 2, 4), half=1.0, seed=1)
+def test_node_terms_match_direct_sums(ts, complex_samples, counts, half, seed):
     """Every node's value under its own position, for one or two functions
-    per pass, equal to the literal per-sample sums."""
+    per pass, equal to the literal per-sample sums.  Real samples with no
+    symmetry take one x/y product per |t| and conjugate it for -t, while
+    a complex function takes its own at every node; either matches a
+    one-node pass, which has no partner node to share with."""
     from heisenfourier.group import SampledFunction3D
 
     rng = np.random.default_rng(seed)
     box = (half, 1.25 * half, 0.75 * half)
     fs = tuple(
-        SampledFunction3D(box, counts, rng.standard_normal(counts) + 1j * rng.standard_normal(counts))
-        for _ in range(n_fs)
+        SampledFunction3D(
+            box, counts, rng.standard_normal(counts) + (1j * rng.standard_normal(counts) if c else 0)
+        )
+        for c in complex_samples
     )
     grid = GridSpec1D(8, 2.0)
-    got = node_terms(fs if n_fs > 1 else fs[0], ts, grid, lambda k, *coefs: np.stack(coefs))
-    assert got.shape == (len(ts), n_fs, 8, 8)
+    got = node_terms(fs if len(fs) > 1 else fs[0], ts, grid, lambda k, *coefs: np.stack(coefs))
+    assert got.shape == (len(ts), len(fs), 8, 8)
     for k, t in enumerate(ts):
         for coef, f in zip(got[k], fs):
             direct = _coefficient_direct(f, t, grid)
             assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
+            alone = node_terms(f, [t], grid, lambda k, coef: coef)[0]
+            assert np.max(np.abs(coef - alone)) / np.max(np.abs(alone)) < 1e-13
 
 
 @settings(max_examples=40)
@@ -205,6 +214,20 @@ def test_node_terms_reject_mixed_boxes():
     ):
         with pytest.raises(ValueError, match="one box"):
             node_terms((f, other), [0.5], grid, lambda k, a, b: 0.0)
+
+
+@pytest.mark.parametrize(
+    "fs, ts, message",
+    [
+        ((), [0.5], "at least one function in fs"),
+        (None, [[0.5, -0.5]], r"ts must be a 1-d list of nodes, got shape \(1, 2\)"),
+        (None, 0.5, r"ts must be a 1-d list of nodes, got shape \(\)"),
+    ],
+)
+def test_node_terms_reject_empty_fs_and_non_list_ts(fs, ts, message):
+    f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
+    with pytest.raises(ValueError, match=message):
+        node_terms(f if fs is None else fs, ts, GridSpec1D(8, 2.0), lambda k, *coefs: 0.0)
 
 
 @pytest.mark.parametrize(
