@@ -563,8 +563,8 @@ def _dc_fields(cfg: RunConfig, level: int):
 def _dc_level(cfg: RunConfig, level: int) -> dict:
     grid, f1, f2, F, G = _dc_fields(cfg, level)
     tgrid = F.tgrid
-    # the refined level skips pair terms 1e-10 below the largest product
-    tol_skip = (0.0, 1e-10)[level]
+    # every level above the base skips pair terms 1e-10 below the largest product
+    tol_skip = 0.0 if level == 0 else 1e-10
     FG = dual_convolution(F, G, grid, tol_skip=tol_skip)
     GF = dual_convolution(G, F, grid, tol_skip=tol_skip)
     direct = forward_field(f1 * f2, tgrid, grid)

@@ -21,23 +21,47 @@ own basis: the second-variable shear moves by whole grid steps, so it is
 a gather (_roll_index), and the first-variable shear is diagonal in the
 DFT basis, so it is a phase weighting between FFTs (_shear_phases).
 intertwiner() applies W to an N x N array with one gather and two
-batched FFTs, O(N^2 log N).  theta1 and dual_convolution fuse the same
-two steps into the partial trace of W kron(A, B) W*, where the gather
-acts on B: O(N^3 log N) per term and no shift stack.  _dense_w keeps the
-literal N^2 x N^2 W, from grid's circulant shifts, as the oracle for
-both.
+batched FFTs, O(N^2 log N).  _dense_w keeps the literal N^2 x N^2 W,
+from grid's circulant shifts, as the oracle for intertwiner and for the
+theta term.
 
-dual_convolution runs every term through one kernel, _theta_dft, and
-splits the output nodes across the CPUs the process may run on through
-split.run_split: one thread per CPU, each with its own two O(N^3) work
-buffers, allocated once per call.  The gather of B depends only on the
-G node, so each worker runs it once per G node, not once per term.  Each
-term then multiplies, FFTs and phase-weights inside the buffers and
-leaves its N x N matrix in the DFT basis.  The map back from the DFT
-basis is linear, so the terms are summed there and each output node
-takes one final 2-d FFT.  A node belongs to one worker, which adds its
-terms in the serial order, so the result has the same bits on any core
-count.
+The theta term s = partial_trace_second(W kron(a, b) W*), which theta1
+and dual_convolution sum, takes no FFT of its own.  Write x^ = F x F^-1
+(fft over rows, ifft over columns), k_u for the signed frequency index
+of u and c = s/(r+s).  The gather shifts b along its diagonal by n - N/2
+whole steps, and the shear phases meet only in the products
+phi_n(u) conj(phi_n(v)) = exp(-2 pi i c (k_u - k_v) (n - N/2) / N), so
+the sum over the grid nodes n collapses into a Dirichlet weight.  In
+the DFT basis
+
+    s^[u, u+e] = sum_d K_c(d - c delta) (alpha_(e+d) (*) beta_d)[u]
+
+with alpha_g[p] = a^[p, p+g] and beta_d[q] = b^[q, q-d] (indices mod
+N), (*) the circular convolution, delta = k_u - k_(u+e), which is -e or
+N - e, and
+
+    K_c(x) = (1/N) sum_{t = -N/2}^{N/2 - 1} exp(2 pi i t x / N),
+
+which depends on N and c only: the half-width drops out.  With alpha~_g
+and beta~_d the FFTs of the diagonals over p, a term is the two rows
+
+    R[e, j, w] = sum_d K_c(d - c delta_j) alpha~_(e+d)[w] beta~_d[w],
+
+one per value delta_j of delta, and s^ is one ifft of R over w with the
+row j picked per (u, e).  _ThetaKernel builds both Dirichlet rows from
+one N x N exponential table and one (N, N) @ (N, 2N) GEMM, multiplies
+the Hankel view alpha~_(e+d) by beta~_d (N^3 multiplies) and contracts
+over d in one batched (N, 2, N) @ (N, N, N) matmul: per term N^3
+multiplies and 4 N^3 complex multiply-adds in two GEMMs, and no FFT.
+
+dual_convolution splits the output nodes across the CPUs the process
+may run on through split.run_split, one thread and one _ThetaKernel per
+CPU.  The diagonals beta~ of every G node are computed once per call,
+and each worker loads alpha~ of an F node once, for all its terms with
+that F node.  The map from R to the output is linear, so each node sums
+its terms' rows and takes one ifft, one row pick and one 2-d FFT at the
+end.  A node belongs to one worker, which adds its terms in one fixed
+order, so the result has the same bits on any core count.
 """
 
 from __future__ import annotations
@@ -46,6 +70,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import OperatorField
 from .grid import GridSpec1D, circulant, schatten_norm, schatten_norms, shift_kernel, shift_phases
@@ -130,32 +155,69 @@ def partial_trace_second(big: np.ndarray, dim_first: int) -> np.ndarray:
     return np.einsum("ijkj->ik", big.reshape(dim_first, dim2, dim_first, dim2))
 
 
-def _gather_index(size: int) -> np.ndarray:
-    """Flat indices of b[r[n, m], r[n, p]], r = _roll_index(N).
+class _ThetaKernel:
+    """One worker's theta-term kernel at carrier size N: constants and buffers.
 
-    The slices (TL[m] b TL[p]*)[n, n] over n are this one gather of b.
+    load(a) keeps the F-side diagonals of a as the Hankel view A[e, d, w]
+    = alpha~[(e + d) mod N, w], term(ratio, beta~) returns the term's two
+    delta rows R[e, j, w] = sum_d K_c(d - c delta_j) A[e, d, w] beta~[d, w]
+    in its own buffer, and dft_basis(R) maps rows, of one term or of a
+    sum of terms, to the DFT-basis matrix s.  The Dirichlet weights come
+    from one exponential table X[e, t] = exp(2 pi i c e t / N) and one GEMM
+    with the constant dft[t, d] = exp(2 pi i t d / N) / N, whose second
+    half also carries exp(-2 pi i c t), the shift of c delta by c N.
     """
-    r = _roll_index(size)
-    return r[:, :, None] * size + r[:, None, :]
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.t = np.arange(-(n // 2), n // 2)
+        self.et = (2j * np.pi / n) * np.outer(np.arange(n), self.t)
+        self.dft = np.empty((n, 2 * n), dtype=complex)
+        self.dft[:, :n] = np.exp(self.et.T) / n
+        k = np.fft.fftfreq(n, 1.0 / n).astype(int)
+        u, v = np.ogrid[:n, :n]
+        # s[u, v] = S[e, j, u] with e = v - u and j = 1 where k_u - k_v = N - e
+        self.select = ((v - u) % n, (k[u] - k[v] + (v - u) % n) // n, u)
+        self.x = np.empty((n, n), dtype=complex)
+        self.w = np.empty((n, 2, n), dtype=complex)
+        self.q = np.empty((n, n, n), dtype=complex)
+        self.rows = np.empty((n, 2, n), dtype=complex)
+        self.twice = np.empty((2 * n, n), dtype=complex)
+        self.hankel = sliding_window_view(self.twice, n, axis=0)[:n].transpose(0, 2, 1)
+
+    def load(self, a: np.ndarray) -> None:
+        """Make a the F-side factor of the next terms."""
+        alpha = _diagonals(a, 1)
+        self.twice[: self.n] = alpha
+        self.twice[self.n :] = alpha
+
+    def term(self, ratio: Fraction, beta: np.ndarray) -> np.ndarray:
+        """The rows R of the loaded a and of b, beta = _diagonals(b, -1),
+        at c = ratio; overwritten by the next call."""
+        n, c = self.n, float(ratio)
+        np.multiply(self.et, c, out=self.x)
+        np.exp(self.x, out=self.x)
+        shift = np.exp(-2j * np.pi * c * self.t)
+        np.multiply(shift[:, None], self.dft[:, :n], out=self.dft[:, n:])
+        np.matmul(self.x, self.dft, out=self.w.reshape(n, 2 * n))
+        np.multiply(self.hankel, beta, out=self.q)
+        return np.matmul(self.w, self.q, out=self.rows)
+
+    def dft_basis(self, rows: np.ndarray) -> np.ndarray:
+        """s[u, u + e] = ifft(R)[e, j, u], j the row of delta = k_u - k_(u+e)."""
+        return np.fft.ifft(rows, axis=-1)[self.select]
 
 
-def _theta_dft(
-    ratio: Fraction, grid: GridSpec1D, a: np.ndarray, bg: np.ndarray, e: np.ndarray
-) -> np.ndarray:
-    """The theta term of (a, b) in the DFT basis, worked out in buffer e.
-
-    bg is np.take(b, _gather_index(N)), so e_n = a o bg[n] are the slices
-    E_n.  TU[n] is F^-1 diag(phi_n) F, so sum_n TU[n] E_n TU[n]* is
-    F^-1 s F with s = sum_n phi_n phi_n^H o F E_n F^-1; this returns s,
-    a fresh N x N array, and _from_dft maps it back.  e is overwritten.
-    """
-    phi = _shear_phases(ratio, grid)
-    np.multiply(a, bg, out=e)
-    np.fft.fft(e, axis=1, out=e)
-    np.fft.ifft(e, axis=2, out=e)
-    np.multiply(e, phi.conj()[:, None, :], out=e)
-    # s[u] = phi[:, u] @ e[:, u, :], one matrix-vector product per row u
-    return np.matmul(phi.T[:, None, :], e.transpose(1, 0, 2))[:, 0, :]
+def _diagonals(x: np.ndarray, sign: int) -> np.ndarray:
+    """fft over p of the diagonals xh[..., p, p + sign * g], one row per g,
+    of xh = F x F^-1: alpha~ for sign = 1, beta~ for sign = -1."""
+    n = x.shape[-1]
+    xh = np.fft.ifft(np.fft.fft(x, axis=-2), axis=-1)
+    p = np.arange(n)
+    # the gather puts the stack axis innermost in memory; the terms read
+    # one node's N x N block, so it is copied node-major first
+    diagonals = np.ascontiguousarray(xh[..., p, (p + sign * p[:, None]) % n])
+    return np.fft.fft(diagonals, axis=-1)
 
 
 def _from_dft(s: np.ndarray) -> np.ndarray:
@@ -167,8 +229,9 @@ def _theta_term(
     ratio: Fraction, grid: GridSpec1D, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """partial_trace_second(W kron(a, b) W*) without materializing W."""
-    bg = np.take(b, _gather_index(grid.n_points))
-    return _from_dft(_theta_dft(ratio, grid, a, bg, np.empty(bg.shape, complex)))
+    kernel = _ThetaKernel(grid.n_points)
+    kernel.load(a)
+    return _from_dft(kernel.dft_basis(kernel.term(ratio, _diagonals(b, -1))))
 
 
 def _check_pair(
@@ -232,18 +295,22 @@ def dual_convolution(
 
     Cost: the output nodes are dealt round-robin by split.run_split, one
     thread per CPU, at most one per node; worker w owns the nodes with
-    pos_k % workers == w and the calling thread runs worker 0.  Each
-    worker walks the G nodes m in ascending order and gathers each into
-    its own work buffer once; each of its terms is one multiply, two
-    N^2-batched length-N FFTs and one phase-weighted sum over n, in its
-    second work buffer, and adds its DFT-basis matrix to its output node.
-    Every node so takes its terms in the serial order, m ascending, and
-    the result and bounds have the same bits on any core count.  One
-    final 2-d FFT per output node maps the sums back.  The buffers, 2 N^3
-    complex per worker, and the gather index are allocated once per call,
-    in the calling thread.  The bounds take one SVD per term, of its
-    DFT-basis matrix.  An exception in a worker is raised here once every
-    worker has stopped.
+    pos_k % workers == w and the calling thread runs worker 0.  The
+    calling thread computes the FFT'd diagonals beta~ of every G node
+    once.  Each worker walks the terms sorted by F node, then G node,
+    loads the diagonals of each F node into its kernel once, and runs
+    each term as N^3 multiplies and two GEMMs of 2 N^3 complex
+    multiply-adds each, with no FFT (see the module docstring for the
+    identity); it adds the term's (N, 2, N) rows into its output node's
+    accumulator.  Every node so takes its terms in one fixed order, j
+    ascending, and the result and bounds have the same bits on any core
+    count.  Once its terms are done, a worker maps each of its nodes back
+    with one ifft over the rows, the pick of the delta row and one 2-d
+    FFT.  The accumulator, 2 N^2 complex per node, the output table and
+    each worker's kernel, one N^3 and a few N^2 buffers, are allocated
+    once per call, in the calling thread.  The bounds take one ifft and
+    one SVD per term, of its DFT-basis matrix.  An exception in a worker
+    is raised here once every worker has stopped.
     """
     _check_pair(field_f, field_g, grid)
     if not (math.isfinite(tol_skip) and tol_skip >= 0):
@@ -254,40 +321,38 @@ def dual_convolution(
     tn_g = schatten_norms(field_g.mats, 1)
     cut = tol_skip * tn_f.max() * tn_g.max()
     terms = []
-    for pos_m, m in enumerate(tg.ks):
-        for pos_j, j in enumerate(tg.ks):
+    for pos_j, j in enumerate(tg.ks):
+        for pos_m, m in enumerate(tg.ks):
             pos_k = tg.index_of(j + m)
             if pos_k is None or tn_f[pos_j] * tn_g[pos_m] <= cut:
                 continue
-            terms.append((pos_m, pos_j, pos_k, Fraction(m, j + m)))
-    index = _gather_index(n)
-    table = np.zeros((tg.n_nodes, n, n), dtype=complex)
+            terms.append((pos_j, pos_m, pos_k, Fraction(m, j + m)))
+    beta = _diagonals(field_g.mats, -1)
+    sums = np.zeros((tg.n_nodes, n, 2, n), dtype=complex)
+    table = np.empty((tg.n_nodes, n, n), dtype=complex)
     bounds = np.zeros(tg.n_nodes)
 
-    def run(nodes, bg, e):
-        """Add the terms of one worker's nodes, pos_m ascending, into their rows."""
+    def run(nodes, kernel):
+        """Add the terms of one worker's nodes, pos_j ascending, into their rows."""
         mine = set(nodes)
-        gathered = None
-        for pos_m, pos_j, pos_k, ratio in terms:
+        loaded = None
+        for pos_j, pos_m, pos_k, ratio in terms:
             if pos_k not in mine:
                 continue
-            if pos_m != gathered:
-                # every index is in range; mode="clip" fills bg directly,
-                # where the default mode gathers into a temporary first
-                np.take(field_g.mats[pos_m], index, out=bg, mode="clip")
-                gathered = pos_m
-            s = _theta_dft(ratio, grid, field_f.mats[pos_j], bg, e)
-            table[pos_k] += s
+            if pos_j != loaded:
+                kernel.load(field_f.mats[pos_j])
+                loaded = pos_j
+            term = kernel.term(ratio, beta[pos_m])
+            sums[pos_k] += term
             if with_theta_bounds:
                 # _from_dft is a unitary conjugation, so it keeps the trace norm
-                bounds[pos_k] += schatten_norm(s, 1)
+                bounds[pos_k] += schatten_norm(kernel.dft_basis(term), 1)
+        for pos_k in nodes:
+            table[pos_k] = _from_dft(kernel.dft_basis(sums[pos_k]))
 
-    run_split(
-        range(tg.n_nodes),
-        run,
-        lambda: (np.empty((n, n, n), dtype=complex), np.empty((n, n, n), dtype=complex)),
-    )
-    result = OperatorField(tg, tg.delta * _from_dft(table))
+    run_split(range(tg.n_nodes), run, lambda: (_ThetaKernel(n),))
+    table *= tg.delta
+    result = OperatorField(tg, table)
     if with_theta_bounds:
         return result, tg.delta * bounds
     return result

@@ -24,8 +24,9 @@ from heisenfourier.cli import (
     summary,
 )
 from heisenfourier.derivation import d_z, multiplier_defect
-from heisenfourier.field import load_field
-from heisenfourier.grid import CapacityError
+from heisenfourier.field import TGrid, load_field
+from heisenfourier.fusion import dual_convolution
+from heisenfourier.grid import CapacityError, GridSpec1D
 from heisenfourier.group import sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
 from heisenfourier.plancherel import a_norm, coefficient_norms, node_sum, w_norm
@@ -461,6 +462,24 @@ def test_converge_prints_each_level_as_soon_as_it_is_done(tmp_path, monkeypatch,
     assert main(["converge", "fusion", "--levels", "2", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "fusion,defect,1,5.000000000e-01,2\n"
     assert out.read_text() == level0 + "fusion,defect,1,5.000000000e-01,2\n"
+
+
+def test_dc_level_skips_tiny_terms_at_every_level_above_the_base(monkeypatch):
+    """A third dualconv level runs with the refined level's skip rule."""
+    small = ((2.0, 2.9, 5.6), (22, 42, 40), TGrid(0.125, 4), GridSpec1D(16, 2.2))
+    monkeypatch.setitem(cli.SCALES, "dualconv", (small, small, small))
+    seen = []
+
+    def recording(F, G, grid, tol_skip=0.0):
+        seen.append(tol_skip)
+        return dual_convolution(F, G, grid, tol_skip=tol_skip)
+
+    monkeypatch.setattr(cli, "dual_convolution", recording)
+    for level in (0, 2):
+        values = cli._dc_level(RunConfig(), level)
+        assert sorted(values) == ["commutativity", "product_identity", "remark_identity"]
+        assert all(np.isfinite(v) for v in values.values())
+    assert seen == [0.0, 0.0, 1e-10, 1e-10]
 
 
 class _LevelWork(Exception):

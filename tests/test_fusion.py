@@ -72,9 +72,16 @@ def test_intertwiner_rejects_degenerate_pairs():
         intertwiner(0.25, 0.25, grid, np.eye(8))
 
 
-# the suite's ratios s/(r+s) are 1/2, -1/2 and -1; (0.25, 0.125) gives 1/3
-# and (0.25, -0.375) has r + s < 0
-@pytest.mark.parametrize("r, s", _FUSION_RATIOS + ((0.25, 0.125), (0.25, -0.375)))
+# the suite's ratios c = s/(r+s) are 1/2, -1/2 and -1; (0.25, 0.125) gives
+# 1/3 and (0.25, -0.375), with r + s < 0, gives 3.  (0.375, 0.125) gives 1/4
+# and (0.125, -0.375) 3/2: c * delta is an integer for some frequency gaps
+# delta, where the Dirichlet weight K_c peaks exactly at a node.
+# (-0.5, 0.125) gives -1/3, a c < 0 that is not a half-integer
+@pytest.mark.parametrize(
+    "r, s",
+    _FUSION_RATIOS
+    + ((0.25, 0.125), (0.25, -0.375), (0.375, 0.125), (0.125, -0.375), (-0.5, 0.125)),
+)
 @pytest.mark.parametrize("half_width", [3.0, 4.0])
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_theta_term_equals_literal_partial_trace(n, half_width, r, s):
@@ -89,6 +96,17 @@ def test_theta_term_equals_literal_partial_trace(n, half_width, r, s):
     # the contraction is trace preserving and trace-norm contractive
     assert abs(np.trace(literal) - np.trace(a) * np.trace(b)) < 1e-12
     assert schatten_norm(literal, 1) <= schatten_norm(big, 1) + 1e-9
+
+
+@pytest.mark.parametrize("ratio", [Fraction(1, 3), Fraction(3, 2), Fraction(-1, 2)])
+def test_theta_term_does_not_depend_on_the_half_width(ratio):
+    """The shear phases meet only in products phi_n(u) conj(phi_n(v)), whose
+    angle 2 pi c (k_u - k_v) (n - N/2) / N has no half-width in it."""
+    n = 16
+    a, b = _unit(n), _unit(n)
+    narrow = _theta_term(ratio, GridSpec1D(n, 3.0), a, b)
+    wide = _theta_term(ratio, GridSpec1D(n, 4.0), a, b)
+    assert np.array_equal(narrow, wide)
 
 
 def test_partial_trace_adjoint_identity():
@@ -269,15 +287,15 @@ def test_dual_convolution_bits_do_not_depend_on_the_worker_count(monkeypatch, to
 def test_dual_convolution_raises_a_worker_error_after_every_worker_stops(monkeypatch):
     F, G, grid, tg = _dc_fields()
     caller = threading.current_thread()
-    theta_dft = fusion._theta_dft
+    term = fusion._ThetaKernel.term
 
-    def theta_dft_failing_off_the_caller(*args):
+    def term_failing_off_the_caller(*args):
         if threading.current_thread() is not caller:
             raise RuntimeError("worker failed")
-        return theta_dft(*args)
+        return term(*args)
 
     monkeypatch.setattr(split, "_worker_count", lambda n_items: 2)
-    monkeypatch.setattr(fusion, "_theta_dft", theta_dft_failing_off_the_caller)
+    monkeypatch.setattr(fusion._ThetaKernel, "term", term_failing_off_the_caller)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="worker failed"):
         dual_convolution(F, G, grid)
