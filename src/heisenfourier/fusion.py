@@ -49,19 +49,23 @@ and beta~_d the FFTs of the diagonals over p, a term is the two rows
 
 one per value delta_j of delta, and s^ is one ifft of R over w with the
 row j picked per (u, e).  _ThetaKernel builds both Dirichlet rows from
-one N x N exponential table and one (N, N) @ (N, 2N) GEMM, multiplies
-the Hankel view alpha~_(e+d) by beta~_d (N^3 multiplies) and contracts
-over d in one batched (N, 2, N) @ (N, N, N) matmul: per term N^3
-multiplies and 4 N^3 complex multiply-adds in two GEMMs, and no FFT.
+one N x N exponential table and one (N, N) @ (N, 2N) GEMM, once per ratio,
+then per term multiplies the Hankel view alpha~_(e+d) by beta~_d (N^3
+multiplies) and contracts over d in one batched (N, 2, N) @ (N, N, N)
+matmul: per term N^3 multiplies and 2 N^3 complex multiply-adds, and no
+FFT.
 
 dual_convolution splits the output nodes across the CPUs the process
 may run on through split.run_split, one thread and one _ThetaKernel per
-CPU.  The diagonals beta~ of every G node are computed once per call,
-and each worker loads alpha~ of an F node once, for all its terms with
-that F node.  The map from R to the output is linear, so each node sums
-its terms' rows and takes one ifft, one row pick and one 2-d FFT at the
-end.  A node belongs to one worker, which adds its terms in one fixed
-order, so the result has the same bits on any core count.
+CPU, dealt by |k|: the mirror terms (j, m) and (-j, -m) have the same
+ratio, so nodes k and -k share a worker.  The calling thread computes
+the diagonals alpha~ of every F node and beta~ of every G node once per
+call and sorts the terms once by ratio, and each worker builds the rows
+of a ratio once, for all its terms at that ratio.  The map from R to the
+output is linear, so each node sums its terms' rows and takes one ifft,
+one row pick and one 2-d FFT at the end.  A node belongs to one worker,
+which adds its terms in the one global ratio order, so the result has
+the same bits on any core count.
 """
 
 from __future__ import annotations
@@ -158,14 +162,17 @@ def partial_trace_second(big: np.ndarray, dim_first: int) -> np.ndarray:
 class _ThetaKernel:
     """One worker's theta-term kernel at carrier size N: constants and buffers.
 
-    load(a) keeps the F-side diagonals of a as the Hankel view A[e, d, w]
-    = alpha~[(e + d) mod N, w], term(ratio, beta~) returns the term's two
-    delta rows R[e, j, w] = sum_d K_c(d - c delta_j) A[e, d, w] beta~[d, w]
-    in its own buffer, and dft_basis(R) maps rows, of one term or of a
-    sum of terms, to the DFT-basis matrix s.  The Dirichlet weights come
-    from one exponential table X[e, t] = exp(2 pi i c e t / N) and one GEMM
-    with the constant dft[t, d] = exp(2 pi i t d / N) / N, whose second
-    half also carries exp(-2 pi i c t), the shift of c delta by c N.
+    weights(c) builds the two Dirichlet rows of the ratio c, W[e, j, d] =
+    K_c(d - c delta_j), and keeps them for every later term until the next
+    call.  term(alpha~, beta~) copies alpha~ into the Hankel buffer A[e, d, w]
+    = alpha~[(e + d) mod N, w] and returns the term's two delta rows R[e, j,
+    w] = sum_d W[e, j, d] A[e, d, w] beta~[d, w] in its own buffer, and
+    dft_basis(R) maps rows, of one term or of a sum of terms, to the
+    DFT-basis matrix s.  The rows come from one exponential table X[e, t] =
+    exp(2 pi i c e t / N) and one GEMM with the constant dft[t, d] = exp(2
+    pi i t d / N) / N, whose second half also carries exp(-2 pi i c t), the
+    shift of c delta by c N.  They depend on N and c only, so a caller that
+    takes its terms grouped by ratio builds them once per ratio.
     """
 
     def __init__(self, n: int) -> None:
@@ -185,21 +192,20 @@ class _ThetaKernel:
         self.twice = np.empty((2 * n, n), dtype=complex)
         self.hankel = sliding_window_view(self.twice, n, axis=0)[:n].transpose(0, 2, 1)
 
-    def load(self, a: np.ndarray) -> None:
-        """Make a the F-side factor of the next terms."""
-        alpha = _diagonals(a, 1)
-        self.twice[: self.n] = alpha
-        self.twice[self.n :] = alpha
-
-    def term(self, ratio: Fraction, beta: np.ndarray) -> np.ndarray:
-        """The rows R of the loaded a and of b, beta = _diagonals(b, -1),
-        at c = ratio; overwritten by the next call."""
-        n, c = self.n, float(ratio)
+    def weights(self, c: float) -> None:
+        """Build the Dirichlet rows of the ratio c for the next terms."""
+        n = self.n
         np.multiply(self.et, c, out=self.x)
         np.exp(self.x, out=self.x)
         shift = np.exp(-2j * np.pi * c * self.t)
         np.multiply(shift[:, None], self.dft[:, :n], out=self.dft[:, n:])
         np.matmul(self.x, self.dft, out=self.w.reshape(n, 2 * n))
+
+    def term(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """The rows R at the built ratio, alpha = _diagonals(a, 1) and beta =
+        _diagonals(b, -1); overwritten by the next call."""
+        self.twice[: self.n] = alpha
+        self.twice[self.n :] = alpha
         np.multiply(self.hankel, beta, out=self.q)
         return np.matmul(self.w, self.q, out=self.rows)
 
@@ -230,8 +236,8 @@ def _theta_term(
 ) -> np.ndarray:
     """partial_trace_second(W kron(a, b) W*) without materializing W."""
     kernel = _ThetaKernel(grid.n_points)
-    kernel.load(a)
-    return _from_dft(kernel.dft_basis(kernel.term(ratio, _diagonals(b, -1))))
+    kernel.weights(float(ratio))
+    return _from_dft(kernel.dft_basis(kernel.term(_diagonals(a, 1), _diagonals(b, -1))))
 
 
 def _check_pair(
@@ -286,31 +292,38 @@ def dual_convolution(
     The inner sum runs over lattice pairs (j, k - j) with both indices on
     the punctured lattice.  Pairs whose trace-norm product falls below
     tol_skip times the product of the largest node trace norms are
-    skipped; the total skipped mass per node is below tol_skip *
-    a_norm(F) * a_norm(G) / Delta.
+    skipped.  Each skipped term has trace norm at most that cut, and a
+    node k has n_k pair terms, so its skipped mass is at most n_k *
+    tol_skip * a_norm(F) * a_norm(G) / Delta; without the factor n_k the
+    bound fails when many small terms are skipped at one node.
 
     With with_theta_bounds=True returns (field, bounds) where bounds[i] =
     sum_j Delta * ||theta1(...)||_1 over the same terms, the node-wise
     triangle-inequality majorant of the result.
 
-    Cost: the output nodes are dealt round-robin by split.run_split, one
-    thread per CPU, at most one per node; worker w owns the nodes with
-    pos_k % workers == w and the calling thread runs worker 0.  The
-    calling thread computes the FFT'd diagonals beta~ of every G node
-    once.  Each worker walks the terms sorted by F node, then G node,
-    loads the diagonals of each F node into its kernel once, and runs
-    each term as N^3 multiplies and two GEMMs of 2 N^3 complex
-    multiply-adds each, with no FFT (see the module docstring for the
-    identity); it adds the term's (N, 2, N) rows into its output node's
-    accumulator.  Every node so takes its terms in one fixed order, j
-    ascending, and the result and bounds have the same bits on any core
-    count.  Once its terms are done, a worker maps each of its nodes back
-    with one ifft over the rows, the pick of the delta row and one 2-d
-    FFT.  The accumulator, 2 N^2 complex per node, the output table and
-    each worker's kernel, one N^3 and a few N^2 buffers, are allocated
-    once per call, in the calling thread.  The bounds take one ifft and
-    one SVD per term, of its DFT-basis matrix.  An exception in a worker
-    is raised here once every worker has stopped.
+    Cost: the output nodes are dealt by split.run_split in pairs (-k, k),
+    |k| ascending, one thread per CPU, at most one per pair; worker w owns
+    the pairs with (|k| - 1) % workers == w and the calling thread runs
+    worker 0.  The calling thread computes the FFT'd diagonals alpha~ of
+    every F node and beta~ of every G node once, and sorts the kept terms
+    once by their exact ratio m/k, as the reduced integer pair.  Each
+    worker walks that list, builds a ratio's Dirichlet rows once for its
+    terms at that ratio (one N x N exponential table and one (N, N) @ (N,
+    2N) GEMM; 969 builds in one worker for the 2,976 lattice terms at K =
+    32), and runs each term as a copy of its alpha~ into the Hankel
+    buffer, N^3 multiplies and one GEMM of 2 N^3 complex multiply-adds,
+    with no FFT (see the module docstring for the identity); it adds the
+    term's (N, 2, N) rows into its output node's accumulator.  A node has
+    one term per ratio, so it takes its terms in the one order of their
+    reduced pairs, and the result and bounds have the same bits on any
+    core count.  Once its terms are done, a worker maps each of its nodes
+    back with one ifft over the rows, the pick of the delta row and one
+    2-d FFT.  The diagonals, 2 N^2 complex per node, the accumulator, as
+    much again, the output table and each worker's kernel, one N^3 and a
+    few N^2 buffers, are allocated once per call, in the calling thread.
+    The bounds take one ifft and one SVD per term, of its DFT-basis
+    matrix.  An exception in a worker is raised here once every worker
+    has stopped.
     """
     _check_pair(field_f, field_g, grid)
     if not (math.isfinite(tol_skip) and tol_skip >= 0):
@@ -320,37 +333,46 @@ def dual_convolution(
     tn_f = schatten_norms(field_f.mats, 1)
     tn_g = schatten_norms(field_g.mats, 1)
     cut = tol_skip * tn_f.max() * tn_g.max()
+    # each term keyed by its ratio m/k as the reduced integer pair with k > 0,
+    # so that, sorted, the terms of one ratio sit together, in one order for
+    # every worker count
     terms = []
     for pos_j, j in enumerate(tg.ks):
         for pos_m, m in enumerate(tg.ks):
-            pos_k = tg.index_of(j + m)
+            k = j + m
+            pos_k = tg.index_of(k)
             if pos_k is None or tn_f[pos_j] * tn_g[pos_m] <= cut:
                 continue
-            terms.append((pos_j, pos_m, pos_k, Fraction(m, j + m)))
+            g = math.gcd(m, k) if k > 0 else -math.gcd(m, k)
+            terms.append(((m // g, k // g), pos_j, pos_m, pos_k))
+    terms.sort()
+    alpha = _diagonals(field_f.mats, 1)
     beta = _diagonals(field_g.mats, -1)
     sums = np.zeros((tg.n_nodes, n, 2, n), dtype=complex)
     table = np.empty((tg.n_nodes, n, n), dtype=complex)
     bounds = np.zeros(tg.n_nodes)
 
-    def run(nodes, kernel):
-        """Add the terms of one worker's nodes, pos_j ascending, into their rows."""
-        mine = set(nodes)
-        loaded = None
-        for pos_j, pos_m, pos_k, ratio in terms:
+    def run(share, kernel):
+        """Add the terms of one worker's node pairs, by ratio, into their rows."""
+        mine = {pos_k for pair in share for pos_k in pair}
+        built = None
+        for ratio, pos_j, pos_m, pos_k in terms:
             if pos_k not in mine:
                 continue
-            if pos_j != loaded:
-                kernel.load(field_f.mats[pos_j])
-                loaded = pos_j
-            term = kernel.term(ratio, beta[pos_m])
+            if ratio != built:
+                kernel.weights(ratio[0] / ratio[1])
+                built = ratio
+            term = kernel.term(alpha[pos_j], beta[pos_m])
             sums[pos_k] += term
             if with_theta_bounds:
                 # _from_dft is a unitary conjugation, so it keeps the trace norm
                 bounds[pos_k] += schatten_norm(kernel.dft_basis(term), 1)
-        for pos_k in nodes:
+        for pos_k in mine:
             table[pos_k] = _from_dft(kernel.dft_basis(sums[pos_k]))
 
-    run_split(range(tg.n_nodes), run, lambda: (_ThetaKernel(n),))
+    # nodes k and -k share their terms' ratios, so they share a worker
+    pairs = [(tg.index_of(-k), tg.index_of(k)) for k in range(1, tg.k_max + 1)]
+    run_split(pairs, run, lambda: (_ThetaKernel(n),))
     table *= tg.delta
     result = OperatorField(tg, table)
     if with_theta_bounds:

@@ -2,13 +2,14 @@
 
 run_split is the package's only thread code.  The group Fourier transform
 deals its |t| groups through it and the dual convolution its output
-nodes.  Each worker gets a fixed share, items[w::workers], so which
-worker computes an item depends only on the worker count, and callers
-that keep each item's arithmetic inside one worker get the same bits on
-any core count.  The calling thread runs worker 0, so a one-item call
-starts no thread.  numpy and BLAS release the GIL in the heavy calls.
-The split expects a single-threaded BLAS: a BLAS thread pool would
-contend with the workers for the same cores.
+nodes, in pairs (-k, k) that share their terms' ratios.  Each worker
+gets a fixed share, items[w::workers], so which worker computes an item
+depends only on the worker count, and callers that keep each item's
+arithmetic inside one worker get the same bits on any core count.  The
+calling thread runs worker 0, so a one-item call starts no thread.
+numpy and BLAS release the GIL in the heavy calls.  The split expects a
+single-threaded BLAS: a BLAS thread pool would contend with the workers
+for the same cores.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heisenfourier import fusion, split
 from heisenfourier.cli import _FUSION_RATIOS, _RESIDUAL_PAIRS
@@ -31,8 +32,8 @@ DC_BOX = (2.0, 2.9, 5.6)
 DC_COUNTS = (22, 42, 40)
 
 
-def _unit(n):
-    a = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+def _unit(n, rng=RNG):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a / np.linalg.norm(a)
 
 
@@ -191,6 +192,46 @@ def test_dual_convolution_skip_mass_is_bounded():
         dual_convolution(F, G, grid, tol_skip=-1.0)
 
 
+def _rank_one_field(tg, n, scales, rng):
+    """Positive rank-one nodes v v*, |v| = 1, scaled so node i has trace norm scales[i]."""
+    mats = []
+    for scale in scales:
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        mats.append(scale * np.outer(v, v.conj()))
+    return OperatorField(tg, np.array(mats))
+
+
+@pytest.mark.parametrize(
+    "k_max, tol, old_excess", [(4, 1e-3, 3.9), (8, 1e-3, 6.3), (8, 1e-6, 13.3)]
+)
+def test_dual_convolution_skip_mass_is_bounded_per_pair_term(k_max, tol, old_excess):
+    """Each skipped term is at most tol * max||F||_1 * max||G||_1, and a node
+    has up to n_k of them.  Here every product of two small nodes is skipped
+    and the terms are positive, so they add up without cancelling: the node
+    gap reaches several times tol * a_norm(F) * a_norm(G) / Delta, and stays
+    below n_k times it."""
+    from heisenfourier.plancherel import a_norm
+
+    n = 8
+    grid = GridSpec1D(n, 3.0)
+    tg = TGrid(0.25, k_max)
+    rng = np.random.default_rng(k_max)
+    scales = [1.0] + [0.99 * math.sqrt(tol)] * (tg.n_nodes - 1)
+    F = _rank_one_field(tg, n, scales, rng)
+    G = _rank_one_field(tg, n, scales, rng)
+    exact = dual_convolution(F, G, grid)
+    skipped = dual_convolution(F, G, grid, tol_skip=tol)
+    budget = tol * a_norm(F) * a_norm(G) / tg.delta
+    worst = 0.0
+    for pos_k, k in enumerate(tg.ks):
+        n_k = sum(tg.index_of(k - j) is not None for j in tg.ks)
+        gap = schatten_norm(exact.mats[pos_k] - skipped.mats[pos_k], 1)
+        assert gap <= n_k * budget
+        worst = max(worst, gap / budget)
+    assert worst > old_excess
+
+
 def test_dual_convolution_equals_the_literal_pair_sum():
     n = 8
     grid = GridSpec1D(n, 3.0)
@@ -246,6 +287,68 @@ def test_dual_convolution_equals_the_per_term_sum(tol_skip):
     assert kept > 0 and (skipped > 0) == (tol_skip > 0)
 
 
+def _per_term_sum(F, G, grid, tol_skip):
+    """Field and bounds as the plain lattice-order sum of fresh _theta_term calls."""
+    tg = F.tgrid
+    n = grid.n_points
+    tn_f = [schatten_norm(m, 1) for m in F.mats]
+    tn_g = [schatten_norm(m, 1) for m in G.mats]
+    cut = tol_skip * max(tn_f) * max(tn_g)
+    mats = np.zeros((tg.n_nodes, n, n), dtype=complex)
+    bounds = np.zeros(tg.n_nodes)
+    for pos_k, k in enumerate(tg.ks):
+        for pos_j, j in enumerate(tg.ks):
+            pos_m = tg.index_of(k - j)
+            if pos_m is None or tn_f[pos_j] * tn_g[pos_m] <= cut:
+                continue
+            term = tg.delta * _theta_term(
+                Fraction(k - j, k), grid, F.mats[pos_j], G.mats[pos_m]
+            )
+            mats[pos_k] += term
+            bounds[pos_k] += schatten_norm(term, 1)
+    return mats, bounds
+
+
+# node scales 1, 1e-3 and 0, and tol_skip 1e-2: the trace-norm products of
+# nonzero nodes sit near 100, 0.1 or 1e-4 times the cut, never at it.  A
+# field takes the first 2 k_max scales of its list.
+_SCALES = st.lists(st.sampled_from([0.0, 1e-3, 1.0]), min_size=8, max_size=8)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.sampled_from([8, 16]),
+    k_max=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scales_f=_SCALES,
+    scales_g=_SCALES,
+    tol_skip=st.sampled_from([0.0, 1e-2]),
+)
+@example(
+    n=8, k_max=3, seed=0, scales_f=[1.0, 1e-3, 0.0] * 3, scales_g=[1e-3, 1.0] * 4, tol_skip=1e-2
+)
+@example(
+    n=16, k_max=4, seed=1, scales_f=[1.0] * 8, scales_g=[0.0, 1e-3, 1.0, 1.0] * 2, tol_skip=0.0
+)
+def test_dual_convolution_equals_the_per_term_sum_for_any_fields(
+    n, k_max, seed, scales_f, scales_g, tol_skip
+):
+    tg = TGrid(0.25, k_max)
+    grid = GridSpec1D(n, 3.0)
+    rng = np.random.default_rng(seed)
+    F, G = (
+        OperatorField(tg, [scale * _unit(n, rng) for scale in scales[: tg.n_nodes]])
+        for scales in (scales_f, scales_g)
+    )
+    want, want_bounds = _per_term_sum(F, G, grid, tol_skip)
+    fused, bounds = dual_convolution(F, G, grid, tol_skip=tol_skip, with_theta_bounds=True)
+    plain = dual_convolution(F, G, grid, tol_skip=tol_skip)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(fused.mats - want)) <= 1e-13 * scale
+    assert np.all(np.abs(bounds - want_bounds) <= 1e-13 * want_bounds)
+    assert np.array_equal(plain.mats, fused.mats)
+
+
 def test_dual_convolution_results_share_no_buffer():
     F, G, grid, tg = _dc_fields()
     f_mats, g_mats = F.mats.copy(), G.mats.copy()
@@ -282,6 +385,50 @@ def test_dual_convolution_bits_do_not_depend_on_the_worker_count(monkeypatch, to
     for other_mats, other_bounds in rest:
         assert np.array_equal(other_mats, mats)
         assert np.array_equal(other_bounds, bounds)
+
+
+@pytest.mark.parametrize("tol_skip", [0.0, 1e-3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_dual_convolution_builds_each_ratio_once_per_worker(monkeypatch, workers, tol_skip):
+    F, G, grid, tg = _dc_fields()
+    weights, run_split = fusion._ThetaKernel.weights, fusion.run_split
+    builds, owned = {}, {}
+
+    def counted_weights(self, c):
+        me = threading.get_ident()
+        builds[me] = builds.get(me, 0) + 1
+        return weights(self, c)
+
+    def recorded_split(items, work, scratch):
+        def recorded_work(share, *args):
+            owned[threading.get_ident()] = {tg.ks[pos] for pair in share for pos in pair}
+            return work(share, *args)
+
+        return run_split(items, recorded_work, scratch)
+
+    monkeypatch.setattr(split, "_worker_count", lambda n_items: workers)
+    monkeypatch.setattr(fusion._ThetaKernel, "weights", counted_weights)
+    monkeypatch.setattr(fusion, "run_split", recorded_split)
+    dual_convolution(F, G, grid, tol_skip=tol_skip)
+    tn_f = [schatten_norm(m, 1) for m in F.mats]
+    tn_g = [schatten_norm(m, 1) for m in G.mats]
+    cut = tol_skip * max(tn_f) * max(tn_g)
+    ratios = {}
+    for pos_j, j in enumerate(tg.ks):
+        for pos_m, m in enumerate(tg.ks):
+            if tg.index_of(j + m) is not None and tn_f[pos_j] * tn_g[pos_m] > cut:
+                ratios.setdefault(j + m, set()).add(Fraction(m, j + m))
+    assert len(owned) == workers and builds.keys() <= owned.keys()
+    assert sorted(k for ks in owned.values() for k in ks) == sorted(tg.ks)
+    for me, ks in owned.items():
+        # k and -k always share a worker
+        assert ks == {-k for k in ks}
+        assert builds.get(me, 0) == len(set().union(*(ratios.get(k, set()) for k in ks)))
+    if workers == 1 and tol_skip == 0.0:
+        lattice = {
+            Fraction(m, j + m) for j in tg.ks for m in tg.ks if tg.index_of(j + m) is not None
+        }
+        assert sum(builds.values()) == len(lattice)
 
 
 def test_dual_convolution_raises_a_worker_error_after_every_worker_stops(monkeypatch):
