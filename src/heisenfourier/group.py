@@ -1,10 +1,11 @@
-"""Heisenberg group arithmetic and complex-valued functions sampled on it.
+"""Heisenberg group arithmetic and functions sampled on it.
 
 The group is R^3 with
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, (a1*b2-a2*b1)/2 + c1+c2),
 identity (0,0,0) and inverse (-x,-y,-z).  Functions live on a
 cell-centered box grid that is symmetric under coordinate negation, so
-g |-> g^{-1} maps sample nodes to sample nodes exactly.
+g |-> g^{-1} maps sample nodes to sample nodes exactly.  Samples are
+float64 when the function is real and complex128 otherwise.
 
 The module also carries the closed-form test family used throughout the
 numerical suites: polynomial prefactors times anisotropic Gaussians.
@@ -195,7 +196,9 @@ def box_axes(box, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class SampledFunction3D:
-    """Complex samples of f on the cell-centered grid of a box.
+    """Samples of f on the cell-centered grid of a box: float64 exactly
+    when every sample is real, so complex input whose imaginary part is
+    all zero is stored as its real part, and complex128 otherwise.
 
     family, when present, is the generating GaussianPoly: the closed form
     that derivation.d_z evaluates.  It travels through pointwise products
@@ -211,7 +214,13 @@ class SampledFunction3D:
         # normalized here, so grids compare equal whatever sequence types built them
         self.box = tuple(as_real("box", h) for h in self.box)
         self.counts = tuple(as_count("counts", n) for n in self.counts)
-        self.samples = np.asarray(self.samples, dtype=complex)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "biufc":
+            raise ValueError(f"samples must be numeric, got dtype {samples.dtype}")
+        if samples.dtype.kind == "c" and samples.imag.any():
+            self.samples = np.asarray(samples, dtype=complex)
+        else:
+            self.samples = np.ascontiguousarray(samples.real, dtype=float)
         if self.samples.shape != self.counts:
             raise ValueError(
                 f"sample shape {self.samples.shape} does not match counts {self.counts}"
@@ -264,7 +273,7 @@ def sample_family(
     """Samples of fam on the box grid; with_dz=False leaves the family off,
     so derivatives of the result take the spectral path."""
     xs, ys, zs = box_axes(box, counts)
-    samples = fam.eval_grid(xs, ys, zs).astype(complex)
+    samples = fam.eval_grid(xs, ys, zs)
     return SampledFunction3D(tuple(box), tuple(counts), samples, fam if with_dz else None)
 
 

@@ -19,18 +19,20 @@ operators they generate must stay band-limited within the carrier.
 The transform has one driver per direction: node_terms for the forward
 coefficients of any node list, inverse_transform_grid for the inverse of
 a field on a box.  Each applies the z axis for all nodes in one matrix
-product in the calling thread, then the x and y axes node by node
-through two phase tables per |t|, with the |t| groups split across the
-process's CPUs (_split).  Each table is the product of the exponentials
-of a coarse and a fine factor of its uniform axis (_phase_tables), so
-an R x C table costs R * (C/q + q) complex exponentials, q near
-sqrt(C).  A forward node costs an (nx, ny) @ (ny, N) x/y product and
-the circulant stage, an (N, nx) @ (nx, N) product and a gather; for
-real samples pi_{-t}(f) differs from conj pi_t(f) only through the
-kernel's unpaired Nyquist term, so a real f takes one x/y product per
-|t| and -t reuses its conjugate, while the circulant stage stays per
-node.  forward_field is node_terms with a term that writes |t|*coef
-into the field's node slot, so the field is held once.
+product in the calling thread (for the forward transform of a real f,
+whose samples are float64, a real product on the float view of the z
+table), then the x and y axes node by node through two phase tables per |t|, with the |t| groups
+split across the process's CPUs (_split).  Each table is the product
+of the exponentials of a coarse and a fine factor of its uniform axis
+(_phase_tables), so an R x C table costs R * (C/q + q) complex
+exponentials, q near sqrt(C).  A forward node costs an (nx, ny) @
+(ny, N) x/y product and the circulant stage, an (N, nx) @ (nx, N)
+product and a gather; for a real f pi_{-t}(f) differs from conj
+pi_t(f) only through the kernel's unpaired Nyquist term, so a real f
+takes one x/y product per |t| and -t reuses its conjugate, while the
+circulant stage stays per node.  forward_field is node_terms with a
+term that writes |t|*coef into the field's node slot, so the field is
+held once.
 fourier_coefficient's "direct" path and plancherel.inverse_transform are
 the literal per-sample and per-point oracles for the two directions.
 """
@@ -151,6 +153,19 @@ def _split(ts, factors, node, shapes) -> None:
     run_split(groups.items(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
 
 
+def _z_sums(samples: np.ndarray, ez: np.ndarray) -> np.ndarray:
+    """samples.reshape(nx*ny, nz) @ ez, the (nx*ny, K) z sums of every node.
+
+    Real samples multiply the interleaved float view of ez, (nz, 2K), in
+    one real product whose rows are the complex sums re, im, re, ...: half
+    the real flops of the complex product, and no complex copy of the
+    samples, which numpy's implicit cast would make."""
+    flat = samples.reshape(-1, samples.shape[-1])
+    if np.iscomplexobj(flat):
+        return flat @ ez
+    return (flat @ ez.view(float)).view(complex)
+
+
 def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     """np.array([term(k, *coefs) for every k]) in node order, coefs the
     bare coefficients pi_{ts[k]}(f) of each f in fs, from one pass.
@@ -162,16 +177,20 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     may keep.
 
     The z sums of all nodes come from one (nx*ny, nz) @ (nz, K) product
-    per function, in the calling thread; each coefficient is then
-    sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
+    per function, in the calling thread (_z_sums); each coefficient is
+    then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
     A = (fz_k * P) @ E, fz_k the z sums of node k as an (nx, ny) array
-    and P, E the x/y phase tables of ts[k].  For a real f the z sums and
-    the tables of -t are those of t conjugated, and so is A: a real f
-    takes one (nx, ny) @ (ny, N) product per |t| group, computed by the
+    and P, E the x/y phase tables of ts[k].  The samples' dtype decides
+    the path.  A real f, float64 samples, takes its z sums as one real
+    (nx*ny, nz) @ (nz, 2K) product on the interleaved float view of the
+    z table, with no complex copy of the samples.  Its z sums and the
+    tables of -t are those of t conjugated, and so is A: a real f takes
+    one (nx, ny) @ (ny, N) product per |t| group, computed by the
     group's first node and used by each later node as it is (same t) or
     conjugated in place (-t).  The circulant stage stays per node, as
     the kernel's unpaired Nyquist term breaks the symmetry.  A complex
-    f, such as d_z f, takes the product at every node.
+    f, such as d_z f, takes the complex z product and the x/y product at
+    every node.
     """
     fs = (fs,) if isinstance(fs, SampledFunction3D) else tuple(fs)
     if not fs:
@@ -189,8 +208,8 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     n = grid.n_points
     cell_volume = fs[0].cell_volume
     ez = np.exp(np.outer(zs, 2j * np.pi * ts))
-    fzs = [f.samples.reshape(nx * ny, nz) @ ez for f in fs]
-    reals = [not f.samples.imag.any() for f in fs]
+    fzs = [_z_sums(f.samples, ez) for f in fs]
+    reals = [not np.iscomplexobj(f.samples) for f in fs]
     values = [None] * len(ts)
 
     def node(k, prev, P, E, XY, S, *As):

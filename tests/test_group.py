@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heisenfourier.cli import CANONICAL_FAMILY, DC_LEFT
 from heisenfourier.derivation import leibniz_defect
 from heisenfourier.grid import GridSpec1D
 from heisenfourier.group import (
@@ -183,6 +184,30 @@ def test_sampled_shape_validation():
         SampledFunction3D((1.0, 1.0, 1.0), (4, 4, 4), np.zeros((4, 4, 2)))
     with pytest.raises(ValueError):
         SampledFunction3D((1.0, 1.0, 1.0), (2, 2, 2), np.full((2, 2, 2), np.inf))
+
+
+def test_samples_are_float64_exactly_when_every_sample_is_real():
+    box, counts = (1.0, 1.0, 1.0), (2, 2, 2)
+    real = RNG.standard_normal(counts)
+    f = SampledFunction3D(box, counts, real)
+    assert f.samples.dtype == np.float64 and np.array_equal(f.samples, real)
+    assert SampledFunction3D(box, counts, np.ones(counts, dtype=int)).samples.dtype == np.float64
+    zero_imag = SampledFunction3D(box, counts, real + 0j)
+    assert zero_imag.samples.dtype == np.float64 and zero_imag.samples.flags.c_contiguous
+    assert np.array_equal(zero_imag.samples, real)
+    mixed = real + 0j
+    mixed[1, 0, 1] += 1e-300j
+    g = SampledFunction3D(box, counts, mixed)
+    assert g.samples.dtype == np.complex128 and np.array_equal(g.samples, mixed)
+    for bad in (np.full(counts, "1"), np.full(counts, None, dtype=object)):
+        with pytest.raises(ValueError, match="samples must be numeric"):
+            SampledFunction3D(box, counts, bad)
+
+
+def test_real_families_sample_as_float64_and_modulated_ones_as_complex128():
+    box, counts = (2.0, 2.0, 2.0), (4, 6, 8)
+    assert sample_family(CANONICAL_FAMILY, box, counts).samples.dtype == np.float64
+    assert sample_family(DC_LEFT, box, counts).samples.dtype == np.complex128
 
 
 def test_product_keeps_family_only_for_shared_centers():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D, fractional_shift_op, modulation_op, schatten_norm
-from heisenfourier.group import GaussianPoly, GroupElement, Poly3, box_axes, mul, sample_family
+from heisenfourier.group import (
+    GaussianPoly,
+    GroupElement,
+    Poly3,
+    SampledFunction3D,
+    box_axes,
+    mul,
+    sample_family,
+)
 from heisenfourier.schrodinger import (
     _box_tables,
     _coefficient_direct,
     _phase_tables,
+    _z_sums,
     forward_field,
     fourier_coefficient,
     node_terms,
@@ -152,8 +162,6 @@ def test_node_terms_match_direct_sums(ts, complex_samples, counts, half, seed):
     symmetry take one x/y product per |t| and conjugate it for -t, while
     a complex function takes its own at every node; either matches a
     one-node pass, which has no partner node to share with."""
-    from heisenfourier.group import SampledFunction3D
-
     rng = np.random.default_rng(seed)
     box = (half, 1.25 * half, 0.75 * half)
     fs = tuple(
@@ -310,3 +318,46 @@ def test_forward_field_is_node_terms_scaled_by_abs_t():
     ts = tg.nodes
     want = node_terms(f, ts, grid, lambda k, coef: abs(ts[k]) * coef)
     assert np.array_equal(forward_field(f, tg, grid).mats, want)
+
+
+def test_real_z_sums_match_the_complex_product():
+    """The real product on the float view of the z table against the
+    complex product of the samples cast to complex.  Both are bit for bit
+    equal on some BLAS builds, but the two GEMMs may block their sums
+    differently, so the comparison is to a tolerance."""
+    f = sample_family(CANON, BOX, (16, 24, 44))
+    zs = f.axes[2]
+    ez = np.exp(np.outer(zs, 2j * np.pi * TGrid(0.125, 32).nodes))
+    want = f.samples.reshape(16 * 24, 44).astype(complex) @ ez
+    got = _z_sums(f.samples, ez)
+    assert got.dtype == complex and got.shape == want.shape
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-15
+    g = SampledFunction3D(BOX, (16, 24, 44), f.samples * (1.0 + 0.5j))
+    assert np.array_equal(_z_sums(g.samples, ez), g.samples.reshape(16 * 24, 44) @ ez)
+
+
+def test_real_forward_field_makes_no_complex_copy_of_its_samples():
+    """A complex copy of float64 samples takes twice their bytes.  Here the
+    samples outweigh everything else forward_field holds, so with such a
+    copy its peak would pass field + z table + scratch + samples.nbytes.
+    scratch over-counts the worker buffers of run_split: the tables of t
+    and -t, the x/y product and its output, the circulant stage and one
+    coefficient, for the two workers that the two |t| groups allow, and
+    the box tables."""
+    counts, n = (32, 32, 128), 8
+    f = sample_family(CANON, BOX, counts)
+    assert f.samples.dtype == np.float64
+    grid, tg = GridSpec1D(n, 2.5), TGrid(0.25, 2)
+    nx, ny, nz = counts
+    k = tg.n_nodes
+    field = k * n * n * 16
+    z_table = (nx * ny * k + 2 * nz * k) * 16
+    scratch = 2 * (3 * nx * ny + 2 * ny * n + 2 * n * n + nx * n) * 16 + (nx * n + n * n) * 16
+    assert field + z_table + scratch < f.samples.nbytes
+    tracemalloc.start()
+    try:
+        forward_field(f, tg, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field + z_table + scratch + f.samples.nbytes
