@@ -66,7 +66,6 @@ from .plancherel import (
     adjoint_pairing_sides,
     inverse_transform_grid,
     m_norm,
-    node_sum,
     plancherel_defect,
     w_norm,
 )
@@ -608,7 +607,6 @@ _THETA1_PAIRS = ((3, 3), (4, 2), (3, -2), (-2, 4), (5, 3))
 def inequalities_suite(cfg: RunConfig):
     tol = TOL["inequalities"]
     grid, _, _, F, G = _dc_fields(cfg, 0)
-    tgrid = F.tgrid
     FG, bounds = dual_convolution(F, G, grid, with_theta_bounds=True)
     worst = float(np.max(schatten_norms(FG.mats, 1) - bounds))
     yield check("theta2_nodewise_slack", worst, tol, worst <= tol)
@@ -617,7 +615,7 @@ def inequalities_suite(cfg: RunConfig):
     slack = a_norm(FG) - a_norm(F) * a_norm(G)
     yield check("a_norm_submultiplicative_slack", slack, tol, slack <= tol)
     worst = max(
-        schatten_norm(theta1(F, G, j * tgrid.delta, m * tgrid.delta, grid), 1)
+        schatten_norm(theta1(F, G, j, m, grid), 1)
         - schatten_norm(F.at_k(j), 1) * schatten_norm(G.at_k(m), 1)
         for j, m in _THETA1_PAIRS
     )
@@ -632,14 +630,14 @@ def _deriv_level(cfg: RunConfig, level: int) -> dict:
     f = sample_family(DERIV_FAMILY, box, counts)
     h = sample_family(DERIV_MODULE_PARTNER, box, counts)
     gap, dz_norm, trace_norm = derivation_nodes(f, tg, carrier)
-    a_norm_f = float(tg.delta * node_sum(trace_norm))
+    a_norm_f = float(tg.delta * sum(trace_norm))
     module_lhs = w_norm(f * h, tg, carrier)
     module_rhs = a_norm_f * w_norm(h, tg, carrier)
     return {
         "f": f,
         "multiplier_identity": float(np.max(gap)),
         "dz_norm": dz_norm,
-        "w_norm_dz": float(tg.delta * node_sum(dz_norm)),
+        "w_norm_dz": float(tg.delta * sum(dz_norm)),
         "a_norm": a_norm_f,
         "node_gap": float(np.max(dz_norm - trace_norm)),
         "module_lhs": module_lhs,
@@ -669,7 +667,7 @@ def derivation_suite(cfg: RunConfig):
     # share of the lattice sum carried by the outermost nodes t = +-K*delta;
     # small means the finite t-window already holds the whole norm
     per_node = base["dz_norm"]
-    tail = float((per_node[0] + per_node[-1]) / node_sum(per_node))
+    tail = float((per_node[0] + per_node[-1]) / sum(per_node))
     yield check("w_norm_tail_fraction", tail, tol)
     # the aggregate bound, and the node-wise chain behind it up to the
     # multiplier's quadrature error

@@ -7,8 +7,8 @@ over the frequency line.  Stored fields follow the measure-absorbed
 convention: the node matrix already contains the |t| density factor, so
 downstream sums use plain delta weights.
 
-Off-lattice frequencies (including 0 and points beyond the range) carry
-the zero matrix; the excluded set has vanishing measure weight.
+A node is its integer index k; at_k gives the zero matrix for k = 0 and
+for |k| > K, whose frequencies the stored field leaves out.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .grid import as_count, as_real
-
-_LATTICE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,6 @@ class TGrid:
             return None
         return k + self.k_max if k < 0 else self.k_max + k - 1
 
-    def lattice_k(self, t: float) -> Optional[int]:
-        """Integer k with t = k*delta up to rounding noise, else None.
-
-        The noise allowance is relative to the node spacing, so it holds
-        for every delta, however small.
-        """
-        k = round(t / self.delta)
-        if abs(t - k * self.delta) <= _LATTICE_RTOL * self.delta * max(1, abs(k)):
-            return k
-        return None
-
 
 @dataclass
 class OperatorField:
@@ -96,13 +83,10 @@ class OperatorField:
     def dim(self) -> int:
         return self.mats.shape[1]
 
-    def zero_mat(self) -> np.ndarray:
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
     def at_k(self, k: int) -> np.ndarray:
         pos = self.tgrid.index_of(k)
         if pos is None:
-            return self.zero_mat()
+            return np.zeros((self.dim, self.dim), dtype=complex)
         return self.mats[pos]
 
     def same_lattice(self, other: "OperatorField") -> bool:

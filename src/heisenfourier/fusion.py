@@ -77,16 +77,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import OperatorField
-from .grid import GridSpec1D, circulant, schatten_norm, schatten_norms, shift_kernel, shift_phases
+from .grid import GridSpec1D, as_count, circulant, schatten_norm, schatten_norms
+from .grid import shift_kernel, shift_phases
 from .split import run_split
 
 _DOMAIN_MSG = "fusion needs r, s, r + s all nonzero"
-
-
-def _in_domain(r: float, s: float) -> bool:
-    if not (math.isfinite(r) and math.isfinite(s)):
-        return False
-    return r != 0.0 and s != 0.0 and r + s != 0.0
 
 
 def _exact_ratio(r: float, s: float) -> Fraction:
@@ -136,7 +131,7 @@ def intertwiner(r: float, s: float, grid: GridSpec1D, v: np.ndarray) -> np.ndarr
     """
     if not (math.isfinite(r) and math.isfinite(s)):
         raise ValueError(f"fusion parameters must be finite, got r={r}, s={s}")
-    if not _in_domain(r, s):
+    if r == 0.0 or s == 0.0 or r + s == 0.0:
         raise ValueError(_DOMAIN_MSG + f", got r={r}, s={s}")
     n = grid.n_points
     v = np.asarray(v)
@@ -254,30 +249,23 @@ def _check_pair(
 def theta1(
     field_f: OperatorField,
     field_g: OperatorField,
-    r_node: float,
-    s_node: float,
+    j: int,
+    m: int,
     grid: GridSpec1D,
 ) -> np.ndarray:
-    """Fused coefficient ptrace_2(W (F(r) kron G(s)) W*) at one node pair.
+    """Fused coefficient ptrace_2(W (F(t_j) kron G(t_m)) W*) at the node pair (j, m).
 
-    Returns the zero matrix when (r_node, s_node) falls off the shared
-    punctured lattice, off the domain (r, s, r + s all nonzero), or
-    where a factor vanishes.
+    j and m are integer lattice indices, t_j = j * delta; a float or a
+    bool is a ValueError that names it.  Returns the zero matrix when
+    j + m == 0 or when either index is off the stored lattice.
     """
     _check_pair(field_f, field_g, grid)
-    n = grid.n_points
-    zero = np.zeros((n, n), dtype=complex)
-    if not _in_domain(r_node, s_node):
-        return zero
-    j = field_f.tgrid.lattice_k(r_node)
-    m = field_g.tgrid.lattice_k(s_node)
-    if j is None or m is None or j + m == 0:
-        return zero
-    if field_f.tgrid.index_of(j) is None or field_g.tgrid.index_of(m) is None:
-        return zero
-    return _theta_term(
-        Fraction(m, j + m), grid, field_f.at_k(j), field_g.at_k(m)
-    )
+    j = as_count("j", j)
+    m = as_count("m", m)
+    tg = field_f.tgrid
+    if j + m == 0 or tg.index_of(j) is None or tg.index_of(m) is None:
+        return np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    return _theta_term(Fraction(m, j + m), grid, field_f.at_k(j), field_g.at_k(m))
 
 
 def dual_convolution(
@@ -287,7 +275,7 @@ def dual_convolution(
     tol_skip: float = 0.0,
     with_theta_bounds: bool = False,
 ):
-    """Dual convolution (F # G)(t_k) = sum_j Delta * theta1(F, G, t_j, t_k - t_j).
+    """Dual convolution (F # G)(t_k) = sum_j Delta * theta1(F, G, j, k - j).
 
     The inner sum runs over lattice pairs (j, k - j) with both indices on
     the punctured lattice.  Pairs whose trace-norm product falls below

@@ -214,6 +214,7 @@ class SampledFunction3D:
         # normalized here, so grids compare equal whatever sequence types built them
         self.box = tuple(as_real("box", h) for h in self.box)
         self.counts = tuple(as_count("counts", n) for n in self.counts)
+        box_axes(self.box, self.counts)
         samples = np.asarray(self.samples)
         if samples.dtype.kind not in "biufc":
             raise ValueError(f"samples must be numeric, got dtype {samples.dtype}")

@@ -10,13 +10,13 @@ delta.  inverse_transform is the literal pointwise sum, kept as the
 oracle of schrodinger.inverse_transform_grid, which fills a whole box in
 one pass and is exported from here too.
 
-Every lattice sum takes its per-node terms as one array in node order
-and adds them in lattice order (node_sum): over bare coefficients
-(plancherel_defect, w_norm, coefficient_norms, the adjoint pairing) from
-one schrodinger.node_terms pass, over stored fields from one
-grid.schatten_norms call.  The Plancherel left side
-sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the Frobenius norm, which is
-the Hilbert-Schmidt norm exactly, with no SVD.
+Every lattice sum takes its per-node terms as one array in node order,
+whatever order a plan visits the nodes in, and adds them left to right
+with the builtin sum: over bare coefficients (plancherel_defect, w_norm,
+coefficient_norms, the adjoint pairing) from one schrodinger.node_terms
+pass, over stored fields from one grid.schatten_norms call.  The
+Plancherel left side sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the
+Frobenius norm, which is the Hilbert-Schmidt norm exactly, with no SVD.
 
 Norms implemented here: the lattice L1 norm of trace norms (a_norm, the
 Fourier-algebra norm of the inverse transform), the L1 norm of operator
@@ -39,7 +39,6 @@ __all__ = [
     "a_norm",
     "w_norm",
     "coefficient_norms",
-    "node_sum",
     "m_norm",
     "plancherel_defect",
     "adjoint_pairing_sides",
@@ -59,25 +58,12 @@ def inverse_transform(F: OperatorField, g, grid: GridSpec1D) -> complex:
 
 def a_norm(F: OperatorField) -> float:
     """Lattice L1 norm of trace norms; the Fourier-algebra norm."""
-    return float(F.tgrid.delta * node_sum(schatten_norms(F.mats, 1)))
+    return float(F.tgrid.delta * sum(schatten_norms(F.mats, 1)))
 
 
 def m_norm(G: OperatorField) -> float:
     """Sup over nodes of the trace norm."""
     return float(np.max(schatten_norms(G.mats, 1)))
-
-
-def node_sum(terms):
-    """Left-to-right sum of per-node terms in storage order.
-
-    Plans visit the nodes grouped by |t|.  Collecting the terms first and
-    adding them in lattice order, as a plain loop over the nodes would,
-    keeps every lattice sum independent of that visiting order.
-    """
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
 
 
 def coefficient_norms(
@@ -89,7 +75,7 @@ def coefficient_norms(
 
 def w_norm(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
     """Lattice L1 norm of operator norms of the bare coefficients pi_t(f)."""
-    return float(tgrid.delta * node_sum(coefficient_norms(f, tgrid, grid, np.inf)))
+    return float(tgrid.delta * sum(coefficient_norms(f, tgrid, grid, np.inf)))
 
 
 def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
@@ -103,7 +89,7 @@ def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> f
         return tgrid.delta * abs(ts[k]) * np.linalg.norm(coef) ** 2
 
     terms = node_terms(f, ts, grid, term)
-    return float(abs(node_sum(terms) - rhs) / rhs)
+    return float(abs(sum(terms) - rhs) / rhs)
 
 
 def adjoint_pairing_sides(
@@ -121,4 +107,4 @@ def adjoint_pairing_sides(
         return F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[k])
 
     terms = node_terms(check_map(g), F.tgrid.nodes, grid, term)
-    return lhs, complex(node_sum(terms))
+    return lhs, complex(sum(terms))

@@ -29,7 +29,7 @@ from heisenfourier.fusion import dual_convolution
 from heisenfourier.grid import CapacityError, GridSpec1D
 from heisenfourier.group import sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
-from heisenfourier.plancherel import a_norm, coefficient_norms, node_sum, w_norm
+from heisenfourier.plancherel import a_norm, coefficient_norms, w_norm
 from heisenfourier.schrodinger import forward_field
 
 
@@ -330,7 +330,7 @@ def test_derivation_suite_and_ladder_share_one_source():
     f = sample_family(cli.DERIV_FAMILY, box, counts)
     h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
     w_dz = w_norm(d_z(f), tg, grid)
-    a_f = float(tg.delta * node_sum(np.abs(tg.nodes) * coefficient_norms(f, tg, grid, 1)))
+    a_f = float(tg.delta * sum(np.abs(tg.nodes) * coefficient_norms(f, tg, grid, 1)))
     assert abs(a_f - a_norm(forward_field(f, tg, grid))) <= 1e-14 * a_f
     assert recs["nonvanishing_witness"].value == w_dz
     assert recs["w_norm_bound_slack"].value == w_dz - a_f

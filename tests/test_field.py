@@ -2,7 +2,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from heisenfourier.field import OperatorField, TGrid, load_field, save_field
 
@@ -23,29 +23,6 @@ def test_tgrid_index_and_lattice_lookup():
     assert tg.index_of(1) == 4
     assert tg.index_of(0) is None
     assert tg.index_of(5) is None
-    assert tg.lattice_k(0.375) == 3
-    assert tg.lattice_k(-0.5) == -4
-    assert tg.lattice_k(0.3) is None
-
-
-def test_lattice_lookup_scales_with_tiny_delta():
-    tg = TGrid(1e-12, 4)
-    assert tg.lattice_k(1.5e-12) is None
-    assert tg.lattice_k(1.2e-12) is None
-    assert tg.lattice_k(3e-12) == 3
-    assert tg.lattice_k(tg.nodes[0] + tg.nodes[-1] + tg.nodes[5]) == 2
-    assert tg.lattice_k(1e-30) == 0
-
-
-@given(
-    delta=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
-    k=st.integers(-10**6, 10**6),
-)
-@example(delta=5e-324, k=-999_999)
-@example(delta=1e-12, k=3)
-def test_lattice_k_inverts_the_node_product(delta, k):
-    """Subnormal and tiny spacings included: k*delta maps back to k."""
-    assert TGrid(delta, 1).lattice_k(k * delta) == k
 
 
 def test_tgrid_validation():

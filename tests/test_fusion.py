@@ -153,19 +153,40 @@ def test_theta1_zero_paths():
     F, G, grid, tg = _dc_fields()
     zero = np.zeros((16, 16))
     # r + s = 0 is outside the fusion domain
-    assert np.array_equal(theta1(F, G, 0.25, -0.25, grid), zero)
-    # off-lattice frequencies contribute nothing
-    assert np.array_equal(theta1(F, G, 0.3, 0.125, grid), zero)
-    # beyond the stored range contributes nothing
-    assert np.array_equal(theta1(F, G, 16.0, 0.125, grid), zero)
-    live = theta1(F, G, 0.375, 0.25, grid)
+    assert np.array_equal(theta1(F, G, 2, -2, grid), zero)
+    # the unstored node 0 and nodes beyond the stored range contribute nothing
+    for j, m in ((0, 3), (3, 0), (17, 1), (1, -17), (128, 1)):
+        assert np.array_equal(theta1(F, G, j, m, grid), zero)
+    live = theta1(F, G, 3, 2, grid)
     assert schatten_norm(live, 1) > 0.0
+
+
+@pytest.mark.parametrize(
+    "j, m, name",
+    [(3.0, 2, "j"), (np.float64(3.0), 2, "j"), (True, 2, "j"), (3, 0.25, "m"), (3, np.bool_(True), "m")],
+)
+def test_theta1_takes_integer_indices_only(j, m, name):
+    F, G, grid, tg = _dc_fields()
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        theta1(F, G, j, m, grid)
+
+
+def test_theta1_is_the_theta_term_of_its_node_pair():
+    """Every pair of stored nodes with j + m != 0, bit for bit, read by position."""
+    F, G, grid, tg = _dc_fields()
+    for pos_j, j in enumerate(tg.ks):
+        for pos_m, m in enumerate(tg.ks):
+            if j + m == 0:
+                continue
+            want = _theta_term(Fraction(m, j + m), grid, F.mats[pos_j], G.mats[pos_m])
+            assert np.array_equal(theta1(F, G, j, m, grid), want)
+    assert np.array_equal(theta1(F, G, np.int64(-5), np.int32(7), grid), theta1(F, G, -5, 7, grid))
 
 
 def test_theta1_trace_norm_bound():
     F, G, grid, tg = _dc_fields()
     for j, m in ((3, 3), (4, 2), (-2, 4)):
-        term = theta1(F, G, j * tg.delta, m * tg.delta, grid)
+        term = theta1(F, G, j, m, grid)
         lhs = schatten_norm(term, 1)
         rhs = schatten_norm(F.at_k(j), 1) * schatten_norm(G.at_k(m), 1)
         assert lhs <= rhs + 1e-9

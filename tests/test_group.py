@@ -184,6 +184,12 @@ def test_sampled_shape_validation():
         SampledFunction3D((1.0, 1.0, 1.0), (4, 4, 4), np.zeros((4, 4, 2)))
     with pytest.raises(ValueError):
         SampledFunction3D((1.0, 1.0, 1.0), (2, 2, 2), np.full((2, 2, 2), np.inf))
+    # the grid is checked at construction: a negative half-width gives a
+    # negative cell volume, so a negative l2_norm_sq, and odd counts no axes
+    with pytest.raises(ValueError, match="box half-widths must be positive"):
+        SampledFunction3D((-1.0, 1.0, 1.0), (4, 4, 4), np.ones((4, 4, 4)))
+    with pytest.raises(ValueError, match="counts must be positive even integers"):
+        SampledFunction3D((1.0, 1.0, 1.0), (3, 3, 3), np.ones((3, 3, 3)))
 
 
 def test_samples_are_float64_exactly_when_every_sample_is_real():
