@@ -56,7 +56,10 @@ class TGrid:
         return 2 * self.k_max
 
     def index_of(self, k: int) -> Optional[int]:
-        """Position of integer node k in the storage order, None if absent."""
+        """Position of integer node k in the storage order, None if absent.
+
+        A float or a bool is a ValueError that names k."""
+        k = as_count("k", k)
         if k == 0 or abs(k) > self.k_max:
             return None
         return k + self.k_max if k < 0 else self.k_max + k - 1

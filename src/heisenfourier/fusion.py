@@ -19,11 +19,11 @@ intertwining residual, never in unitarity.
 W is never materialized outside the oracle.  Each shear is cheap in its
 own basis: the second-variable shear moves by whole grid steps, so it is
 a gather (_roll_index), and the first-variable shear is diagonal in the
-DFT basis, so it is a phase weighting between FFTs (_shear_phases).
+DFT basis, so it is a phase weighting between FFTs (shift_phases).
 intertwiner() applies W to an N x N array with one gather and two
 batched FFTs, O(N^2 log N).  _dense_w keeps the literal N^2 x N^2 W,
-from grid's circulant shifts, as the oracle for intertwiner and for the
-theta term.
+from circulant views of grid's shift kernels, as the oracle for
+intertwiner and for the theta term.
 
 The theta term s = partial_trace_second(W kron(a, b) W*), which theta1
 and dual_convolution sum, takes no FFT of its own.  Write x^ = F x F^-1
@@ -77,7 +77,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import OperatorField
-from .grid import GridSpec1D, as_count, circulant, schatten_norm, schatten_norms
+from .grid import GridSpec1D, as_count, circulant_view, schatten_norm, schatten_norms
 from .grid import shift_kernel, shift_phases
 from .split import run_split
 
@@ -91,12 +91,12 @@ def _exact_ratio(r: float, s: float) -> Fraction:
 def _dense_w(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
     """W[(u,n),(p,q)] = TU[n][u,p] * TL[p][n,q], rows (i,j) -> i*N+j.
 
-    The literal W from dense shift stacks, the oracle for intertwiner
+    The literal W from circulant shift stacks, the oracle for intertwiner
     and _theta_term.
     """
     n = grid.n_points
-    tu = circulant(shift_kernel(grid, float(ratio) * grid.nodes))
-    tl = circulant(shift_kernel(grid, -grid.nodes))
+    tu = circulant_view(shift_kernel(grid, float(ratio) * grid.nodes))
+    tl = circulant_view(shift_kernel(grid, -grid.nodes))
     w = np.einsum("nup,pnq->unpq", tu, tl, optimize=True)
     return np.ascontiguousarray(w.reshape(n * n, n * n))
 
@@ -108,11 +108,6 @@ def _roll_index(size: int) -> np.ndarray:
     """
     ar = np.arange(size)
     return (ar[:, None] + ar - size // 2) % size
-
-
-def _shear_phases(ratio: Fraction, grid: GridSpec1D) -> np.ndarray:
-    """phi with TU[n] = F^-1 diag(phi[n]) F, the shift by ratio * w_n."""
-    return shift_phases(grid, float(ratio) * grid.nodes)
 
 
 def intertwiner(r: float, s: float, grid: GridSpec1D, v: np.ndarray) -> np.ndarray:
@@ -137,7 +132,7 @@ def intertwiner(r: float, s: float, grid: GridSpec1D, v: np.ndarray) -> np.ndarr
     v = np.asarray(v)
     if v.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} array, got shape {v.shape}")
-    phi = _shear_phases(_exact_ratio(r, s), grid)
+    phi = shift_phases(grid, float(_exact_ratio(r, s)) * grid.nodes)
     y = np.take_along_axis(v, _roll_index(n), axis=1)
     return np.fft.ifft(phi.T * np.fft.fft(y, axis=0), axis=0)
 

@@ -11,11 +11,11 @@ blocks themselves.
 
 A translation is also circulant, T_x[m, n] = c_x[(m - n) mod N], so it
 is fixed by one kernel row c_x, the inverse DFT of its phases.
-shift_phases gives the phases, shift_kernel the kernel row and circulant
-the matrix; every other module takes its shifts from these, in whichever
-basis it works.  circulant is one copy of a strided view of the kernel
-row (circulant_view), with no index table and no gather;
-circulant_index is the table, kept for the transform's gather.
+shift_phases gives the phases, shift_kernel the kernel row and
+circulant_view the matrix, a read-only strided view of the kernel row
+with no index table and no gather; every other module takes its shifts
+from these, in whichever basis it works.  circulant_index is the table,
+kept for the transform's gather.
 
 Operators are plain complex numpy matrices.  Schatten norms always go
 through a full singular value decomposition, one per matrix, also for
@@ -105,7 +105,7 @@ def shift_kernel(grid: GridSpec1D, shifts) -> np.ndarray:
     """First columns of the band-limited shifts, one kernel row per shift.
 
     Row x is ifft(shift_phases(grid, x)); the shift matrix itself is
-    circulant(row).
+    circulant_view(row).
     """
     return np.fft.ifft(shift_phases(grid, shifts), axis=-1)
 
@@ -127,30 +127,6 @@ def circulant_view(kernel: np.ndarray) -> np.ndarray:
     reversed_ = kernel[..., ::-1]
     twice = np.concatenate((reversed_, reversed_), axis=-1)
     return sliding_window_view(twice, n, axis=-1)[..., n - 1 :: -1, :]
-
-
-def circulant(kernel: np.ndarray) -> np.ndarray:
-    """Circulant matrices C[..., m, n] = kernel[..., (m - n) mod N], as one
-    C-contiguous copy of circulant_view."""
-    return circulant_view(kernel).copy()
-
-
-def fractional_shift_op(grid: GridSpec1D, x: float) -> np.ndarray:
-    """Matrix of f |-> f(. - x) under band-limited periodic interpolation.
-
-    Diagonal in the DFT basis with unimodular entries, hence exactly
-    unitary, and fractional_shift_op(x1) @ fractional_shift_op(x2)
-    equals fractional_shift_op(x1 + x2) up to roundoff.  Circulant, so
-    it is built from its kernel row alone.
-    """
-    return circulant(shift_kernel(grid, x))
-
-
-def modulation_op(grid: GridSpec1D, beta: float) -> np.ndarray:
-    """Diagonal matrix diag(exp(-2*pi*i*beta*w_i))."""
-    if not math.isfinite(beta):
-        raise ValueError(f"modulation frequency must be finite, got {beta}")
-    return np.diag(np.exp(-2j * np.pi * beta * grid.nodes))
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

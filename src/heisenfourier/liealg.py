@@ -152,13 +152,9 @@ class SubspaceFlag:
         return tuple(len(b) for b in self.spaces)
 
     @property
-    def terminates_at_zero(self) -> bool:
-        return len(self.spaces[-1]) == 0
-
-    @property
     def nilpotency_degree(self) -> Optional[int]:
         """For a lower central series: the least d with C_{d+1} = 0, or None."""
-        return len(self.spaces) - 1 if self.terminates_at_zero else None
+        return len(self.spaces) - 1 if not self.spaces[-1] else None
 
 
 def _basis_of_full_space(n: int) -> tuple[Vector, ...]:
@@ -180,12 +176,6 @@ def lower_central_series(L: LieAlgebra) -> SubspaceFlag:
         chain.append(nxt)
         current = nxt
     return SubspaceFlag(tuple(chain))
-
-
-def is_nilpotent(L: LieAlgebra) -> tuple[bool, Optional[int]]:
-    """(True, least d with C_{d+1} = 0) or (False, None)."""
-    degree = lower_central_series(L).nilpotency_degree
-    return degree is not None, degree
 
 
 class H3Embedding(NamedTuple):

@@ -75,6 +75,21 @@ def test_field_node_access():
     assert np.array_equal(F.at_k(3), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, np.float64(1.0), True, np.bool_(True)])
+def test_node_index_must_be_an_integer(k):
+    F = _random_field(TGrid(0.125, 2), 3)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        F.tgrid.index_of(k)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        F.at_k(k)
+
+
+def test_node_index_accepts_numpy_integers():
+    F = _random_field(TGrid(0.125, 2), 3)
+    assert F.tgrid.index_of(np.int64(-2)) == 0
+    assert np.array_equal(F.at_k(np.int32(1)), F.mats[2])
+
+
 def test_field_shape_checks():
     tg = TGrid(0.25, 2)
     with pytest.raises(ValueError):

@@ -90,13 +90,16 @@ def test_theta_term_equals_literal_partial_trace(n, half_width, r, s):
     a, b = _unit(n), _unit(n)
     ratio = _exact_ratio(r, s)
     w = _dense_w(ratio, grid)
-    big = w @ np.kron(a, b) @ w.conj().T
+    wh = w.conj().T
+    big = w @ np.kron(a, b) @ wh
     literal = partial_trace_second(big, n)
     fused = _theta_term(ratio, grid, a, b)
     assert np.max(np.abs(fused - literal)) < 1e-12
-    # the contraction is trace preserving and trace-norm contractive
+    # the contraction is trace preserving and trace-norm contractive; W is
+    # unitary, so ||big||_1 = ||a||_1 ||b||_1 without an SVD of big
     assert abs(np.trace(literal) - np.trace(a) * np.trace(b)) < 1e-12
-    assert schatten_norm(literal, 1) <= schatten_norm(big, 1) + 1e-9
+    assert np.max(np.abs(wh @ w - np.eye(n * n))) < 1e-12
+    assert schatten_norm(literal, 1) <= schatten_norm(a, 1) * schatten_norm(b, 1) + 1e-9
 
 
 @pytest.mark.parametrize("ratio", [Fraction(1, 3), Fraction(3, 2), Fraction(-1, 2)])
@@ -414,15 +417,18 @@ def test_dual_convolution_builds_each_ratio_once_per_worker(monkeypatch, workers
     F, G, grid, tg = _dc_fields()
     weights, run_split = fusion._ThetaKernel.weights, fusion.run_split
     builds, owned = {}, {}
+    # a worker is keyed by its share, not by its thread's ident: a thread
+    # that finishes before the next one starts may hand its ident on
+    local = threading.local()
 
     def counted_weights(self, c):
-        me = threading.get_ident()
-        builds[me] = builds.get(me, 0) + 1
+        builds[local.worker] = builds.get(local.worker, 0) + 1
         return weights(self, c)
 
     def recorded_split(items, work, scratch):
         def recorded_work(share, *args):
-            owned[threading.get_ident()] = {tg.ks[pos] for pair in share for pos in pair}
+            local.worker = id(share)
+            owned[local.worker] = {tg.ks[pos] for pair in share for pos in pair}
             return work(share, *args)
 
         return run_split(items, recorded_work, scratch)

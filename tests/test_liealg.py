@@ -10,7 +10,6 @@ from heisenfourier.liealg import (
     bracket,
     bundled_structure,
     find_h3,
-    is_nilpotent,
     load_structure,
     lower_central_series,
 )
@@ -28,11 +27,10 @@ def test_bundled_corpus_series_and_degrees():
     for name in BUNDLED:
         L = bundled_structure(name)
         flag = lower_central_series(L)
-        nil, degree = is_nilpotent(L)
         dims, want_degree = EXPECTED[name]
         assert flag.dims == dims, name
-        assert nil and degree == want_degree, name
-        assert flag.terminates_at_zero
+        assert flag.nilpotency_degree == want_degree, name
+        assert not flag.spaces[-1]
 
 
 def test_the_last_nonzero_series_term_is_central():
@@ -82,9 +80,9 @@ def test_h3_embedding_on_the_corpus():
 
 def _first_embedding_by_exhaustion(L):
     """Mirror of the documented tie-break order, written independently."""
-    nil, degree = is_nilpotent(L)
-    assert nil and degree >= 2
     flag = lower_central_series(L)
+    degree = flag.nilpotency_degree
+    assert degree is not None and degree >= 2
     basis = _basis_of_full_space(L.dim)
     for x in flag.spaces[degree - 2]:
         for y in basis:
@@ -124,8 +122,8 @@ def test_non_nilpotent_is_detected():
     L = LieAlgebra.from_brackets(2, {(1, 2): {2: 1}})
     flag = lower_central_series(L)
     assert flag.dims == (2, 1)
-    assert not flag.terminates_at_zero
-    assert is_nilpotent(L) == (False, None)
+    assert flag.spaces[-1]
+    assert flag.nilpotency_degree is None
     with pytest.raises(ValueError):
         find_h3(L)
 
