@@ -40,7 +40,7 @@ def d_z(f: SampledFunction3D) -> SampledFunction3D:
 
 
 def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
-    """Per-node terms of the derivation checks, from one plan pass over d_z f and f.
+    """Per-node terms of the derivation checks, from one pass over d_z f and f.
 
     Returns three arrays in lattice order:
       - the multiplier gap ||pi_t(d_z f) - t pi_t(f)||_inf, relatively
@@ -74,11 +74,6 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
 
     gap, dz_norm, trace_norm = node_terms((d_z(f), f), ts, grid, term).T
     return gap, dz_norm, trace_norm
-
-
-def multiplier_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
-    """Max over nodes of ||pi_t(d_z f) - t pi_t(f)||_inf, relatively normalized."""
-    return float(np.max(derivation_nodes(f, tgrid, grid)[0]))
 
 
 def leibniz_defect(f: SampledFunction3D, g: SampledFunction3D) -> float:

@@ -39,6 +39,8 @@ class TGrid:
         object.__setattr__(self, "k_max", k_max)
         if k_max < 1:
             raise ValueError(f"k_max must be a positive integer, got {k_max}")
+        if not math.isfinite(k_max * delta):
+            raise ValueError(f"delta {delta} overflows the largest node {k_max} * delta")
 
     @property
     def ks(self) -> tuple:

@@ -70,6 +70,12 @@ class GridSpec1D:
         object.__setattr__(self, "half_width", half_width)
         if not (math.isfinite(half_width) and half_width > 0):
             raise ValueError(f"half_width must be positive and finite, got {half_width}")
+        # the spacing 2L/N, and the largest frequency N/(4L) as fftfreq forms it
+        h = 2.0 * half_width / n
+        if not (0.0 < h < math.inf and (n // 2) * (1.0 / (n * h)) < math.inf):
+            raise ValueError(
+                f"half_width {half_width} gives a non-finite spacing or frequency at N = {n}"
+            )
 
     @property
     def spacing(self) -> float:

@@ -127,8 +127,10 @@ class GaussianPoly:
     z_freq: float = 0.0
 
     def __post_init__(self) -> None:
-        if any(s <= 0 or not math.isfinite(s) for s in self.sigma):
-            raise ValueError(f"widths must be positive, got {self.sigma}")
+        if len(self.sigma) != 3 or any(s <= 0 or not math.isfinite(s) for s in self.sigma):
+            raise ValueError(f"sigma must be three positive finite widths, got {self.sigma}")
+        if len(self.center) != 3 or not all(math.isfinite(c) for c in self.center):
+            raise ValueError(f"center must be three finite coordinates, got {self.center}")
         if not math.isfinite(self.z_freq):
             raise ValueError("z_freq must be finite")
 
@@ -183,6 +185,10 @@ class GaussianPoly:
 
 def box_axes(box, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell-centered axes; symmetric under negation because counts are even."""
+    if len(box) != 3:
+        raise ValueError(f"box must have three half-widths, got {box}")
+    if len(counts) != 3:
+        raise ValueError(f"counts must have three entries, got {counts}")
     axes = []
     for half, n in zip(box, counts):
         if n < 2 or n % 2:

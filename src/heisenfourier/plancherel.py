@@ -11,12 +11,12 @@ oracle of schrodinger.inverse_transform_grid, which fills a whole box in
 one pass and is exported from here too.
 
 Every lattice sum takes its per-node terms as one array in node order,
-whatever order a plan visits the nodes in, and adds them left to right
-with the builtin sum: over bare coefficients (plancherel_defect, w_norm,
-coefficient_norms, the adjoint pairing) from one schrodinger.node_terms
-pass, over stored fields from one grid.schatten_norms call.  The
-Plancherel left side sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the
-Frobenius norm, which is the Hilbert-Schmidt norm exactly, with no SVD.
+whichever worker computed each term, and adds them left to right with
+the builtin sum: over bare coefficients (plancherel_defect, w_norm, the
+adjoint pairing) from one schrodinger.node_terms pass, over stored
+fields from one grid.schatten_norms call.  The Plancherel left side
+sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the Frobenius norm, which is
+the Hilbert-Schmidt norm exactly, with no SVD.
 
 Norms implemented here: the lattice L1 norm of trace norms (a_norm, the
 Fourier-algebra norm of the inverse transform), the L1 norm of operator
@@ -38,7 +38,6 @@ __all__ = [
     "inverse_transform_grid",
     "a_norm",
     "w_norm",
-    "coefficient_norms",
     "m_norm",
     "plancherel_defect",
     "adjoint_pairing_sides",
@@ -66,16 +65,10 @@ def m_norm(G: OperatorField) -> float:
     return float(np.max(schatten_norms(G.mats, 1)))
 
 
-def coefficient_norms(
-    f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, p: float
-) -> np.ndarray:
-    """Schatten p-norm of the bare coefficient pi_t(f) at every node, in node order."""
-    return node_terms(f, tgrid.nodes, grid, lambda k, coef: schatten_norm(coef, p))
-
-
 def w_norm(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
     """Lattice L1 norm of operator norms of the bare coefficients pi_t(f)."""
-    return float(tgrid.delta * sum(coefficient_norms(f, tgrid, grid, np.inf)))
+    terms = node_terms(f, tgrid.nodes, grid, lambda k, coef: schatten_norm(coef, np.inf))
+    return float(tgrid.delta * sum(terms))
 
 
 def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:

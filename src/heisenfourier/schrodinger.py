@@ -21,18 +21,18 @@ coefficients of any node list, inverse_transform_grid for the inverse of
 a field on a box.  Each applies the z axis for all nodes in one matrix
 product in the calling thread (for the forward transform of a real f,
 whose samples are float64, a real product on the float view of the z
-table), then the x and y axes node by node through two phase tables per |t|, with the |t| groups
-split across the process's CPUs (_split).  Each table is the product
-of the exponentials of a coarse and a fine factor of its uniform axis
-(_phase_tables), so an R x C table costs R * (C/q + q) complex
-exponentials, q near sqrt(C).  A forward node costs an (nx, ny) @
-(ny, N) x/y product and the circulant stage, an (N, nx) @ (nx, N)
-product and a gather; for a real f pi_{-t}(f) differs from conj
-pi_t(f) only through the kernel's unpaired Nyquist term, so a real f
-takes one x/y product per |t| and -t reuses its conjugate, while the
-circulant stage stays per node.  forward_field is node_terms with a
-term that writes |t|*coef into the field's node slot, so the field is
-held once.
+table), then the x and y axes node by node through one pair of phase
+tables per |t|, conjugated in place where the sign of t changes, with
+the |t| groups split across the CPUs (_split).  Each table is the
+product of the exponentials of a coarse and a fine factor of its
+uniform axis (_phase_tables), so an R x C table costs R * (C/q + q)
+complex exponentials, q near sqrt(C).  A forward node costs an (nx, ny)
+@ (ny, N) x/y product and the circulant stage, an (N, nx) @ (nx, N)
+product and a gather; for a real f pi_{-t}(f) differs from conj pi_t(f)
+only through the kernel's unpaired Nyquist term, so a real f takes one
+x/y product per |t| and -t reuses its conjugate, while the circulant
+stage stays per node.  forward_field is node_terms with a term that
+writes |t|*coef into the field's node slot, so the field is held once.
 fourier_coefficient's "direct" path and plancherel.inverse_transform are
 the literal per-sample and per-point oracles for the two directions.
 """
@@ -124,33 +124,33 @@ def _phase_tables(t: float, factors, exps, P: np.ndarray, E: np.ndarray) -> None
 def _split(ts, factors, node, shapes) -> None:
     """node(k, prev, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
 
-    One pair of tables serves each |t| group; the tables of -t are those
-    of t conjugated.  The groups are dealt to run_split's workers, which
-    compute every group whole and in node order, so no bit depends on
-    the core count.  prev is the node of k's group that ran just before
-    k on the same buffers, or None for the group's first node, so a node
-    may reuse what prev left in them.  The tables, the exponentials of
-    their factors and the buffers, complex arrays of the given shapes,
-    come from run_split's scratch in the calling thread.
+    One pair of tables serves each |t| group: built at its first node, it
+    is conjugated in place before a node whose sign differs from the one
+    before, as the tables of -t are those of t conjugated.  run_split's
+    workers compute every group whole and in node order, so no bit
+    depends on the core count.  prev is the node of k's group that ran
+    just before k on the same buffers, or None for the group's first
+    node, so a node may reuse what prev left in them.  The tables, their
+    factors' exponentials and the buffers, complex arrays of the given
+    shapes, come from run_split's scratch in the calling thread.
     """
     groups = {}
     for k, t in enumerate(ts):
         groups.setdefault(abs(t), []).append(k)
     table_shapes = [(len(coarse), coarse.shape[1] * fine.shape[1]) for coarse, fine in factors]
-    shapes = table_shapes * 2 + [a.shape for pair in factors for a in pair] + list(shapes)
+    shapes = table_shapes + [a.shape for pair in factors for a in pair] + list(shapes)
 
-    def work(share, P, E, conj_P, conj_E, *buffers):
+    def work(share, P, E, *buffers):
         exps, buffers = (buffers[0:2], buffers[2:4]), buffers[4:]
-        for abs_t, ks in share:
-            _phase_tables(abs_t, factors, exps, P, E)
-            if any(ts[k] < 0 for k in ks):
-                np.conj(P, out=conj_P)
-                np.conj(E, out=conj_E)
+        for ks in share:
+            _phase_tables(ts[ks[0]], factors, exps, P, E)
             for prev, k in zip([None] + ks[:-1], ks):
-                tables = (conj_P, conj_E) if ts[k] < 0 else (P, E)
-                node(k, prev, *tables, *buffers)
+                if prev is not None and (ts[prev] < 0) != (ts[k] < 0):
+                    np.conj(P, out=P)
+                    np.conj(E, out=E)
+                node(k, prev, P, E, *buffers)
 
-    run_split(groups.items(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
+    run_split(groups.values(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
 
 
 def _z_sums(samples: np.ndarray, ez: np.ndarray) -> np.ndarray:
@@ -252,14 +252,14 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     ckernel = np.conj(kernel)
     table = np.empty((len(ts), nx * ny), dtype=complex)
 
-    def node(k, prev, P, E, G, D, X):
+    def node(k, prev, P, E, G, D):
         np.take(F.mats[k], gather, out=G, mode="clip")
         np.matmul(ckernel, G.T, out=D)
-        np.matmul(D, E.T, out=X)
+        X = np.matmul(D, E.T, out=table[k].reshape(nx, ny))
         # the operand order of a complex product sets its last bits
-        np.multiply(X, P, out=table[k].reshape(nx, ny))
+        np.multiply(X, P, out=X)
 
-    _split(-ts, factors, node, ((n, n), (nx, n), (nx, ny)))
+    _split(-ts, factors, node, ((n, n), (nx, n)))
     ez = F.tgrid.delta * np.exp(np.outer(-2j * np.pi * ts, zs))
     return (table.T @ ez).reshape(nx, ny, nz)
 

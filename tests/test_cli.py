@@ -23,14 +23,14 @@ from heisenfourier.cli import (
     run_suite,
     summary,
 )
-from heisenfourier.derivation import d_z, multiplier_defect
+from heisenfourier.derivation import d_z, derivation_nodes
 from heisenfourier.field import TGrid, load_field
 from heisenfourier.fusion import dual_convolution
-from heisenfourier.grid import CapacityError, GridSpec1D
+from heisenfourier.grid import CapacityError, GridSpec1D, schatten_norm
 from heisenfourier.group import sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
-from heisenfourier.plancherel import a_norm, coefficient_norms, w_norm
-from heisenfourier.schrodinger import forward_field
+from heisenfourier.plancherel import a_norm, w_norm
+from heisenfourier.schrodinger import forward_field, node_terms
 
 
 def test_default_config_validates():
@@ -330,7 +330,8 @@ def test_derivation_suite_and_ladder_share_one_source():
     f = sample_family(cli.DERIV_FAMILY, box, counts)
     h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
     w_dz = w_norm(d_z(f), tg, grid)
-    a_f = float(tg.delta * sum(np.abs(tg.nodes) * coefficient_norms(f, tg, grid, 1)))
+    trace_norms = node_terms(f, tg.nodes, grid, lambda k, coef: schatten_norm(coef, 1))
+    a_f = float(tg.delta * sum(np.abs(tg.nodes) * trace_norms))
     assert abs(a_f - a_norm(forward_field(f, tg, grid))) <= 1e-14 * a_f
     assert recs["nonvanishing_witness"].value == w_dz
     assert recs["w_norm_bound_slack"].value == w_dz - a_f
@@ -342,7 +343,8 @@ def test_derivation_suite_and_ladder_share_one_source():
     box1, counts1, tg1, grid1 = cli.SCALES["derivation"][1]
     assert (box1, tg1) == (box, tg)
     assert counts1 == (56, 56, 44) and grid1.n_points == 2 * grid.n_points
-    multiplier1 = multiplier_defect(sample_family(cli.DERIV_FAMILY, box1, counts1), tg, grid1)
+    f1 = sample_family(cli.DERIV_FAMILY, box1, counts1)
+    multiplier1 = float(np.max(derivation_nodes(f1, tg, grid1)[0]))
     assert _ladder_column(table, "multiplier_identity")[1] == f"{multiplier1:.9e}"
 
 

@@ -8,13 +8,12 @@ from heisenfourier.derivation import (
     d_z,
     derivation_nodes,
     leibniz_defect,
-    multiplier_defect,
 )
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D, schatten_norm
 from heisenfourier.group import GaussianPoly, Poly3, SampledFunction3D, sample_family
-from heisenfourier.plancherel import a_norm, coefficient_norms, w_norm
-from heisenfourier.schrodinger import forward_field
+from heisenfourier.plancherel import a_norm, w_norm
+from heisenfourier.schrodinger import forward_field, node_terms
 
 F_ODD = GaussianPoly(Poly3({(0, 0, 1): 1.0}), (0.6, 0.6, 0.5))
 G_PARTNER = GaussianPoly(Poly3({(0, 0, 2): 0.5, (0, 0, 0): 0.2}), (0.55, 0.7, 0.65))
@@ -69,21 +68,21 @@ def test_dz_rejects_tiny_z_grids():
         d_z(f)
 
 
-def test_multiplier_defect_zero_function():
+def test_multiplier_gap_zero_function():
     f = SampledFunction3D((1.0, 1.0, 1.0), (8, 8, 8), np.zeros((8, 8, 8)))
-    assert multiplier_defect(f, TGrid(0.5, 2), GridSpec1D(8, 2.0)) == 0.0
+    assert np.max(derivation_nodes(f, TGrid(0.5, 2), GridSpec1D(8, 2.0))[0]) == 0.0
 
 
-def test_multiplier_defect_small_for_compact_functions():
+def test_multiplier_gap_small_for_compact_functions():
     f = sample_family(F_ODD, BOX, COUNTS)
     assert f.boundary_max() < BOUNDARY_TOL
-    assert multiplier_defect(f, TG, GRID) < 1e-6
+    assert np.max(derivation_nodes(f, TG, GRID)[0]) < 1e-6
 
 
-def test_multiplier_defect_warns_on_boundary_mass():
+def test_multiplier_gap_warns_on_boundary_mass():
     f = sample_family(F_ODD, (1.5, 1.5, 1.0), (10, 10, 8))
     with pytest.warns(UserWarning):
-        multiplier_defect(f, TGrid(0.5, 2), GridSpec1D(8, 2.0))
+        derivation_nodes(f, TGrid(0.5, 2), GridSpec1D(8, 2.0))
 
 
 def test_leibniz_identity_on_the_closed_form_family():
@@ -107,14 +106,19 @@ def test_leibniz_requires_closed_form_products():
 def test_derivation_nodes_match_the_separate_transforms():
     f = sample_family(F_ODD, BOX, COUNTS)
     gap, dz_norm, trace_norm = derivation_nodes(f, TG, GRID)
-    assert np.array_equal(dz_norm, coefficient_norms(d_z(f), TG, GRID, np.inf))
+
+    def norms(g, p):
+        return node_terms(g, TG.nodes, GRID, lambda k, coef: schatten_norm(coef, p))
+
+    assert np.array_equal(dz_norm, norms(d_z(f), np.inf))
     # |t| ||pi_t(f)||_1 from the one SVD of pi_t(f), bit for bit; the trace
     # norms of forward_field's node matrices |t| pi_t(f) differ in last bits
-    assert np.array_equal(trace_norm, np.abs(TG.nodes) * coefficient_norms(f, TG, GRID, 1))
+    assert np.array_equal(trace_norm, np.abs(TG.nodes) * norms(f, 1))
     field = forward_field(f, TG, GRID)
     direct = [schatten_norm(m, 1) for m in field.mats]
     assert np.max(np.abs(trace_norm - direct)) <= 1e-14 * np.max(direct)
-    assert np.max(gap) == multiplier_defect(f, TG, GRID)
+    # a second pass gives the same bits
+    assert np.array_equal(gap, derivation_nodes(f, TG, GRID)[0])
 
 
 def test_derivation_nodes_bound_chain():

@@ -44,6 +44,13 @@ def test_tgrid_delta_must_be_a_real_number(delta):
         TGrid(delta, 4)
 
 
+def test_tgrid_refuses_a_delta_whose_largest_node_overflows():
+    with pytest.raises(ValueError, match="delta"):
+        TGrid(1e308, 3)
+    for tg in (TGrid(1e308, 1), TGrid(5e307, 3)):
+        assert np.all(np.isfinite(tg.nodes))
+
+
 def test_tgrid_stores_numpy_reals_as_python_floats():
     tg = TGrid(np.float64(0.5), 4)
     assert type(tg.delta) is float

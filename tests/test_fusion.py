@@ -43,15 +43,6 @@ def test_exact_ratio_is_rational():
     assert _exact_ratio(1.0, 1.0) == Fraction(1, 2)
 
 
-def test_intertwiner_is_unitary():
-    """The oracle W; the report's intertwiner_unitarity checks the matrix-free one."""
-    grid = GridSpec1D(16, 4.0)
-    eye = np.eye(16 * 16)
-    for r, s in _FUSION_RATIOS:
-        w = _dense_w(_exact_ratio(r, s), grid)
-        assert np.max(np.abs(w.conj().T @ w - eye)) < 1e-12
-
-
 @pytest.mark.parametrize("r, s", _FUSION_RATIOS + _RESIDUAL_PAIRS + ((0.25, -0.375),))
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_intertwiner_equals_the_dense_product(n, r, s):

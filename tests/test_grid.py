@@ -13,6 +13,7 @@ from heisenfourier.grid import (
     shift_kernel,
     singular_values,
 )
+from heisenfourier.schrodinger import rep_matrix
 
 RNG = np.random.default_rng(91)
 
@@ -37,6 +38,21 @@ def test_grid_n_points_must_be_an_integer(n):
 def test_grid_half_width_must_be_a_real_number(half_width):
     with pytest.raises(ValueError, match="half_width"):
         GridSpec1D(8, half_width)
+
+
+@pytest.mark.parametrize("half_width", [1e-308, 1e-310, 1e-320, 5e-324, 1e308, 1.7e308])
+def test_grid_refuses_a_half_width_whose_spacing_or_frequencies_overflow(half_width):
+    """The small widths overflow the frequencies N/(4L), the large ones the
+    spacing 2L/N; either gave rep_matrix a non-finite matrix."""
+    with pytest.raises(ValueError, match="half_width"):
+        GridSpec1D(8, half_width)
+
+
+@pytest.mark.parametrize("half_width", [1e-300, 1e307])
+def test_extreme_finite_grids_give_finite_representations(half_width):
+    grid = GridSpec1D(8, half_width)
+    assert np.all(np.isfinite(grid.nodes)) and np.all(np.isfinite(grid.frequencies))
+    assert np.all(np.isfinite(rep_matrix(1.0, (0.5, 0.0, 0.0), grid)))
 
 
 def test_grid_stores_numpy_reals_as_python_floats():

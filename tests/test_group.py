@@ -192,6 +192,44 @@ def test_sampled_shape_validation():
         SampledFunction3D((1.0, 1.0, 1.0), (3, 3, 3), np.ones((3, 3, 3)))
 
 
+@pytest.mark.parametrize(
+    "box, counts, message",
+    [
+        ((1.0, 1.0, 1.0), (4, 4), "counts must have three entries"),
+        ((1.0, 1.0), (4, 4, 4), "box must have three half-widths"),
+        ((1.0, 1.0, 1.0, 1.0), (4, 4, 4, 4), "box must have three half-widths"),
+    ],
+)
+def test_box_axes_and_its_callers_need_three_dimensions(box, counts, message):
+    """zip would truncate a longer box or counts to the shorter one."""
+    with pytest.raises(ValueError, match=message):
+        box_axes(box, counts)
+    with pytest.raises(ValueError, match=message):
+        sample_family(CANONICAL_FAMILY, box, counts)
+    if len(box) == len(counts):
+        with pytest.raises(ValueError, match=message):
+            SampledFunction3D(box, counts, np.ones(counts))
+
+
+@pytest.mark.parametrize(
+    "sigma, center, message",
+    [
+        ((1.0, 1.0), (0.0, 0.0, 0.0), "sigma must be three positive finite widths"),
+        ((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0), "sigma must be three positive finite widths"),
+        ((1.0, math.nan, 1.0), (0.0, 0.0, 0.0), "sigma must be three positive finite widths"),
+        ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0), "sigma must be three positive finite widths"),
+        ((1.0, 1.0, 1.0), (0.0, math.nan, 0.0), "center must be three finite coordinates"),
+        ((1.0, 1.0, 1.0), (0.0, 0.0, math.inf), "center must be three finite coordinates"),
+        ((1.0, 1.0, 1.0), (0.0, 0.0), "center must be three finite coordinates"),
+    ],
+)
+def test_gaussian_family_needs_three_finite_widths_and_center_coordinates(
+    sigma, center, message
+):
+    with pytest.raises(ValueError, match=message):
+        GaussianPoly(Poly3.const(1.0), sigma, center)
+
+
 def test_samples_are_float64_exactly_when_every_sample_is_real():
     box, counts = (1.0, 1.0, 1.0), (2, 2, 2)
     real = RNG.standard_normal(counts)

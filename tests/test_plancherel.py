@@ -121,6 +121,9 @@ def test_inverse_transform_checks_dimensions():
         inverse_transform(F, GroupElement(0.0, 0.0, 0.0), GridSpec1D(16, 2.0))
     with pytest.raises(ValueError):
         inverse_transform_grid(F, (1.0, 1.0, 1.0), (4, 4, 4), GridSpec1D(16, 2.0))
+    for box, counts, field in (((1.0, 1.0, 1.0), (4, 4), "counts"), ((1.0, 1.0), (4, 4, 4), "box")):
+        with pytest.raises(ValueError, match=f"{field} must have three"):
+            inverse_transform_grid(F, box, counts, GridSpec1D(8, 2.0))
 
 
 def test_adjoint_pairing_sides_agree_at_reference_scales():

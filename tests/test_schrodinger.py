@@ -188,18 +188,20 @@ def test_node_terms_match_direct_sums(ts, complex_samples, counts, half, seed):
     n=st.sampled_from([2**k for k in range(3, 10)]),
     half=st.floats(0.5, 8.0),
     width=st.floats(1.0, 10.0),
-    t=st.floats(1 / 64, 8.0),
+    t=st.floats(1 / 64, 8.0) | st.floats(-8.0, -1 / 64),
 )
 @example(counts=(2, 2, 2), n=8, half=1.0, width=2.0, t=0.5)
 @example(counts=(94, 134, 2), n=512, half=6.0, width=10.0, t=8.0)
 @example(counts=(144, 94, 2), n=64, half=3.0, width=4.0, t=1 / 64)
 @example(counts=(134, 144, 2), n=128, half=5.2, width=5.6, t=2.0)
 @example(counts=(128, 384, 44), n=256, half=5.2, width=8.0, t=4.0)
+@example(counts=(128, 384, 44), n=256, half=5.2, width=8.0, t=-4.0)
 def test_phase_tables_match_the_literal_exponentials(counts, n, half, width, t):
     """P = exp(i*pi*t*outer(xs, ys)) and E = exp(-2*pi*i*t*outer(ys, nodes))
     from their coarse and fine factors, within 4 roundoffs of the largest
     argument (of 1 when every argument is small, for the one complex
-    multiply).  Counts 2 and 2*prime split with steps of 1 and 2."""
+    multiply).  Counts 2 and 2*prime split with steps of 1 and 2.  t takes
+    either sign, as a |t| group builds its tables at its first node."""
     grid = GridSpec1D(n, width)
     xs, ys, _ = box_axes((half, half, 1.0), counts)
     _, _, factors = _box_tables(grid, xs, ys)

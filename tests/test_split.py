@@ -119,7 +119,8 @@ def test_derivation_builds_each_phase_table_pair_once(monkeypatch):
 
     monkeypatch.setattr(schrodinger, "_phase_tables", counted)
     derivation_nodes(f, TG, GRID)
-    assert sorted(calls) == sorted(set(np.abs(TG.nodes)))
+    # at each |t| group's first node, which is -|t| in lattice order
+    assert sorted(calls) == sorted(set(-np.abs(TG.nodes)))
 
 
 def test_run_split_deals_round_robin_with_scratch_from_the_caller(monkeypatch):
