@@ -153,15 +153,17 @@ class _ThetaKernel:
     """One worker's theta-term kernel at carrier size N: constants and buffers.
 
     weights(c) builds the two Dirichlet rows of the ratio c, W[e, j, d] =
-    K_c(d - c delta_j), and keeps them for every later term until the next
-    call.  term(alpha~, beta~) copies alpha~ into the Hankel buffer A[e, d, w]
-    = alpha~[(e + d) mod N, w] and returns the term's two delta rows R[e, j,
-    w] = sum_d W[e, j, d] A[e, d, w] beta~[d, w] in its own buffer, and
-    dft_basis(R) maps rows, of one term or of a sum of terms, to the
-    DFT-basis matrix s.  The rows come from one exponential table X[e, t] =
-    exp(2 pi i c e t / N) and one GEMM with the constant dft[t, d] = exp(2
-    pi i t d / N) / N, whose second half also carries exp(-2 pi i c t), the
-    shift of c delta by c N.  They depend on N and c only, so a caller that
+    K_c(d - c delta_j), into w and keeps them for every later term until
+    the next call.  term(alpha~, beta~) copies alpha~ into the Hankel buffer
+    A[e, d, w] = alpha~[(e + d) mod N, w] and returns the term's two delta
+    rows R[e, j, w] = sum_d W[e, j, d] A[e, d, w] beta~[d, w] in its own
+    buffer, and dft_basis(R) maps rows, of one term or of a sum of terms,
+    to the DFT-basis matrix s.  The rows are one GEMM of the exponential
+    table X[e, t] = exp(2 pi i c e t / N) with the (N, 2N) operand [dft |
+    shift o dft], dft[t, d] = exp(2 pi i t d / N) / N the constant table set
+    in __init__ and shift[t] = exp(-2 pi i c t) the shift of c delta by c
+    N; X and the operand are temporaries of the call, and w is the only
+    buffer it writes.  The rows depend on N and c only, so a caller that
     takes its terms grouped by ratio builds them once per ratio.
     """
 
@@ -169,13 +171,11 @@ class _ThetaKernel:
         self.n = n
         self.t = np.arange(-(n // 2), n // 2)
         self.et = (2j * np.pi / n) * np.outer(np.arange(n), self.t)
-        self.dft = np.empty((n, 2 * n), dtype=complex)
-        self.dft[:, :n] = np.exp(self.et.T) / n
+        self.dft = np.ascontiguousarray(np.exp(self.et.T)) / n
         k = np.fft.fftfreq(n, 1.0 / n).astype(int)
         u, v = np.ogrid[:n, :n]
         # s[u, v] = S[e, j, u] with e = v - u and j = 1 where k_u - k_v = N - e
         self.select = ((v - u) % n, (k[u] - k[v] + (v - u) % n) // n, u)
-        self.x = np.empty((n, n), dtype=complex)
         self.w = np.empty((n, 2, n), dtype=complex)
         self.q = np.empty((n, n, n), dtype=complex)
         self.rows = np.empty((n, 2, n), dtype=complex)
@@ -184,12 +184,9 @@ class _ThetaKernel:
 
     def weights(self, c: float) -> None:
         """Build the Dirichlet rows of the ratio c for the next terms."""
-        n = self.n
-        np.multiply(self.et, c, out=self.x)
-        np.exp(self.x, out=self.x)
         shift = np.exp(-2j * np.pi * c * self.t)
-        np.multiply(shift[:, None], self.dft[:, :n], out=self.dft[:, n:])
-        np.matmul(self.x, self.dft, out=self.w.reshape(n, 2 * n))
+        operand = np.concatenate((self.dft, shift[:, None] * self.dft), axis=1)
+        np.matmul(np.exp(self.et * c), operand, out=self.w.reshape(self.n, 2 * self.n))
 
     def term(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """The rows R at the built ratio, alpha = _diagonals(a, 1) and beta =

@@ -99,11 +99,17 @@ def shift_phases(grid: GridSpec1D, shifts) -> np.ndarray:
     """DFT-basis eigenvalues of the band-limited shifts, one row per shift.
 
     Row x is exp(-2*pi*i*xi*x) over the grid frequencies xi, so the shift
-    by x is F^-1 diag(row) F with F the DFT.
+    by x is F^-1 diag(row) F with F the DFT.  The largest phase argument,
+    2*pi*max|x|*N/(4L), must be finite; it is checked in Python floats,
+    as numpy forms it, before numpy computes any phase.
     """
     shifts = np.asarray(shifts, dtype=float)
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shift amounts must be finite")
+    x = float(np.max(np.abs(shifts), initial=0.0))
+    n = grid.n_points
+    if not math.isfinite(2.0 * math.pi * x * ((n // 2) * (1.0 / (n * grid.spacing)))):
+        raise ValueError(f"shift {x} overflows the phases 2*pi*x*N/(4L) of the grid {grid}")
     return np.exp(-2j * np.pi * shifts[..., None] * grid.frequencies)
 
 
@@ -145,15 +151,13 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm for p in {1, 2, inf}, from a full SVD."""
+    """Schatten p-norm for p in {1, inf}, from a full SVD."""
     sv = singular_values(a)
     if p == 1:
         return float(np.sum(sv))
-    if p == 2:
-        return float(np.sqrt(np.sum(sv * sv)))
     if p == math.inf:
         return float(sv[0]) if sv.size else 0.0
-    raise ValueError(f"p must be 1, 2 or inf, got {p}")
+    raise ValueError(f"p must be 1 or inf, got {p}")
 
 
 def schatten_norms(mats, p: float) -> np.ndarray:

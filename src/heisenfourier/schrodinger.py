@@ -21,11 +21,12 @@ coefficients of any node list, inverse_transform_grid for the inverse of
 a field on a box.  Each applies the z axis for all nodes in one matrix
 product in the calling thread (for the forward transform of a real f,
 whose samples are float64, a real product on the float view of the z
-table), then the x and y axes node by node through one pair of phase
-tables per |t|, conjugated in place where the sign of t changes, with
-the |t| groups split across the CPUs (_split).  Each table is the
-product of the exponentials of a coarse and a fine factor of its
-uniform axis (_phase_tables), so an R x C table costs R * (C/q + q)
+table), then the x and y axes node by node, with the |t| groups split
+across the CPUs (_split).  A worker's scratch is one pair of phase
+tables, built at a group's first node and conjugated in place where the
+sign of t changes, and the buffers each node writes.  Each table is the
+product of the temporary exponentials of a coarse and a fine factor of
+its uniform axis (_phase_tables), so an R x C table costs R * (C/q + q)
 complex exponentials, q near sqrt(C).  A forward node costs an (nx, ny)
 @ (ny, N) x/y product and the circulant stage, an (N, nx) @ (nx, N)
 product and a gather; for a real f pi_{-t}(f) differs from conj pi_t(f)
@@ -98,27 +99,20 @@ def _box_tables(grid: GridSpec1D, xs, ys) -> tuple:
     return shift_kernel(grid, xs), gather, factors
 
 
-def _phase_tables(t: float, factors, exps, P: np.ndarray, E: np.ndarray) -> None:
+def _phase_tables(t: float, factors, P: np.ndarray, E: np.ndarray) -> None:
     """Write the tables of t, exp(i*pi*t*xy) into P (nx, ny) and
     exp(-2*pi*i*t*yw) into E (ny, N).
 
     Each table is the broadcast product of the exponentials of its coarse
-    and fine factors, which are written into the exps pairs first: at
-    the plancherel level-2 scales (128 x 384 samples, N = 256) that is
-    17,408 complex exponentials per pair of tables instead of 147,456.
-    Neither factor's argument exceeds the table's, so each entry differs
-    from the literal exponential by a few roundoffs times the largest
-    argument, as the literal's own rounding of the argument does."""
-    for table, c, (coarse, fine), (e_coarse, e_fine) in zip(
-        (P, E), (1j * np.pi * t, -2j * np.pi * t), factors, exps
-    ):
-        np.exp(np.multiply(c, coarse, out=e_coarse), out=e_coarse)
-        np.exp(np.multiply(c, fine, out=e_fine), out=e_fine)
-        np.multiply(
-            e_coarse[:, :, None],
-            e_fine[:, None, :],
-            out=table.reshape(e_coarse.shape + e_fine.shape[1:]),
-        )
+    and fine factors, temporaries of this call: at the plancherel level-2
+    scales (128 x 384 samples, N = 256) that is 17,408 complex
+    exponentials per pair of tables instead of 147,456.  Neither factor's
+    argument exceeds the table's, so each entry differs from the literal
+    exponential by a few roundoffs times the largest argument, as the
+    literal's own rounding of the argument does."""
+    for table, c, (coarse, fine) in zip((P, E), (1j * np.pi * t, -2j * np.pi * t), factors):
+        out = table.reshape(coarse.shape + (-1,))
+        np.multiply(np.exp(c * coarse)[:, :, None], np.exp(c * fine)[:, None, :], out=out)
 
 
 def _split(ts, factors, node, shapes) -> None:
@@ -130,20 +124,18 @@ def _split(ts, factors, node, shapes) -> None:
     workers compute every group whole and in node order, so no bit
     depends on the core count.  prev is the node of k's group that ran
     just before k on the same buffers, or None for the group's first
-    node, so a node may reuse what prev left in them.  The tables, their
-    factors' exponentials and the buffers, complex arrays of the given
-    shapes, come from run_split's scratch in the calling thread.
+    node, so a node may reuse what prev left in them.  The tables, which
+    a group's nodes share, and the complex buffers of the given shapes,
+    which each node writes, are run_split's scratch.
     """
     groups = {}
     for k, t in enumerate(ts):
         groups.setdefault(abs(t), []).append(k)
-    table_shapes = [(len(coarse), coarse.shape[1] * fine.shape[1]) for coarse, fine in factors]
-    shapes = table_shapes + [a.shape for pair in factors for a in pair] + list(shapes)
+    shapes = [(len(c), c.shape[1] * f.shape[1]) for c, f in factors] + list(shapes)
 
     def work(share, P, E, *buffers):
-        exps, buffers = (buffers[0:2], buffers[2:4]), buffers[4:]
         for ks in share:
-            _phase_tables(ts[ks[0]], factors, exps, P, E)
+            _phase_tables(ts[ks[0]], factors, P, E)
             for prev, k in zip([None] + ks[:-1], ks):
                 if prev is not None and (ts[prev] < 0) != (ts[k] < 0):
                     np.conj(P, out=P)

@@ -31,16 +31,21 @@ def run_split(items, work, scratch) -> None:
     """Call work(items[w::workers], *scratch()) for every worker w, one thread each.
 
     workers is _worker_count(len(items)).  scratch() runs in the calling
-    thread, once per worker, before any thread starts: buffers allocated
-    in a worker would sit in its per-thread malloc arena and raise peak
-    RSS.  A caller's own large arrays can do the same: glibc raises its
-    mmap threshold to the size of each freed mmapped block up to 32 MB,
-    so after a freed transform z table of one column per |t| (25 MB at
-    the transform benchmark's scale, against 50 MB for one per node) the
-    workers' 1 MB per-node arrays come from their arenas and stay
-    resident: that benchmark's peak RSS went from 322 to 343 MB.  An
-    exception in any worker is raised here once every worker
-    has stopped, so a caller never sees a partly written result.
+    thread, once per worker, before any thread starts.  It holds what a
+    worker writes per node or term and the state that several of them share,
+    such as a |t| group's phase tables or a ratio's Dirichlet rows; the
+    arithmetic that builds that state uses plain temporaries.  A worker's own
+    buffers sit in its per-thread malloc arena and can raise peak RSS.  A
+    caller's own large arrays can do the same: glibc raises its mmap
+    threshold to the size of each freed mmapped block up to 32 MB, so after
+    a freed transform z table of one column per |t| (25 MB at the transform
+    benchmark's scale) the workers' 1 MB per-node arrays come from their
+    arenas and stay resident: that benchmark's peak RSS went from 322 to 343
+    MB.  The temporaries are small and freed at once: at that scale, 272 KiB
+    of phase-table exponentials per |t| group, none over 96 KiB, left peak
+    RSS at 351.0-351.1 MB, against 351.0-352.2 MB as scratch.  An exception
+    in any worker is raised here once every worker has stopped, so a caller
+    never sees a partly written result.
     """
     items = list(items)
     workers = _worker_count(len(items))

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from heisenfourier import fusion, split
-from heisenfourier.cli import _FUSION_RATIOS, _RESIDUAL_PAIRS
+from heisenfourier.cli import SCALES, _FUSION_RATIOS, _RESIDUAL_PAIRS
 from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.fusion import (
     _dense_w,
@@ -46,12 +46,33 @@ def test_exact_ratio_is_rational():
 @pytest.mark.parametrize("r, s", _FUSION_RATIOS + _RESIDUAL_PAIRS + ((0.25, -0.375),))
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_intertwiner_equals_the_dense_product(n, r, s):
+    assert _intertwiner_gap(n, r, s, np.random.default_rng(n)) < 1e-13
+
+
+def _intertwiner_gap(n, r, s, rng):
+    """max |W v - dense W v| / max |dense W v| for a random v at half-width 4."""
     grid = GridSpec1D(n, 4.0)
-    rng = np.random.default_rng(n)
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     dense = (_dense_w(_exact_ratio(r, s), grid) @ v.ravel()).reshape(n, n)
-    got = intertwiner(r, s, grid, v)
-    assert np.max(np.abs(got - dense)) < 1e-13 * np.max(np.abs(dense))
+    return np.max(np.abs(intertwiner(r, s, grid, v) - dense)) / np.max(np.abs(dense))
+
+
+# k / 2**p, k nonzero: r + s is exact, and zero only when s == -r
+DYADIC = st.builds(lambda k, p: k / 2**p, st.integers(-64, 64).filter(bool), st.integers(0, 6))
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from([8, 16]), r=DYADIC, s=DYADIC, seed=st.integers(0, 2**32 - 1))
+def test_intertwiner_equals_the_dense_product_for_dyadic_pairs(n, r, s, seed):
+    assume(r + s != 0)
+    assert _intertwiner_gap(n, r, s, np.random.default_rng(seed)) < 1e-13
+
+
+def test_the_fusion_ladders_largest_grid_passes_the_phase_overflow_check():
+    grid = SCALES["fusion"][-1]
+    assert grid.n_points == 1024
+    # the suite's largest shift: ratio -1 moves by up to the half-width
+    assert abs(np.linalg.norm(intertwiner(2.0, -1.0, grid, _unit(1024))) - 1.0) < 1e-12
 
 
 def test_intertwiner_rejects_degenerate_pairs():
@@ -400,6 +421,25 @@ def test_dual_convolution_bits_do_not_depend_on_the_worker_count(monkeypatch, to
     for other_mats, other_bounds in rest:
         assert np.array_equal(other_mats, mats)
         assert np.array_equal(other_bounds, bounds)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_theta_kernel_weights_are_the_literal_dirichlet_sums(n):
+    """weights(c) writes W[e, j, d] = K_c(d - c delta_j), delta_0 = -e and
+    delta_1 = N - e, with K_c(x) = (1/N) sum_t exp(2 pi i t x / N) over t
+    = -N/2 .. N/2 - 1, for ratios built one after another on one kernel,
+    and leaves the constant dft table as __init__ set it."""
+    kernel = fusion._ThetaKernel(n)
+    dft = kernel.dft.copy()
+    t = np.arange(-(n // 2), n // 2)
+    e, d = np.arange(n)[:, None], np.arange(n)[None, :]
+    for c in (1 / 3, -1 / 2, 3 / 2, 17 / 31, -5 / 7):
+        kernel.weights(c)
+        for j, delta in enumerate((-e, n - e)):
+            x = d - c * delta
+            literal = np.mean(np.exp(2j * np.pi * t * x[..., None] / n), axis=-1)
+            assert np.max(np.abs(kernel.w[:, j, :] - literal)) < 1e-13
+        assert np.array_equal(kernel.dft, dft)
 
 
 @pytest.mark.parametrize("tol_skip", [0.0, 1e-3])

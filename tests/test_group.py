@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from heisenfourier.cli import CANONICAL_FAMILY, DC_LEFT
 from heisenfourier.derivation import leibniz_defect
@@ -47,6 +49,27 @@ def test_center_commutes_exactly():
     g = GroupElement(0.3, -1.7, 0.9)
     z = GroupElement(0.0, 0.0, 2.31)
     assert mul(g, z) == mul(z, g)
+
+
+# k / 2**p with |k| <= 2**8: every product and sum of the group law, and of
+# two of them composed, needs far fewer than 53 bits, so it is exact
+DYADIC = st.builds(lambda k, p: k / 2**p, st.integers(-(2**8), 2**8), st.integers(0, 8))
+ELEMENT = st.builds(GroupElement, DYADIC, DYADIC, DYADIC)
+
+
+def _exact_mul(g1, g2):
+    (a1, b1, c1), (a2, b2, c2) = (map(Fraction, g) for g in (g1, g2))
+    return (a1 + a2, b1 + b2, (a1 * b2 - a2 * b1) / 2 + c1 + c2)
+
+
+@given(g1=ELEMENT, g2=ELEMENT, g3=ELEMENT, c=DYADIC)
+def test_group_law_is_exact_on_dyadic_rationals(g1, g2, g3, c):
+    assert tuple(map(Fraction, mul(g1, g2))) == _exact_mul(g1, g2)
+    assert mul(mul(g1, g2), g3) == mul(g1, mul(g2, g3))
+    assert mul(g1, IDENTITY) == g1 == mul(IDENTITY, g1)
+    assert mul(g1, inv(g1)) == IDENTITY == mul(inv(g1), g1)
+    central = GroupElement(0.0, 0.0, c)
+    assert mul(g1, central) == mul(central, g1) == GroupElement(g1.x, g1.y, g1.z + c)
 
 
 def test_poly_arithmetic():

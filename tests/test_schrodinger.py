@@ -207,8 +207,7 @@ def test_phase_tables_match_the_literal_exponentials(counts, n, half, width, t):
     _, _, factors = _box_tables(grid, xs, ys)
     P = np.empty((len(xs), len(ys)), dtype=complex)
     E = np.empty((len(ys), n), dtype=complex)
-    exps = [tuple(np.empty_like(a) for a in pair) for pair in factors]
-    _phase_tables(t, factors, exps, P, E)
+    _phase_tables(t, factors, P, E)
     for table, c, a, b in ((P, 1j * np.pi * t, xs, ys), (E, -2j * np.pi * t, ys, grid.nodes)):
         arg = c * np.outer(a, b)
         literal = np.exp(arg)
@@ -343,10 +342,10 @@ def test_real_forward_field_makes_no_complex_copy_of_its_samples():
     """A complex copy of float64 samples takes twice their bytes.  Here the
     samples outweigh everything else forward_field holds, so with such a
     copy its peak would pass field + z table + scratch + samples.nbytes.
-    scratch over-counts the worker buffers of run_split: the tables of t
-    and -t, the x/y product and its output, the circulant stage and one
-    coefficient, for the two workers that the two |t| groups allow, and
-    the box tables."""
+    scratch counts each worker's buffers, the table pair, the x/y product
+    and its output and the circulant stage, with the coefficient that a
+    node gathers from it, for the two workers that the two |t| groups
+    allow, and the box tables."""
     counts, n = (32, 32, 128), 8
     f = sample_family(CANON, BOX, counts)
     assert f.samples.dtype == np.float64
@@ -355,7 +354,7 @@ def test_real_forward_field_makes_no_complex_copy_of_its_samples():
     k = tg.n_nodes
     field = k * n * n * 16
     z_table = (nx * ny * k + 2 * nz * k) * 16
-    scratch = 2 * (3 * nx * ny + 2 * ny * n + 2 * n * n + nx * n) * 16 + (nx * n + n * n) * 16
+    scratch = 2 * (2 * nx * ny + ny * n + 2 * n * n + nx * n) * 16 + (nx * n + n * n) * 16
     assert field + z_table + scratch < f.samples.nbytes
     tracemalloc.start()
     try:

@@ -123,6 +123,28 @@ def test_derivation_builds_each_phase_table_pair_once(monkeypatch):
     assert sorted(calls) == sorted(set(-np.abs(TG.nodes)))
 
 
+def test_transform_scratch_is_the_table_pair_and_the_node_buffers(monkeypatch):
+    """A worker's scratch is P, E and what each node writes; the
+    exponentials that build a |t| group's tables are temporaries."""
+    f = sample_family(F_ODD, BOX, COUNTS)
+    nx, ny, _ = COUNTS
+    n = GRID.n_points
+    run_split = schrodinger.run_split
+    handed = []
+
+    def recorded(items, work, scratch):
+        handed.append([(a.shape, a.dtype) for a in scratch()])
+        return run_split(items, work, scratch)
+
+    monkeypatch.setattr(schrodinger, "run_split", recorded)
+    field = forward_field(f, TG, GRID)
+    inverse_transform_grid(field, BOX, COUNTS, GRID)
+    tables = [(nx, ny), (ny, n)]
+    forward = tables + [(nx, ny), (n, n), (nx, n)]  # XY, S, A
+    inverse = tables + [(n, n), (nx, n)]  # G, D
+    assert handed == [[(sh, np.dtype(complex)) for sh in want] for want in (forward, inverse)]
+
+
 def test_run_split_deals_round_robin_with_scratch_from_the_caller(monkeypatch):
     monkeypatch.setattr(split, "_worker_count", lambda n_items: 3)
     caller = threading.current_thread()
