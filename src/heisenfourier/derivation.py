@@ -1,10 +1,10 @@
 """Normalized z-derivative, its Fourier multiplier and the node terms of its norms.
 
 d_z is -(1/(2 pi i)) d/dz, the scaling under which the transform turns
-differentiation into multiplication by the node parameter t.  Closed-form
-derivatives travel with sampled families and are preferred; inputs without
-one fall back to DFT differentiation along the z-axis, which assumes the
-samples decay to ~0 at the z faces.
+differentiation into multiplication by the node parameter t.  The closed
+form of a sampled family is preferred; inputs without one fall back to DFT
+differentiation along the z-axis, which assumes the samples decay to ~0 at
+the z faces.
 """
 
 import math
@@ -23,12 +23,10 @@ BOUNDARY_TOL = 1e-12
 
 
 def d_z(f: SampledFunction3D) -> SampledFunction3D:
-    """-(1/(2 pi i)) df/dz on the same grid: closed form when f carries a
-    family, spectral otherwise."""
-    fam = f.family
-    if fam is not None:
-        out = _DZ_SCALE * fam.dz_eval_grid(*f.axes)
-        fam = type(fam)(fam.dz_poly().scale(_DZ_SCALE), fam.sigma, fam.center, fam.z_freq)
+    """-(1/(2 pi i)) df/dz as samples on the same grid, with no family:
+    closed form when f carries a family, spectral otherwise."""
+    if f.family is not None:
+        out = _DZ_SCALE * f.family.dz_eval_grid(*f.axes)
     else:
         n_z = f.counts[2]
         if n_z < 8:
@@ -36,7 +34,7 @@ def d_z(f: SampledFunction3D) -> SampledFunction3D:
         freqs = np.fft.fftfreq(n_z, d=f.spacings[2])
         # (i/2pi) * (2 pi i nu) = -nu
         out = np.fft.ifft(-freqs * np.fft.fft(f.samples, axis=2), axis=2)
-    return SampledFunction3D(f.box, f.counts, out, fam)
+    return SampledFunction3D(f.box, f.counts, out)
 
 
 def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):

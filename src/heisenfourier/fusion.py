@@ -77,7 +77,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import OperatorField
-from .grid import GridSpec1D, as_count, circulant_view, schatten_norm, schatten_norms
+from .grid import GridSpec1D, as_count, circulant_view, schatten_norm
 from .grid import shift_kernel, shift_phases
 from .split import run_split
 
@@ -310,8 +310,8 @@ def dual_convolution(
         raise ValueError(f"tol_skip must be finite and >= 0, got {tol_skip}")
     tg = field_f.tgrid
     n = grid.n_points
-    tn_f = schatten_norms(field_f.mats, 1)
-    tn_g = schatten_norms(field_g.mats, 1)
+    tn_f = schatten_norm(field_f.mats, 1)
+    tn_g = schatten_norm(field_g.mats, 1)
     cut = tol_skip * tn_f.max() * tn_g.max()
     # each term keyed by its ratio m/k as the reduced integer pair with k > 0,
     # so that, sorted, the terms of one ratio sit together, in one order for

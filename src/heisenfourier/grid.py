@@ -14,12 +14,12 @@ is fixed by one kernel row c_x, the inverse DFT of its phases.
 shift_phases gives the phases, shift_kernel the kernel row and
 circulant_view the matrix, a read-only strided view of the kernel row
 with no index table and no gather; every other module takes its shifts
-from these, in whichever basis it works.  circulant_index is the table,
-kept for the transform's gather.
+from these, in whichever basis it works.  The transform's gather table
+is circulant_view of np.arange(N), read out as integers.
 
 Operators are plain complex numpy matrices.  Schatten norms always go
-through a full singular value decomposition, one per matrix, also for
-the per-node norms of a whole field (schatten_norms); nothing is
+through a full singular value decomposition, one per matrix, and take
+a whole field's stack of node matrices in one call; nothing is
 estimated.
 """
 
@@ -122,12 +122,6 @@ def shift_kernel(grid: GridSpec1D, shifts) -> np.ndarray:
     return np.fft.ifft(shift_phases(grid, shifts), axis=-1)
 
 
-def circulant_index(n: int) -> np.ndarray:
-    """Table idx[m, j] = (m - j) mod n, the circulant layout of a kernel row."""
-    ar = np.arange(n)
-    return (ar[:, None] - ar[None, :]) % n
-
-
 def circulant_view(kernel: np.ndarray) -> np.ndarray:
     """Read-only strided view C[..., m, n] = kernel[..., (m - n) mod N].
 
@@ -142,24 +136,22 @@ def circulant_view(kernel: np.ndarray) -> np.ndarray:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values, in descending order, of a square matrix or of
+    each matrix of a stack (..., n, n)."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return np.linalg.svd(a, compute_uv=False)
 
 
-def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm for p in {1, inf}, from a full SVD."""
+def schatten_norm(a: np.ndarray, p: float):
+    """Schatten p-norm for p in {1, inf}, from a full SVD: a float for one
+    matrix, an array in stack order for a stack (..., n, n)."""
     sv = singular_values(a)
     if p == 1:
-        return float(np.sum(sv))
+        return sv.sum(-1)
     if p == math.inf:
-        return float(sv[0]) if sv.size else 0.0
+        return sv.max(-1, initial=0.0)
     raise ValueError(f"p must be 1 or inf, got {p}")
-
-
-def schatten_norms(mats, p: float) -> np.ndarray:
-    """schatten_norm of each matrix of a stack, in stack order."""
-    return np.array([schatten_norm(m, p) for m in mats])

@@ -82,19 +82,12 @@ class Poly3:
                 out[m] = out.get(m, 0.0) + c1 * c2
         return Poly3(out)
 
-    def scale(self, a: float) -> "Poly3":
-        return Poly3({m: a * c for m, c in self.coeffs.items()})
-
     def dz(self) -> "Poly3":
         out: dict = {}
         for (i, j, k), c in self.coeffs.items():
             if k > 0:
                 out[(i, j, k - 1)] = out.get((i, j, k - 1), 0.0) + k * c
         return Poly3(out)
-
-    def reflect(self) -> "Poly3":
-        """p(x,y,z) -> p(-x,-y,-z)."""
-        return Poly3({m: c * (-1.0) ** sum(m) for m, c in self.coeffs.items()})
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
         dtype = complex if any(isinstance(c, complex) for c in self.coeffs.values()) else float
@@ -170,14 +163,6 @@ class GaussianPoly:
             self.poly * other.poly, sigma, self.center, self.z_freq + other.z_freq
         )
 
-    def reflect(self) -> "GaussianPoly":
-        return GaussianPoly(
-            self.poly.reflect(),
-            self.sigma,
-            tuple(-c for c in self.center),
-            -self.z_freq,
-        )
-
 
 # ---------------------------------------------------------------------------
 # sampled functions on the group
@@ -207,8 +192,9 @@ class SampledFunction3D:
     all zero is stored as its real part, and complex128 otherwise.
 
     family, when present, is the generating GaussianPoly: the closed form
-    that derivation.d_z evaluates.  It travels through pointwise products
-    and the check map, so their derivatives stay closed-form.
+    that derivation.d_z evaluates.  sample_family sets it and pointwise
+    products carry it, as leibniz_defect reads a product's family; the
+    check map and d_z return samples only.
     """
 
     box: tuple[float, float, float]
@@ -286,6 +272,4 @@ def sample_family(
 
 def check_map(f: SampledFunction3D) -> SampledFunction3D:
     """f |-> f-check with f-check(v) = f(v^{-1}); exact index reflection."""
-    rev = f.samples[::-1, ::-1, ::-1].copy()
-    fam = f.family.reflect() if f.family is not None else None
-    return SampledFunction3D(f.box, f.counts, rev, fam)
+    return SampledFunction3D(f.box, f.counts, f.samples[::-1, ::-1, ::-1].copy())

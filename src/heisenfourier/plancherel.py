@@ -14,9 +14,10 @@ Every lattice sum takes its per-node terms as one array in node order,
 whichever worker computed each term, and adds them left to right with
 the builtin sum: over bare coefficients (plancherel_defect, w_norm, the
 adjoint pairing) from one schrodinger.node_terms pass, over stored
-fields from one grid.schatten_norms call.  The Plancherel left side
-sum_k delta |t_k| ||pi_{t_k}(f)||_2^2 uses the Frobenius norm, which is
-the Hilbert-Schmidt norm exactly, with no SVD.
+fields from one grid.schatten_norm call on their stack of node
+matrices.  The Plancherel left side sum_k delta |t_k| ||pi_{t_k}(f)||_2^2
+uses the Frobenius norm, which is the Hilbert-Schmidt norm exactly, with
+no SVD.
 
 Norms implemented here: the lattice L1 norm of trace norms (a_norm, the
 Fourier-algebra norm of the inverse transform), the L1 norm of operator
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import OperatorField, TGrid
-from .grid import GridSpec1D, schatten_norm, schatten_norms
+from .grid import GridSpec1D, schatten_norm
 from .group import SampledFunction3D, check_map
 from .schrodinger import inverse_transform_grid, node_terms, rep_matrix
 
@@ -57,12 +58,12 @@ def inverse_transform(F: OperatorField, g, grid: GridSpec1D) -> complex:
 
 def a_norm(F: OperatorField) -> float:
     """Lattice L1 norm of trace norms; the Fourier-algebra norm."""
-    return float(F.tgrid.delta * sum(schatten_norms(F.mats, 1)))
+    return float(F.tgrid.delta * sum(schatten_norm(F.mats, 1)))
 
 
 def m_norm(G: OperatorField) -> float:
     """Sup over nodes of the trace norm."""
-    return float(np.max(schatten_norms(G.mats, 1)))
+    return float(np.max(schatten_norm(G.mats, 1)))
 
 
 def w_norm(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:

@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .field import OperatorField, TGrid
-from .grid import GridSpec1D, circulant_index, circulant_view, shift_kernel
+from .grid import GridSpec1D, circulant_view, shift_kernel
 from .group import GroupElement, SampledFunction3D, box_axes
 from .split import run_split
 
@@ -59,10 +59,20 @@ def _check_t(t) -> None:
 
 
 def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
+    """pi_t(g) on the carrier grid.  The largest modulation argument
+    2*pi*|t*y|*L and the central argument 2*pi*t*z + pi*t*y*x must be
+    finite; both are checked in Python floats, in the order numpy and
+    cmath form them, before either computes a phase."""
     _check_t(t)
     x, y, z = g
     if not all(math.isfinite(c) for c in (x, y, z)):
         raise ValueError(f"group element coordinates must be finite, got {tuple(g)}")
+    if not math.isfinite(2.0 * math.pi * abs(t * y) * grid.half_width):
+        raise ValueError(
+            f"t = {t} and {tuple(g)} overflow the modulation phases 2*pi*t*y*w of the grid {grid}"
+        )
+    if not math.isfinite(2.0 * math.pi * t * z + math.pi * t * y * x):
+        raise ValueError(f"t = {t} and {tuple(g)} overflow the central phase 2*pi*t*z + pi*t*y*x")
     phase = cmath.exp(2j * math.pi * t * z + 1j * math.pi * t * y * x)
     mod = np.exp(-2j * np.pi * (t * y) * grid.nodes)
     # diagonal modulation as a row scaling of the shift T_x, read from
@@ -94,7 +104,7 @@ def _box_tables(grid: GridSpec1D, xs, ys) -> tuple:
     xy = outer(xs, ys) and yw = outer(ys, grid.nodes) (_coarse_fine)
     whose exponentials the phase tables multiply."""
     n = grid.n_points
-    gather = circulant_index(n) + n * np.arange(n)[:, None]
+    gather = circulant_view(np.arange(n)) + n * np.arange(n)[:, None]
     factors = (_coarse_fine(xs, ys), _coarse_fine(ys, grid.nodes))
     return shift_kernel(grid, xs), gather, factors
 

@@ -24,7 +24,7 @@ from heisenfourier.cli import (
     summary,
 )
 from heisenfourier.derivation import d_z, derivation_nodes
-from heisenfourier.field import TGrid, load_field
+from heisenfourier.field import OperatorField, TGrid, load_field
 from heisenfourier.fusion import dual_convolution
 from heisenfourier.grid import CapacityError, GridSpec1D, schatten_norm
 from heisenfourier.group import sample_family
@@ -654,3 +654,28 @@ def test_main_transform_rejects_unknown_functions(tmp_path, capsys):
     code = main(["transform", "--function", "nope", "--out", str(tmp_path / "x")])
     assert code == 2
     capsys.readouterr()
+
+
+def test_a_norm_convention_fails_on_a_scaled_forward_field(monkeypatch):
+    """forward_field's output scaled by 1 + 1e-3 passed every check of
+    verify all; the convention row sets a_norm of the round trip's field
+    against trace norms from a transform pass of its own, so it reads the
+    relative defect times a_norm.  Both ladders run their base level twice."""
+    for ladder in ("inversion", "plancherel"):
+        monkeypatch.setitem(cli.SCALES, ladder, cli.SCALES[ladder][:1] * 2)
+
+    def convention_row():
+        (row,) = [r for r in cli.inversion_suite(RunConfig()) if r.name == "a_norm_convention"]
+        return row
+
+    honest = convention_row()
+    assert honest.value == 0.0 and honest.passed
+
+    def scaled(f, tgrid, grid):
+        F = forward_field(f, tgrid, grid)
+        return OperatorField(F.tgrid, F.mats * (1 + 1e-3))
+
+    monkeypatch.setattr(cli, "forward_field", scaled)
+    planted = convention_row()
+    assert not planted.passed
+    assert 4e-4 < planted.value < 5e-4

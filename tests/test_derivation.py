@@ -29,7 +29,8 @@ TG = TGrid(0.25, 8)
 def test_dz_prefers_the_analytic_path():
     f = sample_family(F_ODD, BOX, COUNTS)
     df = d_z(f)
-    assert df.family is not None
+    # the closed form is evaluated, not carried on
+    assert df.family is None
     want = (1j / (2 * math.pi)) * F_ODD.dz_eval_grid(*f.axes)
     assert np.array_equal(df.samples, want)
 

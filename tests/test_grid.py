@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from heisenfourier.grid import (
     GridSpec1D,
-    circulant_index,
     circulant_view,
     schatten_norm,
-    schatten_norms,
     shift_kernel,
     shift_phases,
     singular_values,
@@ -168,7 +166,8 @@ def test_circulant_equals_the_index_table_gather(n, lead):
     # the strided view against the literal gather through (m - j) mod n
     kernel = RNG.standard_normal(lead + (n,)) + 1j * RNG.standard_normal(lead + (n,))
     mats = circulant_view(kernel)
-    assert np.array_equal(mats, np.take(kernel, circulant_index(n), axis=-1))
+    ar = np.arange(n)
+    assert np.array_equal(mats, np.take(kernel, (ar[:, None] - ar[None, :]) % n, axis=-1))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -207,6 +206,9 @@ def test_singular_values_input_checks():
     bad = np.full((3, 3), np.nan)
     with pytest.raises(ValueError):
         singular_values(bad)
+    for shape in [(3,), (2, 3, 4), (0, 4, 3)]:
+        with pytest.raises(ValueError, match="square matrix or a stack"):
+            singular_values(np.zeros(shape))
 
 
 def test_schatten_norm_relations():
@@ -232,16 +234,23 @@ def test_schatten_norm_rejects_other_p():
 
 
 @given(
-    shape=st.tuples(st.integers(0, 4), st.integers(1, 6)),
+    lead=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+    n=st.integers(0, 6),
     p=st.sampled_from((1, math.inf)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_schatten_norms_is_schatten_norm_per_matrix(shape, p, seed):
+def test_schatten_norm_of_a_stack_is_schatten_norm_per_matrix(lead, n, p, seed):
+    # empty stacks and 0 x 0 matrices included; a 0 x 0 matrix has norm 0
     rng = np.random.default_rng(seed)
-    count, n = shape
-    mats = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    want = np.array([schatten_norm(m, p) for m in mats])
-    assert np.array_equal(schatten_norms(mats, p), want)
+    shape = tuple(lead) + (n, n)
+    mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = mats.reshape((math.prod(lead), n, n))
+    want = np.array([schatten_norm(m, p) for m in flat]).reshape(tuple(lead))
+    assert all(isinstance(schatten_norm(m, p), float) for m in flat)
+    got = schatten_norm(mats, p)
+    assert got.shape == tuple(lead) and np.array_equal(got, want)
+    if n == 0:
+        assert not want.any()
 
 
 def test_kron_index_convention():

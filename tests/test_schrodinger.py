@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +51,29 @@ def test_rep_rejects_nonfinite_coordinates(axis, bad):
     coords[axis] = bad
     with pytest.raises(ValueError, match="coordinates must be finite"):
         rep_matrix(0.5, GroupElement(*coords), GridSpec1D(8, 2.0))
+
+
+@pytest.mark.parametrize(
+    "t, g, phase",
+    [
+        (1e300, (0.0, 1e10, 0.0), "modulation"),
+        (1e200, (0.0, 1e200, 0.0), "modulation"),
+        (1e300, (0.0, 0.0, 1e10), "central"),
+        (1e300, (1e10, 1.0, 0.0), "central"),
+    ],
+)
+def test_rep_refuses_phases_that_overflow_before_numpy_warns(t, g, phase):
+    """t*y overflowed the modulation, and numpy gave a NaN matrix with only
+    a RuntimeWarning; 2*pi*t*z overflowed the central phase, and cmath
+    raised a bare "math domain error"."""
+    grid = GridSpec1D(8, 2.0)
+    names_both = re.escape(f"t = {t!r} and {g!r} overflow the {phase}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=names_both):
+            rep_matrix(t, GroupElement(*g), grid)
+        # with t 1e120 times smaller every argument is a large finite float
+        assert np.all(np.isfinite(rep_matrix(t * 1e-120, GroupElement(*g), grid)))
 
 
 def test_rep_central_elements_are_phases():
