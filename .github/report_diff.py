@@ -3,17 +3,19 @@
 usage: python .github/report_diff.py OLD.jsonl NEW.jsonl
 
 Both files are `heisenfourier verify all --out` reports.  Check rows are
-matched by suite and check name; a row is printed when its value, passed
-flag or extra differs, as old -> new, with seconds left out.  Rows that
-only one report has, and a changed header or status line, are printed
-too.  The script only prints and exits 0: verify's own exit code is what
-fails a failing row.
+matched by suite and check name; a row is printed when its value, tol,
+passed flag or extra differs, as old -> new, with seconds left out.  Rows
+that only one report has, and a changed header or status line, are
+printed too.  The last line counts the printed rows.  The script only
+prints and exits 0: verify's own exit code is what fails a failing row,
+and a step that needs two reports to agree tests the last line for
+"0 report line(s) moved".
 """
 
 import json
 import sys
 
-COMPARED = ("value", "passed", "extra")
+COMPARED = ("value", "tol", "passed", "extra")
 
 
 def _records(path):

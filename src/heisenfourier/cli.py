@@ -189,6 +189,19 @@ def check(name: str, value, tol=None, passed=None, **extra):
     return name, value, tol, passed, extra
 
 
+def gain(coarse: float, fine: float) -> float:
+    """coarse / fine, a refinement's gain: inf when only fine is 0, 1.0 when both are."""
+    if fine == 0.0:
+        return math.inf if coarse > 0.0 else 1.0
+    return coarse / fine
+
+
+def refinement(name: str, pairs, floor: float = 1.0, **extra):
+    """A refinement's row: the least gain of its (coarse, fine) pairs, passing above floor."""
+    worst = min(gain(coarse, fine) for coarse, fine in pairs)
+    return check(name, worst, floor, worst > floor, **extra)
+
+
 def _suite(name: str):
     """Collect a generator of check rows into the suite's records.
 
@@ -366,14 +379,12 @@ def representation_suite(cfg: RunConfig):
     yield check("unitarity", base["unitarity"], 1e-12)
     yield check("homomorphism", hom, TOL["representation"])
     hom_ref = _rep_level(cfg, 1)["homomorphism"]
-    ratio = hom / hom_ref if hom_ref > 0 else math.inf
-    yield check(
-        "homomorphism_doubling_gain", ratio, 4.0, ratio >= 4.0, defect_512=hom_ref
-    )
+    yield refinement("homomorphism_doubling_gain", [(hom, hom_ref)], 4.0, defect_512=hom_ref)
 
 
 def _ladder(name: str, levels, tol: float):
-    """Rows <name>_level<i>, the first against tol, and <name>_decreasing.
+    """Rows <name>_level<i>, the first against tol, and <name>_decreasing,
+    the least gain between neighbouring levels.
 
     Consumes the level dicts as it reports them and returns them, so a
     suite can read a second value of the same levels.
@@ -385,10 +396,7 @@ def _ladder(name: str, levels, tol: float):
             yield check(f"{name}_level0", level[name], tol)
         else:
             yield check(f"{name}_level{i}", level[name], passed=True)
-    values = [level[name] for level in seen]
-    pairs = list(zip(values, values[1:]))
-    worst_ratio = min(a / b for a, b in pairs)
-    yield check(f"{name}_decreasing", worst_ratio, 1.0, all(a > b for a, b in pairs))
+    yield refinement(f"{name}_decreasing", itertools.pairwise(level[name] for level in seen))
     return seen
 
 
@@ -533,16 +541,13 @@ def fusion_suite(cfg: RunConfig):
     oracle = base["composed_action_oracle"]
     yield check("composed_action_oracle", oracle, 1e-3)
     refined = _fusion_level(cfg, 1)
-    oracle_ref = refined["composed_action_oracle"]
-    ratio = oracle / oracle_ref if oracle_ref > 0 else math.inf
-    yield check("composed_action_doubling_gain", ratio, 1.0, ratio > 1.0)
+    yield refinement("composed_action_doubling_gain", [(oracle, refined["composed_action_oracle"])])
 
     tol = TOL["fusion"]
     for (r, s), res, res_ref in zip(_RESIDUAL_PAIRS, base["residuals"], refined["residuals"]):
         label = f"r{r:+.4f}_s{s:+.4f}".replace(".", "p")
         yield check(f"residual_{label}", res, tol)
-        gain = res / res_ref if res_ref > 0 else math.inf
-        yield check(f"residual_gain_{label}", gain, 1.0, gain > 1.0, residual_n32=res_ref)
+        yield refinement(f"residual_gain_{label}", [(res, res_ref)], residual_n32=res_ref)
 
     v = _gaussian_pair(grid0, 0.8)
     gap = 0.0
@@ -564,12 +569,9 @@ def _dc_fields(cfg: RunConfig, level: int):
 
 def _dc_level(cfg: RunConfig, level: int) -> dict:
     grid, f1, f2, F, G = _dc_fields(cfg, level)
-    tgrid = F.tgrid
-    # every level above the base skips pair terms 1e-10 below the largest product
-    tol_skip = 0.0 if level == 0 else 1e-10
-    FG = dual_convolution(F, G, grid, tol_skip=tol_skip)
-    GF = dual_convolution(G, F, grid, tol_skip=tol_skip)
-    direct = forward_field(f1 * f2, tgrid, grid)
+    FG = dual_convolution(F, G, grid)
+    GF = dual_convolution(G, F, grid)
+    direct = forward_field(f1 * f2, F.tgrid, grid)
     wbox, wcounts = DC_WINDOW
     lhs = inverse_transform_grid(FG, wbox, wcounts, grid)
     rhs = inverse_transform_grid(direct, wbox, wcounts, grid)
@@ -589,15 +591,13 @@ def dualconv_suite(cfg: RunConfig):
     yield check("commutativity", base["commutativity"], tol)
     yield check("remark_identity_nodewise", remark, tol)
     refined = _dc_level(cfg, 1)
-    prod_ref, remark_ref = refined["product_identity"], refined["remark_identity"]
-    yield check(
+    yield refinement(
         "product_identity_refined",
-        prod_ref,
-        passed=prod_ref < prod,
+        [(prod, refined["product_identity"])],
         commutativity=refined["commutativity"],
-        remark=remark_ref,
+        remark=refined["remark_identity"],
     )
-    yield check("remark_identity_refined", remark_ref, passed=remark_ref < remark)
+    yield refinement("remark_identity_refined", [(remark, refined["remark_identity"])])
 
 
 _THETA1_PAIRS = ((3, 3), (4, 2), (3, -2), (-2, 4), (5, 3))
@@ -702,7 +702,7 @@ def derivation_suite(cfg: RunConfig):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         d_small = float(np.max(derivation_nodes(small, tg, carrier)[0]))
-    yield check("boundary_decay_gain", d_small - mult, passed=mult < d_small)
+    yield refinement("boundary_decay_gain", [(d_small, mult)])
 
 
 _LIE_EXPECTED = {
@@ -810,9 +810,9 @@ def convergence_rows(ladder: str, cfg: RunConfig, levels: int):
         values = level_fn(cfg, level)
         for name in names:
             value = values[name]
-            gain = f"{prev[name] / value:.6g}" if name in prev and value > 0 else ""
+            ratio = f"{gain(prev[name], value):.6g}" if name in prev else ""
             prev[name] = value
-            yield f"{ladder},{name},{level},{value:.9e},{gain}"
+            yield f"{ladder},{name},{level},{value:.9e},{ratio}"
 
 
 # ---------------------------------------------------------------------------

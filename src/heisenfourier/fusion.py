@@ -270,12 +270,12 @@ def dual_convolution(
     """Dual convolution (F # G)(t_k) = sum_j Delta * theta1(F, G, j, k - j).
 
     The inner sum runs over lattice pairs (j, k - j) with both indices on
-    the punctured lattice.  Pairs whose trace-norm product falls below
-    tol_skip times the product of the largest node trace norms are
-    skipped.  Each skipped term has trace norm at most that cut, and a
-    node k has n_k pair terms, so its skipped mass is at most n_k *
-    tol_skip * a_norm(F) * a_norm(G) / Delta; without the factor n_k the
-    bound fails when many small terms are skipped at one node.
+    the punctured lattice.  tol_skip = 0 keeps every pair and takes no
+    trace norm; above 0, pairs whose trace-norm product is at most
+    tol_skip times that of the largest node trace norms are skipped.  A
+    skipped term has trace norm at most that cut and a node k has n_k pair
+    terms, so its skipped mass is at most n_k * tol_skip * a_norm(F) *
+    a_norm(G) / Delta; without n_k the bound fails for many small terms.
 
     With with_theta_bounds=True returns (field, bounds) where bounds[i] =
     sum_j Delta * ||theta1(...)||_1 over the same terms, the node-wise
@@ -310,9 +310,9 @@ def dual_convolution(
         raise ValueError(f"tol_skip must be finite and >= 0, got {tol_skip}")
     tg = field_f.tgrid
     n = grid.n_points
-    tn_f = schatten_norm(field_f.mats, 1)
-    tn_g = schatten_norm(field_g.mats, 1)
-    cut = tol_skip * tn_f.max() * tn_g.max()
+    if tol_skip > 0:
+        tn_f, tn_g = (schatten_norm(field.mats, 1) for field in (field_f, field_g))
+        cut = tol_skip * tn_f.max() * tn_g.max()
     # each term keyed by its ratio m/k as the reduced integer pair with k > 0,
     # so that, sorted, the terms of one ratio sit together, in one order for
     # every worker count
@@ -321,7 +321,7 @@ def dual_convolution(
         for pos_m, m in enumerate(tg.ks):
             k = j + m
             pos_k = tg.index_of(k)
-            if pos_k is None or tn_f[pos_j] * tn_g[pos_m] <= cut:
+            if pos_k is None or tol_skip > 0 and tn_f[pos_j] * tn_g[pos_m] <= cut:
                 continue
             g = math.gcd(m, k) if k > 0 else -math.gcd(m, k)
             terms.append(((m // g, k // g), pos_j, pos_m, pos_k))

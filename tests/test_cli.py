@@ -1,11 +1,16 @@
 import json
+import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import heisenfourier.cli as cli
+import heisenfourier.derivation as derivation
+import heisenfourier.fusion as fusion
 import heisenfourier.liealg as liealg
+import heisenfourier.schrodinger as schrodinger
 from heisenfourier.cli import (
     CheckRecord,
     RunConfig,
@@ -24,10 +29,9 @@ from heisenfourier.cli import (
     summary,
 )
 from heisenfourier.derivation import d_z, derivation_nodes
-from heisenfourier.field import OperatorField, TGrid, load_field
-from heisenfourier.fusion import dual_convolution
-from heisenfourier.grid import CapacityError, GridSpec1D, schatten_norm
-from heisenfourier.group import sample_family
+from heisenfourier.field import OperatorField, load_field
+from heisenfourier.grid import CapacityError, schatten_norm
+from heisenfourier.group import SampledFunction3D, sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
 from heisenfourier.plancherel import a_norm, w_norm
 from heisenfourier.schrodinger import forward_field, node_terms
@@ -181,6 +185,43 @@ def test_suite_rows_default_rules_and_timing(monkeypatch):
     assert sum(r.seconds for r in records) == clock[0] - 10.0
 
 
+def test_refinement_rows_take_the_least_gain_over_a_floor():
+    assert cli.gain(3.0, 1.5) == 2.0
+    assert cli.gain(1e-3, 0.0) == math.inf
+    assert cli.gain(0.0, 0.0) == 1.0
+    assert cli.gain(0.0, 1e-3) == 0.0
+    assert cli.refinement("r", [(8.0, 4.0), (4.0, 1.0)]) == ("r", 2.0, 1.0, True, {})
+    # a gain at the floor, and a level that stays at 0, is no refinement
+    assert cli.refinement("r", [(8.0, 2.0)], 4.0, aux=1.0) == ("r", 4.0, 4.0, False, {"aux": 1.0})
+    assert not cli.refinement("r", [(1.0, 0.0), (0.0, 0.0)])[3]
+
+
+@pytest.mark.parametrize(
+    "defects, gain, passed, column",
+    [
+        ((2.0**-8, 2.0**-10, 0.0), 4.0, True, ["", "4", "inf"]),
+        ((2.0**-10, 0.0, 0.0), 1.0, False, ["", "inf", "1"]),
+    ],
+    ids=["reaches_zero", "stays_at_zero"],
+)
+def test_a_level_that_reaches_zero_gives_a_clean_row(monkeypatch, defects, gain, passed, column):
+    """A refined level that reads exactly 0 is an infinite gain, so the
+    decreasing row reads the least gain of the other pairs and converge's
+    column reads inf; a level that stays at 0 is no gain, and the row
+    fails."""
+
+    def level(cfg, index):
+        return {"isometry_defect": defects[index]}
+
+    monkeypatch.setattr(cli, "_plancherel_level", level)
+    monkeypatch.setitem(cli.LADDERS, "plancherel", (level, ("isometry_defect",)))
+    row = cli.plancherel_suite(RunConfig())[-1]
+    assert row.name == "isometry_defect_decreasing"
+    assert (row.value, row.tol, row.passed) == (gain, 1.0, passed)
+    rows = list(convergence_rows("plancherel", RunConfig(), 3))[1:]
+    assert [line.split(",")[4] for line in rows] == column
+
+
 # check names in report order, for the suites whose counts the benchmark pins
 CHECK_NAMES = {
     "group": [
@@ -259,7 +300,7 @@ def test_representation_and_inequality_rows(monkeypatch):
     assert _names(records, "inequalities") == CHECK_NAMES["inequalities"]
     assert all(r.passed for r in records)
     # the refined carrier is too slow for a unit test; a stub level pins the
-    # rows and the >= 4 doubling-gain rule
+    # rows and the > 4 doubling-gain rule
     defects = {0: 2.0**-24, 1: 2.0**-26}
     monkeypatch.setattr(
         cli,
@@ -268,10 +309,10 @@ def test_representation_and_inequality_rows(monkeypatch):
     )
     records = representation_suite(RunConfig())
     assert _names(records, "representation") == CHECK_NAMES["representation"]
-    assert records[2].value == 4.0 and records[2].passed
+    assert records[2].value == 4.0 and not records[2].passed
     assert records[2].extra == {"defect_512": 2.0**-26}
-    defects[1] = 2.0**-25
-    assert not representation_suite(RunConfig())[2].passed
+    defects[1] = 2.0**-27
+    assert representation_suite(RunConfig())[2].passed
 
 
 def test_lie_corpus_requires_a_central_z(monkeypatch):
@@ -466,24 +507,6 @@ def test_converge_prints_each_level_as_soon_as_it_is_done(tmp_path, monkeypatch,
     assert out.read_text() == level0 + "fusion,defect,1,5.000000000e-01,2\n"
 
 
-def test_dc_level_skips_tiny_terms_at_every_level_above_the_base(monkeypatch):
-    """A third dualconv level runs with the refined level's skip rule."""
-    small = ((2.0, 2.9, 5.6), (22, 42, 40), TGrid(0.125, 4), GridSpec1D(16, 2.2))
-    monkeypatch.setitem(cli.SCALES, "dualconv", (small, small, small))
-    seen = []
-
-    def recording(F, G, grid, tol_skip=0.0):
-        seen.append(tol_skip)
-        return dual_convolution(F, G, grid, tol_skip=tol_skip)
-
-    monkeypatch.setattr(cli, "dual_convolution", recording)
-    for level in (0, 2):
-        values = cli._dc_level(RunConfig(), level)
-        assert sorted(values) == ["commutativity", "product_identity", "remark_identity"]
-        assert all(np.isfinite(v) for v in values.values())
-    assert seen == [0.0, 0.0, 1e-10, 1e-10]
-
-
 class _LevelWork(Exception):
     pass
 
@@ -656,13 +679,82 @@ def test_main_transform_rejects_unknown_functions(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_a_norm_convention_fails_on_a_scaled_forward_field(monkeypatch):
+def _scaled_forward_field(monkeypatch):
+    def scaled(f, tgrid, grid):
+        F = forward_field(f, tgrid, grid)
+        return OperatorField(F.tgrid, F.mats * (1 + 1e-3))
+
+    monkeypatch.setattr(cli, "forward_field", scaled)
+
+
+def _conjugated_xy_phase(monkeypatch):
+    """The transform's exp(i pi t xy) table conjugated: a representation
+    that rep_matrix does not build."""
+    real = schrodinger._phase_tables
+
+    def conjugated(t, factors, P, E):
+        real(t, factors, P, E)
+        np.conj(P, out=P)
+
+    monkeypatch.setattr(schrodinger, "_phase_tables", conjugated)
+
+
+def _negated_d_z(monkeypatch):
+    def negated(f):
+        g = d_z(f)
+        return SampledFunction3D(g.box, g.counts, -g.samples)
+
+    monkeypatch.setattr(derivation, "d_z", negated)
+    monkeypatch.setattr(cli, "d_z", negated)
+
+
+def _swapped_fusion_ratio(monkeypatch):
+    def swapped(r, s):
+        return Fraction(r) / (Fraction(r) + Fraction(s))
+
+    monkeypatch.setattr(fusion, "_exact_ratio", swapped)
+    monkeypatch.setattr(cli, "_exact_ratio", swapped)
+
+
+# one-line defects, each planted by monkeypatching: the suite that must
+# catch it and the rows that must fail.  The ladders run their base level
+# twice, so a *_decreasing row reads a gain of 1 and fails whatever is
+# planted; the table leaves those rows out
+PLANTED_DEFECTS = {
+    "forward_field_scaled_1e-3": (_scaled_forward_field, "inversion", {"a_norm_convention"}),
+    "xy_phase_conjugated": (_conjugated_xy_phase, "inversion", {"adjoint_pairing_level0"}),
+    "d_z_negated": (_negated_d_z, "derivation", {"multiplier_identity", "boundary_decay_gain"}),
+    "fusion_ratio_swapped": (
+        _swapped_fusion_ratio,
+        "fusion",
+        {
+            "residual_r+0p2500_s+0p1250",
+            "residual_r+0p3750_s-0p0625",
+            "residual_gain_r+0p3750_s-0p0625",
+        },
+    ),
+}
+
+
+@pytest.fixture
+def base_levels(monkeypatch):
+    for ladder in ("inversion", "plancherel", "derivation"):
+        monkeypatch.setitem(cli.SCALES, ladder, cli.SCALES[ladder][:1] * 2)
+
+
+@pytest.mark.parametrize("defect", sorted(PLANTED_DEFECTS))
+def test_a_planted_defect_fails_its_rows(monkeypatch, base_levels, defect):
+    plant, suite, rows = PLANTED_DEFECTS[defect]
+    plant(monkeypatch)
+    failed = {r.name for r in cli.SUITES[suite](RunConfig()) if not r.passed}
+    assert {name for name in failed if not name.endswith("_decreasing")} == rows
+
+
+def test_a_norm_convention_fails_on_a_scaled_forward_field(monkeypatch, base_levels):
     """forward_field's output scaled by 1 + 1e-3 passed every check of
     verify all; the convention row sets a_norm of the round trip's field
     against trace norms from a transform pass of its own, so it reads the
-    relative defect times a_norm.  Both ladders run their base level twice."""
-    for ladder in ("inversion", "plancherel"):
-        monkeypatch.setitem(cli.SCALES, ladder, cli.SCALES[ladder][:1] * 2)
+    relative defect times a_norm."""
 
     def convention_row():
         (row,) = [r for r in cli.inversion_suite(RunConfig()) if r.name == "a_norm_convention"]
@@ -670,12 +762,5 @@ def test_a_norm_convention_fails_on_a_scaled_forward_field(monkeypatch):
 
     honest = convention_row()
     assert honest.value == 0.0 and honest.passed
-
-    def scaled(f, tgrid, grid):
-        F = forward_field(f, tgrid, grid)
-        return OperatorField(F.tgrid, F.mats * (1 + 1e-3))
-
-    monkeypatch.setattr(cli, "forward_field", scaled)
-    planted = convention_row()
-    assert not planted.passed
-    assert 4e-4 < planted.value < 5e-4
+    _scaled_forward_field(monkeypatch)
+    assert 4e-4 < convention_row().value < 5e-4

@@ -95,8 +95,9 @@ def test_intertwiner_rejects_degenerate_pairs():
     _FUSION_RATIOS
     + ((0.25, 0.125), (0.25, -0.375), (0.375, 0.125), (0.125, -0.375), (-0.5, 0.125)),
 )
-@pytest.mark.parametrize("half_width", [3.0, 4.0])
-@pytest.mark.parametrize("n", [8, 16, 32])
+# the theta term does not depend on the half-width (the test below), so
+# N = 32 runs at one of them
+@pytest.mark.parametrize("n, half_width", [(8, 3.0), (8, 4.0), (16, 3.0), (16, 4.0), (32, 4.0)])
 def test_theta_term_equals_literal_partial_trace(n, half_width, r, s):
     grid = GridSpec1D(n, half_width)
     a, b = _unit(n), _unit(n)
@@ -117,12 +118,15 @@ def test_theta_term_equals_literal_partial_trace(n, half_width, r, s):
 @pytest.mark.parametrize("ratio", [Fraction(1, 3), Fraction(3, 2), Fraction(-1, 2)])
 def test_theta_term_does_not_depend_on_the_half_width(ratio):
     """The shear phases meet only in products phi_n(u) conj(phi_n(v)), whose
-    angle 2 pi c (k_u - k_v) (n - N/2) / N has no half-width in it."""
-    n = 16
-    a, b = _unit(n), _unit(n)
-    narrow = _theta_term(ratio, GridSpec1D(n, 3.0), a, b)
-    wide = _theta_term(ratio, GridSpec1D(n, 4.0), a, b)
-    assert np.array_equal(narrow, wide)
+    angle 2 pi c (k_u - k_v) (n - N/2) / N has no half-width in it; so the
+    literal W, the oracle, agrees across half-widths up to roundoff."""
+    for n in (16, 32):
+        a, b = _unit(n), _unit(n)
+        narrow = _theta_term(ratio, GridSpec1D(n, 3.0), a, b)
+        wide = _theta_term(ratio, GridSpec1D(n, 4.0), a, b)
+        assert np.array_equal(narrow, wide)
+        gap = _dense_w(ratio, GridSpec1D(n, 3.0)) - _dense_w(ratio, GridSpec1D(n, 4.0))
+        assert np.max(np.abs(gap)) < 1e-13
 
 
 def test_partial_trace_adjoint_identity():
@@ -226,6 +230,21 @@ def test_dual_convolution_skip_mass_is_bounded():
         assert gap <= budget
     with pytest.raises(ValueError):
         dual_convolution(F, G, grid, tol_skip=-1.0)
+
+
+def test_dual_convolution_takes_no_svd_at_tol_skip_zero(monkeypatch):
+    """tol_skip = 0 keeps every term, so it takes none of the trace norms
+    behind the cut."""
+    F, G, grid, tg = _dc_fields()
+    want = dual_convolution(F, G, grid)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD taken at tol_skip = 0")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert np.array_equal(dual_convolution(F, G, grid, tol_skip=0.0).mats, want.mats)
+    with pytest.raises(AssertionError, match="SVD taken"):
+        dual_convolution(F, G, grid, tol_skip=1e-10)
 
 
 def _rank_one_field(tg, n, scales, rng):
@@ -335,7 +354,7 @@ def _per_term_sum(F, G, grid, tol_skip):
     for pos_k, k in enumerate(tg.ks):
         for pos_j, j in enumerate(tg.ks):
             pos_m = tg.index_of(k - j)
-            if pos_m is None or tn_f[pos_j] * tn_g[pos_m] <= cut:
+            if pos_m is None or tol_skip > 0 and tn_f[pos_j] * tn_g[pos_m] <= cut:
                 continue
             term = tg.delta * _theta_term(
                 Fraction(k - j, k), grid, F.mats[pos_j], G.mats[pos_m]
