@@ -4,11 +4,13 @@ usage: python .github/report_diff.py OLD.jsonl NEW.jsonl
 
 Both files are `heisenfourier verify all --out` reports.  Check rows are
 matched by suite and check name; a row is printed when its value, tol,
-passed flag or extra differs, as old -> new, with seconds left out.  Rows
-that only one report has, and a changed header or status line, are
-printed too.  The last line counts the printed rows.  The script only
-prints and exits 0: verify's own exit code is what fails a failing row,
-and a step that needs two reports to agree tests the last line for
+passed flag or extra differs, as old -> new, with seconds left out; a
+numeric value that moved also gets its relative move |new - old| / |old|,
+so that a roundoff move reads apart from a real one.  Rows that only one
+report has, and a changed header or status line, are printed too.  The
+last line counts the printed rows.  The script only prints and exits 0:
+verify's own exit code is what fails a failing row, and a step that
+needs two reports to agree tests the last line for
 "0 report line(s) moved".
 """
 
@@ -31,6 +33,15 @@ def _records(path):
     return out
 
 
+def _relative(old, new):
+    """' (rel |new - old| / |old|)' for two numbers, inf when old is 0;
+    '' when either is not a number."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return ""
+    rel = abs(new - old) / abs(old) if old else float("inf")
+    return f" (rel {rel:.1e})"
+
+
 def moved(old, new):
     """Lines old -> new for every key whose compared fields differ."""
     lines = []
@@ -44,6 +55,7 @@ def moved(old, new):
         else:
             fields = [
                 f"{name} {json.dumps(a.get(name))} -> {json.dumps(b.get(name))}"
+                + (_relative(a[name], b[name]) if name == "value" else "")
                 for name in COMPARED
                 if a.get(name) != b.get(name)
             ]

@@ -27,15 +27,21 @@ tables, built at a group's first node and conjugated in place where the
 sign of t changes, and the buffers each node writes.  Each table is the
 product of the temporary exponentials of a coarse and a fine factor of
 its uniform axis (_phase_tables), so an R x C table costs R * (C/q + q)
-complex exponentials, q near sqrt(C).  A forward node costs an (nx, ny)
-@ (ny, N) x/y product and the circulant stage, an (N, nx) @ (nx, N)
-product and a gather; for a real f pi_{-t}(f) differs from conj pi_t(f)
-only through the kernel's unpaired Nyquist term, so a real f takes one
-x/y product per |t| and -t reuses its conjugate, while the circulant
-stage stays per node.  forward_field is node_terms with a term that
-writes |t|*coef into the field's node slot, so the field is held once.
-fourier_coefficient's "direct" path and plancherel.inverse_transform are
-the literal per-sample and per-point oracles for the two directions.
+complex exponentials, q near sqrt(C).  Each shift kernel is a real
+Dirichlet (periodic-sinc) row plus the rank-one term of the one unpaired
+Nyquist frequency (_box_tables), so the circulant stage of either
+direction is one real product on the float view of a complex operand,
+half the flops of the complex product, and a rank-one update.  A forward
+node costs an (nx, ny) @ (ny, N) complex x/y product, an (N, nx) @
+(nx, 2N) real circulant product, a gather and the Nyquist term; for a
+real f the two products of -t are those of t conjugated, so they run
+once per |t| group and a later node conjugates them in place where the
+sign changes.  An inverse node costs a gather, an (nx, N) @ (N, 2N) real
+product with the Nyquist term and an (nx, N) @ (N, ny) complex product.
+forward_field is node_terms with a term that writes |t|*coef into the
+field's node slot, so the field is held once.  fourier_coefficient's
+"direct" path and plancherel.inverse_transform are the literal
+per-sample and per-point oracles for the two directions.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import math
 import numpy as np
 
 from .field import OperatorField, TGrid
-from .grid import GridSpec1D, circulant_view, shift_kernel
+from .grid import GridSpec1D, circulant_view, shift_kernel, shift_phases
 from .group import GroupElement, SampledFunction3D, box_axes
 from .split import run_split
 
@@ -98,15 +104,24 @@ def _coarse_fine(a, b) -> tuple:
 
 
 def _box_tables(grid: GridSpec1D, xs, ys) -> tuple:
-    """The t-free tables of a box: the shift kernel rows (nx, N), as T_x
-    is circulant; the flat positions of mat[m, (m - j) mod N] (N, N) that
-    both directions gather through; and the coarse and fine factors of
+    """The t-free tables of a box: the shift kernels of xs split as
+
+        shift_kernel(grid, xs) = rows + outer(nyquist, s) / N,  s = (-1)^j,
+
+    rows (nx, N) the real Dirichlet (periodic-sinc) kernels of the paired
+    frequencies, whose phases are Hermitian once the Nyquist bin is
+    zeroed, and nyquist (nx,) that bin, exp(i*pi*x/h), the phase of the
+    one unpaired frequency -N/(4L); and the coarse and fine factors of
     xy = outer(xs, ys) and yw = outer(ys, grid.nodes) (_coarse_fine)
-    whose exponentials the phase tables multiply."""
+    whose exponentials the phase tables multiply.  The rows are the real
+    part of an ifft, as shift_kernel's are, not an irfft: a process's
+    first irfft maps 0.3 to 0.8 MB more of numpy's FFT."""
     n = grid.n_points
-    gather = circulant_view(np.arange(n)) + n * np.arange(n)[:, None]
+    phases = shift_phases(grid, xs)
+    nyquist = phases[:, n // 2].copy()
+    phases[:, n // 2] = 0.0
     factors = (_coarse_fine(xs, ys), _coarse_fine(ys, grid.nodes))
-    return shift_kernel(grid, xs), gather, factors
+    return np.fft.ifft(phases, axis=-1).real.copy(), nyquist, factors
 
 
 def _phase_tables(t: float, factors, P: np.ndarray, E: np.ndarray) -> None:
@@ -182,17 +197,21 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     per function, in the calling thread (_z_sums); each coefficient is
     then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
     A = (fz_k * P) @ E, fz_k the z sums of node k as an (nx, ny) array
-    and P, E the x/y phase tables of ts[k].  The samples' dtype decides
-    the path.  A real f, float64 samples, takes its z sums as one real
-    (nx*ny, nz) @ (nz, 2K) product on the interleaved float view of the
-    z table, with no complex copy of the samples.  Its z sums and the
-    tables of -t are those of t conjugated, and so is A: a real f takes
-    one (nx, ny) @ (ny, N) product per |t| group, computed by the
-    group's first node and used by each later node as it is (same t) or
-    conjugated in place (-t).  The circulant stage stays per node, as
-    the kernel's unpaired Nyquist term breaks the symmetry.  A complex
-    f, such as d_z f, takes the complex z product and the x/y product at
-    every node.
+    and P, E the x/y phase tables of ts[k].  With the kernel split as in
+    _box_tables that is R[(m - n) mod N, m] + (u*s)[m] s[n] / N, where
+    R = rows^T @ A is one real (N, nx) @ (nx, 2N) product on A's float
+    view, written into the float view of an (N, N) complex buffer, and
+    u = nyquist @ A; the cell volume scales rows and nyquist once per
+    call.  The samples' dtype decides the path.  A real f,
+    float64 samples, takes its z sums as one real product on the
+    interleaved float view of the z table, with no complex copy of the
+    samples.  Its z sums and the tables of -t are those of t conjugated,
+    and so are A and, as the rows are real, R: a real f takes the complex
+    (nx, ny) @ (ny, N) product and the real one once per |t| group, at
+    the group's first node, and each later node uses them as they are
+    (same t) or conjugated in place (-t), then costs a gather, u and the
+    rank-one term.  A complex f, such as d_z f, takes the complex z
+    product and both x products at every node.
     """
     fs = (fs,) if isinstance(fs, SampledFunction3D) else tuple(fs)
     if not fs:
@@ -205,30 +224,39 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     for t in ts:
         _check_t(t)
     xs, ys, zs = fs[0].axes
-    kernel, gather, factors = _box_tables(grid, xs, ys)
+    rows, nyquist, factors = _box_tables(grid, xs, ys)
     nx, ny, nz = fs[0].counts
     n = grid.n_points
-    cell_volume = fs[0].cell_volume
+    # the quadrature weight rides on the kernel, not on each coefficient
+    rows *= fs[0].cell_volume
+    nyquist *= fs[0].cell_volume / n
+    # flat positions of R[(m - n) mod N, m]
+    gather = n * circulant_view(np.arange(n)) + np.arange(n)[:, None]
     ez = np.exp(np.outer(zs, 2j * np.pi * ts))
     fzs = [_z_sums(f.samples, ez) for f in fs]
     reals = [not np.iscomplexobj(f.samples) for f in fs]
     values = [None] * len(ts)
 
-    def node(k, prev, P, E, XY, S, *As):
+    def node(k, prev, P, E, XY, *buffers):
         coefs = []
-        for fz, real, A in zip(fzs, reals, As):
+        for fz, real, R, A in zip(fzs, reals, buffers[::2], buffers[1::2]):
             if not real or prev is None:
                 np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
+                np.matmul(rows.T, A.view(float), out=R.view(float))
             elif (ts[prev] < 0) != (ts[k] < 0):
-                # A still holds the product of -ts[k]
+                # A and R still hold the products of -ts[k]
                 np.conj(A, out=A)
-            np.matmul(A.T, kernel, out=S)
-            out = np.take(S, gather)
-            out *= cell_volume
+                np.conj(R, out=R)
+            out = np.take(R, gather)
+            u = nyquist @ A
+            # (u*s)[m] s[n] with s = (-1)^n, in place on the columns of each sign
+            u[1::2] *= -1.0
+            out[:, 0::2] += u[:, None]
+            out[:, 1::2] -= u[:, None]
             coefs.append(out)
         values[k] = term(k, *coefs)
 
-    _split(ts, factors, node, ((nx, ny), (n, n)) + ((nx, n),) * len(fs))
+    _split(ts, factors, node, ((nx, ny),) + ((n, n), (nx, n)) * len(fs))
     return np.array(values)
 
 
@@ -238,25 +266,35 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     Same quadrature as plancherel.inverse_transform, the pointwise oracle.
     The x and y axes go node by node through
 
-        sum_n mat[m, n] conj(T_i[m, n])
-            = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N]
+        D[i, m] = sum_n mat[m, n] conj(T_i[m, n])
+                = sum_j conj(kernel[i, j]) mat[m, (m - j) mod N]
+                = (rows @ G)[i, m] + conj(nyquist[i]) (s @ G)[m] / N,
 
-    and the conjugated phase tables of t, which are the tables of -t;
-    the z axis is one (nx*ny, K) @ (K, nz) product for the whole lattice.
+    with G[j, m] = mat[m, (m - j) mod N] gathered in that transposed
+    layout, so that rows @ G is one real (nx, N) @ (N, 2N) product on
+    G's float view (_box_tables), and the conjugated phase tables of t,
+    which are the tables of -t: D @ E^T, an (nx, N) @ (N, ny) complex
+    product, times P.  The z axis is one (nx*ny, K) @ (K, nz) product for
+    the whole lattice.
     """
     if F.dim != grid.n_points:
         raise ValueError("field dimension does not match the carrier grid")
     xs, ys, zs = box_axes(box, counts)
-    kernel, gather, factors = _box_tables(grid, xs, ys)
+    rows, nyquist, factors = _box_tables(grid, xs, ys)
     ts = F.tgrid.nodes
     nx, ny, nz = len(xs), len(ys), len(zs)
     n = grid.n_points
-    ckernel = np.conj(kernel)
+    # flat positions of mat[m, (m - j) mod N] at [j, m], in C order, as
+    # np.take reads a transposed index more slowly
+    gather = (circulant_view(np.arange(n)) + n * np.arange(n)[:, None]).T.copy()
+    signs = np.resize([1.0, -1.0], n)
+    cnyquist = np.conj(nyquist) / n
     table = np.empty((len(ts), nx * ny), dtype=complex)
 
     def node(k, prev, P, E, G, D):
         np.take(F.mats[k], gather, out=G, mode="clip")
-        np.matmul(ckernel, G.T, out=D)
+        np.matmul(rows, G.view(float), out=D.view(float))
+        D += np.multiply.outer(cnyquist, (signs @ G.view(float)).view(complex))
         X = np.matmul(D, E.T, out=table[k].reshape(nx, ny))
         # the operand order of a complex product sets its last bits
         np.multiply(X, P, out=X)

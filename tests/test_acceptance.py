@@ -152,7 +152,7 @@ def test_criterion_6_dual_convolution():
         "dual convolution product identity",
         ok,
         f"product {prod:.3f}, commutativity {comm:.3f}, remark {remark:.3f}, "
-        f"refined {recs['product_identity_refined'].value:.1e}, "
+        f"refinement gain {recs['product_identity_refined'].value:.1f}, "
         f"{time.perf_counter() - t0:.1f}s",
     )
 

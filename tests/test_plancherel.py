@@ -13,7 +13,7 @@ from heisenfourier.plancherel import (
     plancherel_defect,
     w_norm,
 )
-from heisenfourier.schrodinger import forward_field, fourier_coefficient
+from heisenfourier.schrodinger import forward_field, fourier_coefficient, node_terms
 
 CANON = GaussianPoly(Poly3({(0, 0, 1): 1.0, (0, 0, 0): 0.015}), (0.7, 1.0, 0.5))
 PARTNER = GaussianPoly(
@@ -113,6 +113,37 @@ def test_inverse_transform_point_matches_grid_version():
     for i, j, k in ((0, 1, 0), (3, 2, 3), (1, 0, 2)):
         point = inverse_transform(F, GroupElement(xs[i], ys[j], zs[k]), grid)
         assert abs(point - vals[i, j, k]) < 1e-12
+
+
+def test_inverse_without_pm_t_symmetry_matches_pointwise():
+    """A random complex field, whose F(-t) is not conj F(t) as a real f's
+    is, against the pointwise oracle at every point of the box."""
+    rng = np.random.default_rng(29)
+    tg, grid = TGrid(0.25, 3), GridSpec1D(16, 2.5)
+    shape = (tg.n_nodes, 16, 16)
+    F = OperatorField(tg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert np.max(np.abs(F.mats[0] - np.conj(F.mats[-1]))) > 1.0
+    box, counts = (1.0, 1.25, 0.8), (4, 4, 4)
+    vals = inverse_transform_grid(F, box, counts, grid)
+    xs, ys, zs = box_axes(box, counts)
+    scale = np.max(np.abs(vals))
+    for i, j, k in np.ndindex(*counts):
+        point = inverse_transform(F, GroupElement(xs[i], ys[j], zs[k]), grid)
+        assert abs(point - vals[i, j, k]) < 1e-12 * scale
+
+
+def test_forward_of_complex_samples_matches_direct_at_both_signs():
+    """A z_freq family has complex samples, so each node of a +-t pair
+    takes its own products; both match the literal per-sample sum."""
+    fam = GaussianPoly(Poly3({(1, 0, 1): 0.7, (0, 0, 0): 1.0}), (0.6, 0.8, 0.7), z_freq=0.45)
+    f = sample_family(fam, (3.0, 3.0, 2.0), (8, 8, 6))
+    assert np.iscomplexobj(f.samples)
+    grid = GridSpec1D(16, 2.5)
+    ts = [0.5, -0.5, -1.0, 1.0]
+    coefs = node_terms(f, ts, grid, lambda k, coef: coef)
+    for t, coef in zip(ts, coefs):
+        direct = fourier_coefficient(f, t, grid, "direct")
+        assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
 
 
 def test_inverse_transform_checks_dimensions():

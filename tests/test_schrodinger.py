@@ -240,6 +240,28 @@ def test_phase_tables_match_the_literal_exponentials(counts, n, half, width, t):
         assert np.max(np.abs(table - literal)) <= bound
 
 
+@pytest.mark.parametrize("n, width", [(8, 2.0), (256, 8.0)])
+def test_box_tables_split_the_kernel_into_real_rows_and_a_nyquist_column(n, width):
+    """rows + outer(nyquist, s) / N, s = (-1)^j, is the shift kernel of
+    each x to roundoff of the row's largest entry, with rows float64 and
+    nyquist exp(i*pi*x/h), the phase of the unpaired frequency, to a few
+    roundoffs of its argument.  The shifts are fractional, and whole grid
+    steps, whose kernels are unit vectors."""
+    grid = GridSpec1D(n, width)
+    h = grid.spacing
+    rng = np.random.default_rng(n)
+    xs = np.concatenate([rng.uniform(-2.0 * width, 2.0 * width, 9), h * np.arange(-3, 4)])
+    rows, nyquist, _ = _box_tables(grid, xs, np.zeros(2))
+    assert rows.dtype == np.float64 and rows.shape == (len(xs), n)
+    kernel = shift_kernel(grid, xs)
+    split = rows + np.outer(nyquist, (-1.0) ** np.arange(n)) / n
+    scale = np.max(np.abs(kernel), axis=1)
+    assert np.all(np.max(np.abs(split - kernel), axis=1) <= 1e-15 * scale)
+    arg = np.pi * xs / h
+    bound = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arg))
+    assert np.all(np.abs(nyquist - np.exp(1j * arg)) <= bound)
+
+
 def test_node_terms_reject_mixed_boxes():
     f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
     grid = GridSpec1D(8, 2.0)
@@ -368,9 +390,12 @@ def test_real_forward_field_makes_no_complex_copy_of_its_samples():
     samples outweigh everything else forward_field holds, so with such a
     copy its peak would pass field + z table + scratch + samples.nbytes.
     scratch counts each worker's buffers, the table pair, the x/y product
-    and its output and the circulant stage, with the coefficient that a
-    node gathers from it, for the two workers that the two |t| groups
-    allow, and the box tables."""
+    and its output and the (N, N) complex buffer whose float view the real
+    circulant product writes, with the coefficient that a node gathers
+    from it, for the two workers that the two |t| groups allow, and the
+    box tables, counted at the bytes of complex kernel rows and of a
+    complex (N, N) array, which the real rows and the integer gather
+    table do not reach."""
     counts, n = (32, 32, 128), 8
     f = sample_family(CANON, BOX, counts)
     assert f.samples.dtype == np.float64
