@@ -434,7 +434,7 @@ def _inversion_level(cfg: RunConfig, level: int) -> dict:
     }
     if level == 0:
         ts = tgrid.nodes
-        terms = node_terms(f, ts, grid, lambda k, coef: schatten_norm(abs(ts[k]) * coef, 1))
+        terms = node_terms(f, tgrid, grid, lambda k, coef: schatten_norm(abs(ts[k]) * coef, 1))
         values["a_norm_convention"] = abs(a_norm(F) - tgrid.delta * sum(terms))
     return values
 

@@ -47,8 +47,8 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
       - |t| ||pi_t(f)||_1, the terms of a_norm(F_f), from the same SVD
         of pi_t(f) as the operator norm in the gap's normalization
 
-    One node_terms pass takes both functions, so each |t| builds its phase
-    tables once for both coefficients.
+    One node_terms pass takes both functions, so each node pair builds its
+    phase tables once for both coefficients.
 
     The multiplier comparison integrates by parts, so it is only meaningful
     when f is numerically supported inside the box; a boundary above
@@ -70,7 +70,7 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
         gap = schatten_norm(lhs - t * coef, np.inf) / scale
         return gap, schatten_norm(lhs, np.inf), abs(t) * float(np.sum(sv))
 
-    gap, dz_norm, trace_norm = node_terms((d_z(f), f), ts, grid, term).T
+    gap, dz_norm, trace_norm = node_terms((d_z(f), f), tgrid, grid, term).T
     return gap, dz_norm, trace_norm
 
 

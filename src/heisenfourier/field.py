@@ -57,6 +57,12 @@ class TGrid:
     def n_nodes(self) -> int:
         return 2 * self.k_max
 
+    @property
+    def pairs(self) -> tuple:
+        """The storage positions (of -k, of k) for k = 1..K."""
+        K = self.k_max
+        return tuple((K - k, K + k - 1) for k in range(1, K + 1))
+
     def index_of(self, k: int) -> Optional[int]:
         """Position of integer node k in the storage order, None if absent.
 

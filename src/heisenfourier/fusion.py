@@ -351,8 +351,7 @@ def dual_convolution(
             table[pos_k] = _from_dft(kernel.dft_basis(sums[pos_k]))
 
     # nodes k and -k share their terms' ratios, so they share a worker
-    pairs = [(tg.index_of(-k), tg.index_of(k)) for k in range(1, tg.k_max + 1)]
-    run_split(pairs, run, lambda: (_ThetaKernel(n),))
+    run_split(tg.pairs, run, lambda: (_ThetaKernel(n),))
     table *= tg.delta
     result = OperatorField(tg, table)
     if with_theta_bounds:

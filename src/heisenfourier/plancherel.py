@@ -68,7 +68,7 @@ def m_norm(G: OperatorField) -> float:
 
 def w_norm(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> float:
     """Lattice L1 norm of operator norms of the bare coefficients pi_t(f)."""
-    terms = node_terms(f, tgrid.nodes, grid, lambda k, coef: schatten_norm(coef, np.inf))
+    terms = node_terms(f, tgrid, grid, lambda k, coef: schatten_norm(coef, np.inf))
     return float(tgrid.delta * sum(terms))
 
 
@@ -82,7 +82,7 @@ def plancherel_defect(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D) -> f
     def term(k, coef):
         return tgrid.delta * abs(ts[k]) * np.linalg.norm(coef) ** 2
 
-    terms = node_terms(f, ts, grid, term)
+    terms = node_terms(f, tgrid, grid, term)
     return float(abs(sum(terms) - rhs) / rhs)
 
 
@@ -100,5 +100,5 @@ def adjoint_pairing_sides(
     def term(k, coef):
         return F.tgrid.delta * np.einsum("mn,nm->", coef, F.mats[k])
 
-    terms = node_terms(check_map(g), F.tgrid.nodes, grid, term)
+    terms = node_terms(check_map(g), F.tgrid, grid, term)
     return lhs, complex(sum(terms))

@@ -17,31 +17,30 @@ functions must decay to numerical noise inside their sample box and the
 operators they generate must stay band-limited within the carrier.
 
 The transform has one driver per direction: node_terms for the forward
-coefficients of any node list, inverse_transform_grid for the inverse of
-a field on a box.  Each applies the z axis for all nodes in one matrix
+coefficients on a lattice, inverse_transform_grid for the inverse of a
+field on a box.  Each applies the z axis for all nodes in one matrix
 product in the calling thread (for the forward transform of a real f,
 whose samples are float64, a real product on the float view of the z
-table), then the x and y axes node by node, with the |t| groups split
-across the CPUs (_split).  A worker's scratch is one pair of phase
-tables, built at a group's first node and conjugated in place where the
-sign of t changes, and the buffers each node writes.  Each table is the
-product of the temporary exponentials of a coarse and a fine factor of
-its uniform axis (_phase_tables), so an R x C table costs R * (C/q + q)
-complex exponentials, q near sqrt(C).  Each shift kernel is a real
-Dirichlet (periodic-sinc) row plus the rank-one term of the one unpaired
-Nyquist frequency (_box_tables), so the circulant stage of either
-direction is one real product on the float view of a complex operand,
-half the flops of the complex product, and a rank-one update.  A forward
-node costs an (nx, ny) @ (ny, N) complex x/y product, an (N, nx) @
-(nx, 2N) real circulant product, a gather and the Nyquist term; for a
-real f the two products of -t are those of t conjugated, so they run
-once per |t| group and a later node conjugates them in place where the
-sign changes.  An inverse node costs a gather, an (nx, N) @ (N, 2N) real
-product with the Nyquist term and an (nx, N) @ (N, ny) complex product.
-forward_field is node_terms with a term that writes |t|*coef into the
-field's node slot, so the field is held once.  fourier_coefficient's
-"direct" path and plancherel.inverse_transform are the literal
-per-sample and per-point oracles for the two directions.
+table), then the x and y axes node by node, with the lattice's (-k, k)
+pairs split across the CPUs (_split).  A worker's scratch is one pair of
+phase tables, built at a pair's -k node and conjugated in place for its
+k node, and the buffers each node writes.  Each table is the product of
+the temporary exponentials of a coarse and a fine factor of its uniform
+axis (_phase_tables), so an R x C table costs R * (C/q + q) complex
+exponentials, q near sqrt(C).  Each shift kernel is a real Dirichlet
+(periodic-sinc) row plus the rank-one term of the one unpaired Nyquist
+frequency (_box_tables), so the circulant stage of either direction is
+one real product on the float view of a complex operand, half the flops
+of the complex product, and a rank-one update.  A forward node costs an
+(nx, ny) @ (ny, N) complex x/y product, an (N, nx) @ (nx, 2N) real
+circulant product, a gather and the Nyquist term; for a real f the two
+products of k are those of -k conjugated, so they run once per pair and
+its k node conjugates them in place.  An inverse node costs a gather, an
+(nx, N) @ (N, 2N) real product with the Nyquist term and an (nx, N) @
+(N, ny) complex product.  forward_field is node_terms with a term that
+writes |t|*coef into the field's node slot, so the field is held once.
+fourier_coefficient's "direct" path and plancherel.inverse_transform are
+the literal per-sample and per-point oracles for the two directions.
 """
 
 from __future__ import annotations
@@ -69,16 +68,17 @@ def rep_matrix(t: float, g, grid: GridSpec1D) -> np.ndarray:
     2*pi*|t*y|*L and the central argument 2*pi*t*z + pi*t*y*x must be
     finite; both are checked in Python floats, in the order numpy and
     cmath form them, before either computes a phase."""
+    t = float(t)
     _check_t(t)
-    x, y, z = g
+    x, y, z = map(float, g)
     if not all(math.isfinite(c) for c in (x, y, z)):
         raise ValueError(f"group element coordinates must be finite, got {tuple(g)}")
     if not math.isfinite(2.0 * math.pi * abs(t * y) * grid.half_width):
         raise ValueError(
-            f"t = {t} and {tuple(g)} overflow the modulation phases 2*pi*t*y*w of the grid {grid}"
+            f"t = {t} and {(x, y, z)} overflow the modulation phases 2*pi*t*y*w of the grid {grid}"
         )
     if not math.isfinite(2.0 * math.pi * t * z + math.pi * t * y * x):
-        raise ValueError(f"t = {t} and {tuple(g)} overflow the central phase 2*pi*t*z + pi*t*y*x")
+        raise ValueError(f"t = {t} and {(x, y, z)} overflow the central phase 2*pi*t*z + pi*t*y*x")
     phase = cmath.exp(2j * math.pi * t * z + 1j * math.pi * t * y * x)
     mod = np.exp(-2j * np.pi * (t * y) * grid.nodes)
     # diagonal modulation as a row scaling of the shift T_x, read from
@@ -140,34 +140,48 @@ def _phase_tables(t: float, factors, P: np.ndarray, E: np.ndarray) -> None:
         np.multiply(np.exp(c * coarse)[:, :, None], np.exp(c * fine)[:, None, :], out=out)
 
 
-def _split(ts, factors, node, shapes) -> None:
-    """node(k, prev, P, E, *buffers) with the tables of ts[k] for every k, on the workers.
+def _check_phases(tgrid: TGrid, factors, zs, box, grid: GridSpec1D) -> None:
+    """The largest phase arguments of a lattice on a box, those of its
+    outermost node, must be finite: pi*t*x*y of the P tables, 2*pi*t*y*w
+    of the E tables and 2*pi*t*z of the z table.  Each is checked in
+    Python floats, in the order numpy forms it from the factors of
+    _box_tables and the z axis, before numpy computes a phase."""
+    t = tgrid.k_max * tgrid.delta
+    xy, yw = (max(float(np.max(np.abs(a))) for a in pair) for pair in factors)
+    z = float(np.max(np.abs(zs)))
+    for name, arg in (
+        ("pi*t*x*y", math.pi * t * xy),
+        ("2*pi*t*y*w", 2.0 * math.pi * t * yw),
+        ("2*pi*t*z", 2.0 * math.pi * t * z),
+    ):
+        if not math.isfinite(arg):
+            raise ValueError(
+                f"{tgrid} overflows the phases {name} of the box {box} on the carrier {grid}"
+            )
 
-    One pair of tables serves each |t| group: built at its first node, it
-    is conjugated in place before a node whose sign differs from the one
-    before, as the tables of -t are those of t conjugated.  run_split's
-    workers compute every group whole and in node order, so no bit
-    depends on the core count.  prev is the node of k's group that ran
-    just before k on the same buffers, or None for the group's first
-    node, so a node may reuse what prev left in them.  The tables, which
-    a group's nodes share, and the complex buffers of the given shapes,
-    which each node writes, are run_split's scratch.
+
+def _split(tgrid: TGrid, factors, node, shapes) -> None:
+    """node(j, first, P, E, *buffers) with the tables of tgrid.nodes[j] for every j, on the workers.
+
+    run_split deals tgrid.pairs.  A pair's worker builds the tables of
+    its -k node, runs that node with first True, conjugates the tables in
+    place, which makes them the tables of k, and runs the k node with
+    first False on the same buffers, so it may reuse what the -k node
+    left in them.  Each pair is computed whole, in one worker, so no bit
+    depends on the core count.  The tables and the complex buffers of the
+    given shapes, which each node writes, are run_split's scratch.
     """
-    groups = {}
-    for k, t in enumerate(ts):
-        groups.setdefault(abs(t), []).append(k)
     shapes = [(len(c), c.shape[1] * f.shape[1]) for c, f in factors] + list(shapes)
 
     def work(share, P, E, *buffers):
-        for ks in share:
-            _phase_tables(ts[ks[0]], factors, P, E)
-            for prev, k in zip([None] + ks[:-1], ks):
-                if prev is not None and (ts[prev] < 0) != (ts[k] < 0):
-                    np.conj(P, out=P)
-                    np.conj(E, out=E)
-                node(k, prev, P, E, *buffers)
+        for neg, pos in share:
+            _phase_tables(tgrid.nodes[neg], factors, P, E)
+            node(neg, True, P, E, *buffers)
+            np.conj(P, out=P)
+            np.conj(E, out=E)
+            node(pos, False, P, E, *buffers)
 
-    run_split(groups.values(), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
+    run_split(tgrid.pairs, work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
 
 
 def _z_sums(samples: np.ndarray, ez: np.ndarray) -> np.ndarray:
@@ -183,21 +197,22 @@ def _z_sums(samples: np.ndarray, ez: np.ndarray) -> np.ndarray:
     return (flat @ ez.view(float)).view(complex)
 
 
-def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
-    """np.array([term(k, *coefs) for every k]) in node order, coefs the
-    bare coefficients pi_{ts[k]}(f) of each f in fs, from one pass.
+def node_terms(fs, tgrid: TGrid, grid: GridSpec1D, term) -> np.ndarray:
+    """np.array([term(k, *coefs) for every k]) in lattice order, coefs
+    the bare coefficients pi_{t_k}(f) of each f in fs at the node t_k =
+    tgrid.nodes[k], from one pass.
 
-    fs is one sampled function or a non-empty tuple of them on one box;
-    ts is a 1-d list of nonzero finite nodes.  term runs on the worker
-    threads, several at once; it returns node k's value and writes
-    nothing but its own slot k.  The coefficients are fresh arrays it
-    may keep.
+    fs is one sampled function or a non-empty tuple of them on one box.
+    term runs on the worker threads, several at once; it returns node
+    k's value and writes nothing but its own slot k.  The coefficients
+    are fresh arrays it may keep.  A lattice whose phases overflow on
+    the box is a ValueError (_check_phases).
 
     The z sums of all nodes come from one (nx*ny, nz) @ (nz, K) product
     per function, in the calling thread (_z_sums); each coefficient is
     then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
     A = (fz_k * P) @ E, fz_k the z sums of node k as an (nx, ny) array
-    and P, E the x/y phase tables of ts[k].  With the kernel split as in
+    and P, E the x/y phase tables of t_k.  With the kernel split as in
     _box_tables that is R[(m - n) mod N, m] + (u*s)[m] s[n] / N, where
     R = rows^T @ A is one real (N, nx) @ (nx, 2N) product on A's float
     view, written into the float view of an (N, N) complex buffer, and
@@ -205,26 +220,24 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     call.  The samples' dtype decides the path.  A real f,
     float64 samples, takes its z sums as one real product on the
     interleaved float view of the z table, with no complex copy of the
-    samples.  Its z sums and the tables of -t are those of t conjugated,
+    samples.  Its z sums and the tables of k are those of -k conjugated,
     and so are A and, as the rows are real, R: a real f takes the complex
-    (nx, ny) @ (ny, N) product and the real one once per |t| group, at
-    the group's first node, and each later node uses them as they are
-    (same t) or conjugated in place (-t), then costs a gather, u and the
-    rank-one term.  A complex f, such as d_z f, takes the complex z
-    product and both x products at every node.
+    (nx, ny) @ (ny, N) product and the real one once per pair, at its -k
+    node, and the k node conjugates them in place, then costs a gather, u
+    and the rank-one term.  A complex f, such as d_z f, takes the complex
+    z product and both x products at every node.
     """
     fs = (fs,) if isinstance(fs, SampledFunction3D) else tuple(fs)
     if not fs:
         raise ValueError("node terms need at least one function in fs")
     if not all(fs[0].same_grid(g) for g in fs[1:]):
         raise ValueError("node terms need functions sampled on one box")
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError(f"ts must be a 1-d list of nodes, got shape {ts.shape}")
-    for t in ts:
-        _check_t(t)
+    if not isinstance(tgrid, TGrid):
+        raise ValueError(f"tgrid must be a TGrid, got {type(tgrid).__name__}")
+    ts = tgrid.nodes
     xs, ys, zs = fs[0].axes
     rows, nyquist, factors = _box_tables(grid, xs, ys)
+    _check_phases(tgrid, factors, zs, fs[0].box, grid)
     nx, ny, nz = fs[0].counts
     n = grid.n_points
     # the quadrature weight rides on the kernel, not on each coefficient
@@ -237,14 +250,14 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
     reals = [not np.iscomplexobj(f.samples) for f in fs]
     values = [None] * len(ts)
 
-    def node(k, prev, P, E, XY, *buffers):
+    def node(k, first, P, E, XY, *buffers):
         coefs = []
         for fz, real, R, A in zip(fzs, reals, buffers[::2], buffers[1::2]):
-            if not real or prev is None:
+            if first or not real:
                 np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
                 np.matmul(rows.T, A.view(float), out=R.view(float))
-            elif (ts[prev] < 0) != (ts[k] < 0):
-                # A and R still hold the products of -ts[k]
+            else:
+                # A and R still hold the products of -t_k
                 np.conj(A, out=A)
                 np.conj(R, out=R)
             out = np.take(R, gather)
@@ -256,7 +269,7 @@ def node_terms(fs, ts, grid: GridSpec1D, term) -> np.ndarray:
             coefs.append(out)
         values[k] = term(k, *coefs)
 
-    _split(ts, factors, node, ((nx, ny),) + ((n, n), (nx, n)) * len(fs))
+    _split(tgrid, factors, node, ((nx, ny),) + ((n, n), (nx, n)) * len(fs))
     return np.array(values)
 
 
@@ -274,13 +287,16 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     layout, so that rows @ G is one real (nx, N) @ (N, 2N) product on
     G's float view (_box_tables), and the conjugated phase tables of t,
     which are the tables of -t: D @ E^T, an (nx, N) @ (N, ny) complex
-    product, times P.  The z axis is one (nx*ny, K) @ (K, nz) product for
-    the whole lattice.
+    product, times P, so the tables of node j serve its mirror 2K - 1 - j.
+    The z axis is one (nx*ny, K) @ (K, nz) product for the whole lattice.
+    A lattice whose phases overflow on the box is a ValueError
+    (_check_phases).
     """
     if F.dim != grid.n_points:
         raise ValueError("field dimension does not match the carrier grid")
     xs, ys, zs = box_axes(box, counts)
     rows, nyquist, factors = _box_tables(grid, xs, ys)
+    _check_phases(F.tgrid, factors, zs, box, grid)
     ts = F.tgrid.nodes
     nx, ny, nz = len(xs), len(ys), len(zs)
     n = grid.n_points
@@ -291,15 +307,15 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     cnyquist = np.conj(nyquist) / n
     table = np.empty((len(ts), nx * ny), dtype=complex)
 
-    def node(k, prev, P, E, G, D):
-        np.take(F.mats[k], gather, out=G, mode="clip")
+    def node(j, first, P, E, G, D):
+        np.take(F.mats[-1 - j], gather, out=G, mode="clip")
         np.matmul(rows, G.view(float), out=D.view(float))
         D += np.multiply.outer(cnyquist, (signs @ G.view(float)).view(complex))
-        X = np.matmul(D, E.T, out=table[k].reshape(nx, ny))
+        X = np.matmul(D, E.T, out=table[-1 - j].reshape(nx, ny))
         # the operand order of a complex product sets its last bits
         np.multiply(X, P, out=X)
 
-    _split(-ts, factors, node, ((n, n), (nx, n)))
+    _split(F.tgrid, factors, node, ((n, n), (nx, n)))
     ez = F.tgrid.delta * np.exp(np.outer(-2j * np.pi * ts, zs))
     return (table.T @ ez).reshape(nx, ny, nz)
 
@@ -310,11 +326,14 @@ def fourier_coefficient(
     """Discrete pi_t(f): rectangle-rule sum of f(v)*rep_matrix(t, v) over the box.
 
     method "fast" factors the sum through a partial z transform and the
-    circulant shift kernels; "direct" is the literal per-sample sum kept
-    as the reference path.  Both produce the same quadrature.
+    circulant shift kernels, as node_terms does on the one-pair lattice
+    TGrid(|t|, 1), whose node int(t > 0) is t; "direct" is the literal
+    per-sample sum kept as the reference path.  Both produce the same
+    quadrature.
     """
     if method == "fast":
-        return node_terms(f, [t], grid, lambda k, coef: coef)[0]
+        _check_t(t)
+        return node_terms(f, TGrid(abs(t), 1), grid, lambda k, coef: coef)[int(t > 0)]
     if method == "direct":
         return _coefficient_direct(f, t, grid)
     raise ValueError(f"unknown method {method!r}")
@@ -340,5 +359,5 @@ def forward_field(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
         # written in place and not returned, so the field is held once
         np.multiply(abs(ts[k]), coef, out=mats[k])
 
-    node_terms(f, ts, grid, term)
+    node_terms(f, tgrid, grid, term)
     return OperatorField(tgrid, mats)

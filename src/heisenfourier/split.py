@@ -1,8 +1,8 @@
 """Independent work dealt across the CPUs the process may run on.
 
 run_split is the package's only thread code.  The group Fourier transform
-deals its |t| groups through it and the dual convolution its output
-nodes, in pairs (-k, k) that share their terms' ratios.  Each worker
+and the dual convolution deal the lattice's node pairs (-k, k) through
+it: a pair shares its phase tables, or its terms' ratios.  Each worker
 gets a fixed share, items[w::workers], so which worker computes an item
 depends only on the worker count, and callers that keep each item's
 arithmetic inside one worker get the same bits on any core count.  The
@@ -33,7 +33,7 @@ def run_split(items, work, scratch) -> None:
     workers is _worker_count(len(items)).  scratch() runs in the calling
     thread, once per worker, before any thread starts.  It holds what a
     worker writes per node or term and the state that several of them share,
-    such as a |t| group's phase tables or a ratio's Dirichlet rows; the
+    such as a node pair's phase tables or a ratio's Dirichlet rows; the
     arithmetic that builds that state uses plain temporaries.  A worker's own
     buffers sit in its per-thread malloc arena and can raise peak RSS.  A
     caller's own large arrays can do the same: glibc raises its mmap
@@ -42,7 +42,7 @@ def run_split(items, work, scratch) -> None:
     benchmark's scale) the workers' 1 MB per-node arrays come from their
     arenas and stay resident: that benchmark's peak RSS went from 322 to 343
     MB.  The temporaries are small and freed at once: at that scale, 272 KiB
-    of phase-table exponentials per |t| group, none over 96 KiB, left peak
+    of phase-table exponentials per node pair, none over 96 KiB, left peak
     RSS at 351.0-351.1 MB, against 351.0-352.2 MB as scratch.  An exception
     in any worker is raised here once every worker has stopped, so a caller
     never sees a partly written result.

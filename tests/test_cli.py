@@ -371,7 +371,7 @@ def test_derivation_suite_and_ladder_share_one_source():
     f = sample_family(cli.DERIV_FAMILY, box, counts)
     h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
     w_dz = w_norm(d_z(f), tg, grid)
-    trace_norms = node_terms(f, tg.nodes, grid, lambda k, coef: schatten_norm(coef, 1))
+    trace_norms = node_terms(f, tg, grid, lambda k, coef: schatten_norm(coef, 1))
     a_f = float(tg.delta * sum(np.abs(tg.nodes) * trace_norms))
     assert abs(a_f - a_norm(forward_field(f, tg, grid))) <= 1e-14 * a_f
     assert recs["nonvanishing_witness"].value == w_dz

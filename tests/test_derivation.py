@@ -109,7 +109,7 @@ def test_derivation_nodes_match_the_separate_transforms():
     gap, dz_norm, trace_norm = derivation_nodes(f, TG, GRID)
 
     def norms(g, p):
-        return node_terms(g, TG.nodes, GRID, lambda k, coef: schatten_norm(coef, p))
+        return node_terms(g, TG, GRID, lambda k, coef: schatten_norm(coef, p))
 
     assert np.array_equal(dz_norm, norms(d_z(f), np.inf))
     # |t| ||pi_t(f)||_1 from the one SVD of pi_t(f), bit for bit; the trace

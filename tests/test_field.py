@@ -51,6 +51,17 @@ def test_tgrid_refuses_a_delta_whose_largest_node_overflows():
         assert np.all(np.isfinite(tg.nodes))
 
 
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5])
+def test_tgrid_pairs_are_the_positions_of_minus_k_and_k(k_max):
+    """The pairs that the transform and the dual convolution deal: one per
+    k = 1..K, in that order, and every storage position in exactly one."""
+    tg = TGrid(0.25, k_max)
+    assert tg.pairs == tuple((tg.index_of(-k), tg.index_of(k)) for k in range(1, k_max + 1))
+    assert sorted(pos for pair in tg.pairs for pos in pair) == list(range(tg.n_nodes))
+    for neg, pos in tg.pairs:
+        assert tg.nodes[neg] == -tg.nodes[pos] < 0
+
+
 def test_tgrid_stores_numpy_reals_as_python_floats():
     tg = TGrid(np.float64(0.5), 4)
     assert type(tg.delta) is float

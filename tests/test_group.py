@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from heisenfourier.cli import CANONICAL_FAMILY, DC_LEFT
 from heisenfourier.derivation import leibniz_defect
+from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D
 from heisenfourier.group import (
     GaussianPoly,
@@ -285,12 +286,12 @@ def test_grids_from_lists_and_tuples_are_one_grid():
     assert f.same_grid(g_list) and g_list.same_grid(f)
     assert np.array_equal((f * g_list).samples, (f * g).samples)
     assert (f * g_list).family == f.family * fam
-    ts, grid = [-0.5, 0.25], GridSpec1D(8, 2.0)
+    tg, grid = TGrid(0.25, 2), GridSpec1D(8, 2.0)
 
     def gap(k, a, b):
         return float(np.max(np.abs(a - b)))
 
-    assert np.array_equal(node_terms((f, g_list), ts, grid, gap), node_terms((f, g), ts, grid, gap))
+    assert np.array_equal(node_terms((f, g_list), tg, grid, gap), node_terms((f, g), tg, grid, gap))
     assert leibniz_defect(f, g_list) == leibniz_defect(f, g)
 
 

@@ -139,9 +139,9 @@ def test_forward_of_complex_samples_matches_direct_at_both_signs():
     f = sample_family(fam, (3.0, 3.0, 2.0), (8, 8, 6))
     assert np.iscomplexobj(f.samples)
     grid = GridSpec1D(16, 2.5)
-    ts = [0.5, -0.5, -1.0, 1.0]
-    coefs = node_terms(f, ts, grid, lambda k, coef: coef)
-    for t, coef in zip(ts, coefs):
+    tg = TGrid(0.5, 2)
+    coefs = node_terms(f, tg, grid, lambda k, coef: coef)
+    for t, coef in zip(tg.nodes, coefs):
         direct = fourier_coefficient(f, t, grid, "direct")
         assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
 

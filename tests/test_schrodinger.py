@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heisenfourier.field import TGrid
+from heisenfourier.cli import SCALES
+from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.grid import GridSpec1D, circulant_view, schatten_norm, shift_kernel
 from heisenfourier.group import (
     GaussianPoly,
@@ -20,11 +21,13 @@ from heisenfourier.group import (
 )
 from heisenfourier.schrodinger import (
     _box_tables,
+    _check_phases,
     _coefficient_direct,
     _phase_tables,
     _z_sums,
     forward_field,
     fourier_coefficient,
+    inverse_transform_grid,
     node_terms,
     rep_matrix,
 )
@@ -74,6 +77,22 @@ def test_rep_refuses_phases_that_overflow_before_numpy_warns(t, g, phase):
             rep_matrix(t, GroupElement(*g), grid)
         # with t 1e120 times smaller every argument is a large finite float
         assert np.all(np.isfinite(rep_matrix(t * 1e-120, GroupElement(*g), grid)))
+
+
+def test_rep_checks_numpy_scalar_inputs_in_python_floats():
+    """_coefficient_direct and plancherel.inverse_transform pass numpy
+    scalars, whose products overflowed in numpy with a RuntimeWarning
+    before the check could raise; the matrix does not change."""
+    grid = GridSpec1D(8, 2.0)
+    g = (np.float64(-1.125),) * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (1e308, np.float64(1e308)):
+            with pytest.raises(ValueError, match=re.escape("(-1.125, -1.125, -1.125) overflow")):
+                rep_matrix(t, g, grid)
+    g = GroupElement(*(np.float64(c) for c in (0.3, -0.7, 0.45)))
+    assert np.array_equal(rep_matrix(np.float64(0.625), g, grid), rep_matrix(0.625, g, grid))
+    assert np.array_equal(rep_matrix(0.625, g, grid), rep_matrix(0.625, (0.3, -0.7, 0.45), grid))
 
 
 def test_rep_central_elements_are_phases():
@@ -141,53 +160,42 @@ def test_coefficient_fast_matches_direct():
 
 
 @pytest.mark.parametrize(
-    "ts", [[0.5, -0.25, 0.75, 0.25], [0.375], [-0.5, -0.125], [-0.25, 0.25, -0.25]]
+    "ts", [TGrid(0.375, 1), TGrid(0.25, 2), TGrid(0.125, 3), TGrid(0.5, 3)]
 )
 def test_plan_coefficients_match_direct_on_any_node_list(ts):
-    """Unsorted, one-signed and mixed lists: the term sees every node
-    once, under its own position, equal to the literal per-sample sum.  The
+    """Every node of a lattice: the term sees each once, under its own
+    position, equal to the literal per-sample sum at that node.  The
     samples have no symmetry, so a wrong sign in the x or y phases shows."""
-    from heisenfourier.group import SampledFunction3D
-
     rng = np.random.default_rng(41)
     samples = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
     f = SampledFunction3D((1.5, 1.5, 1.5), (4, 4, 4), samples)
     grid = GridSpec1D(8, 2.0)
     got = []
     node_terms(f, ts, grid, lambda k, coef: got.append((k, coef)))
-    assert sorted(k for k, _ in got) == list(range(len(ts)))
+    assert sorted(k for k, _ in got) == list(range(ts.n_nodes))
     for k, coef in got:
-        direct = _coefficient_direct(f, ts[k], grid)
+        direct = _coefficient_direct(f, ts.nodes[k], grid)
         assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
-
-
-@st.composite
-def node_lists(draw):
-    """Nodes drawn from a pool of up to three |t|, each with its own sign,
-    so lists repeat nodes, pair t with -t and are often one-signed."""
-    pool = draw(st.lists(st.floats(0.0625, 1.5), min_size=1, max_size=3))
-    picks = st.tuples(st.integers(0, len(pool) - 1), st.sampled_from((1.0, -1.0)))
-    return [sign * pool[i] for i, sign in draw(st.lists(picks, min_size=1, max_size=5))]
 
 
 @settings(max_examples=30)
 @given(
-    ts=node_lists(),
+    tg=st.builds(TGrid, st.floats(0.0625, 0.5), st.integers(1, 3)),
     complex_samples=st.lists(st.booleans(), min_size=1, max_size=2),
     counts=st.tuples(*[st.sampled_from((2, 4))] * 3),
     half=st.floats(0.5, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(ts=[0.25, 0.25, -0.25], complex_samples=[True, True], counts=(4, 4, 4), half=1.5, seed=0)
-@example(ts=[-0.5, -0.125], complex_samples=[True], counts=(4, 2, 4), half=1.0, seed=1)
-@example(ts=[0.25, -0.25, 0.25, -0.25], complex_samples=[False], counts=(4, 4, 4), half=1.5, seed=0)
-@example(ts=[-0.5, 0.5, 0.5], complex_samples=[True, False], counts=(4, 2, 4), half=1.0, seed=1)
-def test_node_terms_match_direct_sums(ts, complex_samples, counts, half, seed):
+@example(tg=TGrid(0.25, 1), complex_samples=[True, True], counts=(4, 4, 4), half=1.5, seed=0)
+@example(tg=TGrid(0.125, 3), complex_samples=[True], counts=(4, 2, 4), half=1.0, seed=1)
+@example(tg=TGrid(0.25, 2), complex_samples=[False], counts=(4, 4, 4), half=1.5, seed=0)
+@example(tg=TGrid(0.5, 3), complex_samples=[True, False], counts=(4, 2, 4), half=1.0, seed=1)
+def test_node_terms_match_direct_sums(tg, complex_samples, counts, half, seed):
     """Every node's value under its own position, for one or two functions
     per pass, equal to the literal per-sample sums.  Real samples with no
-    symmetry take one x/y product per |t| and conjugate it for -t, while
-    a complex function takes its own at every node; either matches a
-    one-node pass, which has no partner node to share with."""
+    symmetry take one x/y product per node pair and conjugate it for k,
+    while a complex function takes its own at every node; either matches
+    fourier_coefficient's one-pair lattice at that node."""
     rng = np.random.default_rng(seed)
     box = (half, 1.25 * half, 0.75 * half)
     fs = tuple(
@@ -197,13 +205,13 @@ def test_node_terms_match_direct_sums(ts, complex_samples, counts, half, seed):
         for c in complex_samples
     )
     grid = GridSpec1D(8, 2.0)
-    got = node_terms(fs if len(fs) > 1 else fs[0], ts, grid, lambda k, *coefs: np.stack(coefs))
-    assert got.shape == (len(ts), len(fs), 8, 8)
-    for k, t in enumerate(ts):
+    got = node_terms(fs if len(fs) > 1 else fs[0], tg, grid, lambda k, *coefs: np.stack(coefs))
+    assert got.shape == (tg.n_nodes, len(fs), 8, 8)
+    for k, t in enumerate(tg.nodes):
         for coef, f in zip(got[k], fs):
             direct = _coefficient_direct(f, t, grid)
             assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
-            alone = node_terms(f, [t], grid, lambda k, coef: coef)[0]
+            alone = fourier_coefficient(f, t, grid)
             assert np.max(np.abs(coef - alone)) / np.max(np.abs(alone)) < 1e-13
 
 
@@ -270,18 +278,18 @@ def test_node_terms_reject_mixed_boxes():
         sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 2)),
     ):
         with pytest.raises(ValueError, match="one box"):
-            node_terms((f, other), [0.5], grid, lambda k, a, b: 0.0)
+            node_terms((f, other), TGrid(0.5, 1), grid, lambda k, a, b: 0.0)
 
 
 @pytest.mark.parametrize(
     "fs, ts, message",
     [
-        ((), [0.5], "at least one function in fs"),
-        (None, [[0.5, -0.5]], r"ts must be a 1-d list of nodes, got shape \(1, 2\)"),
-        (None, 0.5, r"ts must be a 1-d list of nodes, got shape \(\)"),
+        ((), TGrid(0.5, 1), "at least one function in fs"),
+        (None, TGrid(0.5, 1).nodes, "tgrid must be a TGrid, got ndarray"),
     ],
 )
 def test_node_terms_reject_empty_fs_and_non_list_ts(fs, ts, message):
+    """A node list, such as a lattice's nodes, is not a lattice."""
     f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
     with pytest.raises(ValueError, match=message):
         node_terms(f if fs is None else fs, ts, GridSpec1D(8, 2.0), lambda k, *coefs: 0.0)
@@ -298,15 +306,57 @@ def test_node_terms_reject_empty_fs_and_non_list_ts(fs, ts, message):
     ],
 )
 def test_node_lists_reject_zero_and_nonfinite_nodes(bad, message):
-    """A node list is checked at node_terms' boundary with rep_matrix's
-    messages, and so is fourier_coefficient's t on either path."""
+    """fourier_coefficient's t is checked with rep_matrix's messages on
+    either path."""
     f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
     grid = GridSpec1D(8, 2.0)
-    with pytest.raises(ValueError, match=message):
-        node_terms(f, [0.5, bad, -0.25], grid, lambda k, coef: 0.0)
     for method in ("fast", "direct"):
         with pytest.raises(ValueError, match=message):
             fourier_coefficient(f, bad, grid, method=method)
+
+
+@pytest.mark.parametrize(
+    "tg, box, grid, phases",
+    [
+        (TGrid(5e307, 2), (1.5, 1.5, 1.5), GridSpec1D(8, 2.0), "pi*t*x*y"),
+        (TGrid(5.0, 2), (1.5, 1.5, 1.5), GridSpec1D(8, 1e307), "2*pi*t*y*w"),
+        (TGrid(5.0, 2), (1.5, 1.5, 1e307), GridSpec1D(8, 2.0), "2*pi*t*z"),
+    ],
+)
+def test_transforms_refuse_a_lattice_whose_phases_overflow(tg, box, grid, phases):
+    """Both drivers, and fourier_coefficient's fast path through a one-pair
+    lattice, raise before numpy forms a phase: the P, E or z table of the
+    outermost node overflowed, and the fast transform returned NaN where
+    the direct path refused.  With the nodes 1e120 times smaller every
+    argument is a large finite float."""
+    f = SampledFunction3D(box, (4, 4, 4), RNG.standard_normal((4, 4, 4)))
+    field = OperatorField(tg, np.zeros((tg.n_nodes, 8, 8)))
+    names_all = re.escape(f"{tg!r} overflows the phases {phases} of the box {box!r}")
+    names_all += ".*" + re.escape(repr(grid))
+    t = tg.k_max * tg.delta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=names_all):
+            forward_field(f, tg, grid)
+        with pytest.raises(ValueError, match=names_all):
+            inverse_transform_grid(field, box, (4, 4, 4), grid)
+        with pytest.raises(ValueError, match=re.escape(f"overflows the phases {phases}")):
+            fourier_coefficient(f, t, grid)
+        small = TGrid(tg.delta * 1e-120, tg.k_max)
+        assert np.all(np.isfinite(forward_field(f, small, grid).mats))
+        field = OperatorField(small, field.mats)
+        assert np.all(np.isfinite(inverse_transform_grid(field, box, (4, 4, 4), grid)))
+
+
+def test_every_ladder_level_passes_the_phase_overflow_check():
+    for ladder, levels in SCALES.items():
+        for scales in levels:
+            if not isinstance(scales, tuple):
+                continue  # a carrier alone, with no transform
+            box, counts, tg, grid = scales
+            xs, ys, zs = box_axes(box, counts)
+            _, _, factors = _box_tables(grid, xs, ys)
+            _check_phases(tg, factors, zs, box, grid)
 
 
 def test_coefficient_is_linear():
@@ -365,7 +415,7 @@ def test_forward_field_is_node_terms_scaled_by_abs_t():
     grid = GridSpec1D(16, 2.5)
     tg = TGrid(0.25, 3)
     ts = tg.nodes
-    want = node_terms(f, ts, grid, lambda k, coef: abs(ts[k]) * coef)
+    want = node_terms(f, tg, grid, lambda k, coef: abs(ts[k]) * coef)
     assert np.array_equal(forward_field(f, tg, grid).mats, want)
 
 
