@@ -10,8 +10,8 @@ Commands (run as python -m heisenfourier.cli):
 Suites: group, representation, plancherel, inversion, fusion, dualconv,
 derivation, inequalities, lie, all; run_suite returns their CheckRecords.
 Ladders: representation, plancherel, inversion, fusion, dualconv,
-derivation; convergence_rows yields each level's CSV rows as soon as the
-level is done, and a level past the ladder's SCALES is a capacity stop.
+derivation; convergence_rows yields each level of levels() as CSV rows as
+soon as it is done, and a level past the ladder's last scale is a capacity stop.
 Exit code 0 when every check passes, 1 on a failed check or capacity
 stop, 2 on usage or configuration errors.
 
@@ -32,7 +32,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -263,44 +263,23 @@ GSET = (
 )
 
 
-# the levels of each refinement ladder, coarsest first: (box, counts, t-grid,
-# carrier), except that a representation or fusion level is a bare carrier.
-# The inversion ladder's round trip runs at the plancherel level of the same
-# index; its own entries are the scales of the adjoint pairing.  Neither
-# check converges at the other's scales: the adjoint pairing at the plancherel
-# scales reads 1.737e-5, 6.893e-5, 3.770e-5, which does not decrease, and the
-# round trip at the inversion scales, where delta stays 0.125, stalls on the
-# dropped t = 0 term at 7.842e-3, 7.531e-3, 7.530e-3.
-SCALES = {
-    "plancherel": (
-        ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
-        ((5.2, 5.2, 3.2), (96, 192, 44), TGrid(0.0625, 64), GridSpec1D(128, 4.0 * math.sqrt(2.0))),
-        ((5.2, 5.2, 3.2), (128, 384, 44), TGrid(0.03125, 128), GridSpec1D(256, 8.0)),
-    ),
-    "inversion": (
-        ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
-        ((5.2, 5.2, 3.2), (112, 136, 44), TGrid(0.125, 32), GridSpec1D(128, 4.0 * math.sqrt(2.0))),
-        ((5.2, 5.2, 3.2), (192, 192, 44), TGrid(0.125, 32), GridSpec1D(256, 8.0)),
-    ),
-    "dualconv": (
-        ((2.0, 2.9, 5.6), (22, 42, 40), TGrid(0.125, 16), GridSpec1D(16, 2.2)),
-        ((2.0, 2.9, 5.6), (22, 56, 40), TGrid(0.0625, 32), GridSpec1D(32, 4.4)),
-    ),
-    "derivation": (
-        ((5.0, 5.0, 4.0), (40, 40, 32), TGrid(0.25, 8), GridSpec1D(32, 3.2)),
-        ((5.0, 5.0, 4.0), (56, 56, 44), TGrid(0.25, 8), GridSpec1D(64, 3.2)),
-    ),
-    "representation": (GridSpec1D(256, 10.0), GridSpec1D(512, 10.0), GridSpec1D(1024, 10.0)),
-    "fusion": tuple(GridSpec1D(n, 4.0) for n in (16, 32, 64, 128, 256, 512, 1024)),
-}
+class Ladder(NamedTuple):
+    """A refinement ladder: its scales, coarsest first; level(cfg, scale), the
+    dict of values at one scale; and the names of those that converge reports."""
+
+    scales: tuple
+    level: Callable
+    values: tuple
 
 
-def _scales(suite: str, level: int):
-    """One level of a ladder's SCALES; past the last one, the capacity stop."""
-    levels = SCALES[suite]
-    if level >= len(levels):
-        raise CapacityError(f"{suite} ladder is defined for {len(levels)} levels")
-    return levels[level]
+def levels(name: str, cfg: RunConfig, count: Optional[int] = None):
+    """The level dicts of one ladder, coarsest first: the first count, or
+    all of them.  Past the ladder's last scale, the capacity stop."""
+    ladder = LADDERS[name]
+    for scale in ladder.scales[:count]:
+        yield ladder.level(cfg, scale)
+    if count is not None and count > len(ladder.scales):
+        raise CapacityError(f"{name} ladder is defined for {len(ladder.scales)} levels")
 
 
 def _dyadic_elements(rng, count: int) -> list[GroupElement]:
@@ -344,45 +323,37 @@ def group_suite(cfg: RunConfig):
     yield check("check_map_involution", gap)
 
 
-def _rep_level(cfg: RunConfig, level: int) -> dict:
-    """Homomorphism defect of pi_t on a narrow Gaussian at one carrier.
-
-    Unitarity is a property of each carrier, not a refinement defect, so
-    the Gram matrices are formed at the base carrier only.
-    """
-    grid = _scales("representation", level)
-    n = grid.n_points
-    rng = np.random.default_rng(cfg.seed)
-    els = _dyadic_elements(rng, 20)
-    pairs = [(els[2 * i], els[2 * i + 1]) for i in range(10)]
+def _rep_level(cfg: RunConfig, grid: GridSpec1D) -> dict:
+    """Homomorphism defect of pi_t on a narrow Gaussian at one carrier."""
+    els = _dyadic_elements(np.random.default_rng(cfg.seed), 20)
     v = np.exp(-grid.nodes**2 / (2 * 0.22**2)).astype(complex)
     v /= np.linalg.norm(v)
     hom = 0.0
-    unit = 0.0
     for t in _REP_TS:
-        for g1, g2 in pairs:
+        for g1, g2 in zip(els[0::2], els[1::2]):
             m1 = rep_matrix(t, g1, grid)
             m2 = rep_matrix(t, g2, grid)
             m12 = rep_matrix(t, mul(g1, g2), grid)
             hom = max(hom, float(np.linalg.norm(m1 @ (m2 @ v) - m12 @ v)))
-            if level == 0:
-                gram = m1.conj().T @ m1
-                gram.flat[:: n + 1] -= 1.0
-                unit = max(unit, float(np.max(np.abs(gram))))
-    return {"homomorphism": hom, "unitarity": unit if level == 0 else None}
+    return {"homomorphism": hom}
 
 
 @_suite("representation")
 def representation_suite(cfg: RunConfig):
-    base = _rep_level(cfg, 0)
-    hom = base["homomorphism"]
-    yield check("unitarity", base["unitarity"], 1e-12)
+    # unitarity is a property of each carrier, not a refinement defect: the
+    # Gram matrices at the base carrier, of the first element of each pair
+    grid = LADDERS["representation"].scales[0]
+    els = _dyadic_elements(np.random.default_rng(cfg.seed), 20)
+    n = grid.n_points
+    mats = (rep_matrix(t, g1, grid) for t in _REP_TS for g1 in els[0::2])
+    unit = max(float(np.max(np.abs(m.conj().T @ m - np.eye(n)))) for m in mats)
+    yield check("unitarity", unit, 1e-12)
+    hom, hom_ref = (level["homomorphism"] for level in levels("representation", cfg, 2))
     yield check("homomorphism", hom, TOL["representation"])
-    hom_ref = _rep_level(cfg, 1)["homomorphism"]
     yield refinement("homomorphism_doubling_gain", [(hom, hom_ref)], 4.0, defect_512=hom_ref)
 
 
-def _ladder(name: str, levels, tol: float):
+def _ladder(name: str, chain, tol: float):
     """Rows <name>_level<i>, the first against tol, and <name>_decreasing,
     the least gain between neighbouring levels.
 
@@ -390,7 +361,7 @@ def _ladder(name: str, levels, tol: float):
     suite can read a second value of the same levels.
     """
     seen = []
-    for i, level in enumerate(levels):
+    for i, level in enumerate(chain):
         seen.append(level)
         if i == 0:
             yield check(f"{name}_level0", level[name], tol)
@@ -400,52 +371,48 @@ def _ladder(name: str, levels, tol: float):
     return seen
 
 
-def _plancherel_level(cfg: RunConfig, level: int) -> dict:
-    box, counts, tgrid, grid = _scales("plancherel", level)
+def _plancherel_level(cfg: RunConfig, scale) -> dict:
+    box, counts, tgrid, grid = scale
     f = sample_family(CANONICAL_FAMILY, box, counts)
     return {"isometry_defect": plancherel_defect(f, tgrid, grid)}
 
 
 @_suite("plancherel")
 def plancherel_suite(cfg: RunConfig):
-    levels = (_plancherel_level(cfg, i) for i in range(len(SCALES["plancherel"])))
-    yield from _ladder("isometry_defect", levels, TOL["plancherel"])
+    yield from _ladder("isometry_defect", levels("plancherel", cfg), TOL["plancherel"])
 
 
-def _inversion_level(cfg: RunConfig, level: int) -> dict:
-    """Adjoint pairing and round trip at one level.  Level 0 also checks
-    the a-norm convention: a_norm of the round trip's forward field
-    against delta * sum_k || |t_k| pi_{t_k}(f) ||_1, the coefficients from
-    a node_terms pass of their own, so a defect in forward_field or
-    a_norm moves the gap."""
-    box, adj_counts, adj_tgrid, adj_grid = _scales("inversion", level)
+def _inversion_level(cfg: RunConfig, scales) -> dict:
+    """The adjoint pairing at the pair's first scales, the round trip at its second."""
+    (box, counts, tgrid, grid), roundtrip = scales
     lhs, rhs = adjoint_pairing_sides(
-        sample_family(PARTNER_FAMILY, box, adj_counts),
-        forward_field(sample_family(CANONICAL_FAMILY, box, adj_counts), adj_tgrid, adj_grid),
-        adj_grid,
+        sample_family(PARTNER_FAMILY, box, counts),
+        forward_field(sample_family(CANONICAL_FAMILY, box, counts), tgrid, grid),
+        grid,
     )
-    box, counts, tgrid, grid = _scales("plancherel", level)
+    box, counts, tgrid, grid = roundtrip
     f = sample_family(CANONICAL_FAMILY, box, counts)
-    F = forward_field(f, tgrid, grid)
-    recon = inverse_transform_grid(F, box, counts, grid)
-    values = {
+    recon = inverse_transform_grid(forward_field(f, tgrid, grid), box, counts, grid)
+    return {
         "roundtrip": float(np.max(np.abs(recon - f.samples)) / np.max(np.abs(f.samples))),
         "adjoint_pairing": abs(lhs - rhs) / abs(lhs),
     }
-    if level == 0:
-        ts = tgrid.nodes
-        terms = node_terms(f, tgrid, grid, lambda k, coef: schatten_norm(abs(ts[k]) * coef, 1))
-        values["a_norm_convention"] = abs(a_norm(F) - tgrid.delta * sum(terms))
-    return values
 
 
 @_suite("inversion")
 def inversion_suite(cfg: RunConfig):
     tol = TOL["inversion"]
-    lazy = (_inversion_level(cfg, i) for i in range(len(SCALES["inversion"])))
-    levels = yield from _ladder("roundtrip", lazy, tol)
-    yield check("a_norm_convention", levels[0]["a_norm_convention"])
-    yield from _ladder("adjoint_pairing", levels, tol)
+    seen = yield from _ladder("roundtrip", levels("inversion", cfg), tol)
+    # a_norm of the base round trip's forward field against delta * sum_k
+    # || |t_k| pi_{t_k}(f) ||_1, from a node_terms pass of its own, so a
+    # defect in forward_field or a_norm moves the gap
+    _, (box, counts, tgrid, grid) = LADDERS["inversion"].scales[0]
+    f = sample_family(CANONICAL_FAMILY, box, counts)
+    ts = tgrid.nodes
+    terms = node_terms(f, tgrid, grid, lambda k, coef: schatten_norm(abs(ts[k]) * coef, 1))
+    gap = abs(a_norm(forward_field(f, tgrid, grid)) - tgrid.delta * sum(terms))
+    yield check("a_norm_convention", gap)
+    yield from _ladder("adjoint_pairing", seen, tol)
 
 
 _FUSION_RATIOS = ((1.0, 1.0), (0.125, 0.125), (0.1875, -0.0625), (2.0, -1.0))
@@ -486,8 +453,7 @@ def _composition_oracle(n: int) -> float:
     return float(np.max(np.abs(got - comp)) / scale)
 
 
-def _fusion_level(cfg: RunConfig, level: int) -> dict:
-    grid = _scales("fusion", level)
+def _fusion_level(cfg: RunConfig, grid: GridSpec1D) -> dict:
     residuals = [_intertwine_residual(r, s, grid) for r, s in _RESIDUAL_PAIRS]
     return {
         "residuals": residuals,
@@ -500,7 +466,7 @@ def _fusion_level(cfg: RunConfig, level: int) -> dict:
 def fusion_suite(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     # W of the matrix-free path, column by column: column i is W e_i
-    grid0 = SCALES["fusion"][0]
+    grid0 = LADDERS["fusion"].scales[0]
     n = grid0.n_points
     eye = np.eye(n * n)
     unit = 0.0
@@ -537,10 +503,9 @@ def fusion_suite(cfg: RunConfig):
     rhs = np.trace(np.kron(c, np.eye(8)) @ big)
     yield check("partial_trace_adjoint_identity", abs(lhs - rhs), 1e-10)
 
-    base = _fusion_level(cfg, 0)
+    base, refined = levels("fusion", cfg, 2)
     oracle = base["composed_action_oracle"]
     yield check("composed_action_oracle", oracle, 1e-3)
-    refined = _fusion_level(cfg, 1)
     yield refinement("composed_action_doubling_gain", [(oracle, refined["composed_action_oracle"])])
 
     tol = TOL["fusion"]
@@ -558,17 +523,17 @@ def fusion_suite(cfg: RunConfig):
     yield check("intertwiner_matrix_free_vs_dense", gap, 1e-12)
 
 
-def _dc_fields(cfg: RunConfig, level: int):
-    """The carrier, DC_LEFT and DC_RIGHT sampled at one level, and their
+def _dc_fields(scale):
+    """The carrier, DC_LEFT and DC_RIGHT sampled at one scale, and their
     forward fields F and G."""
-    box, counts, tgrid, grid = _scales("dualconv", level)
+    box, counts, tgrid, grid = scale
     f1 = sample_family(DC_LEFT, box, counts)
     f2 = sample_family(DC_RIGHT, box, counts)
     return grid, f1, f2, forward_field(f1, tgrid, grid), forward_field(f2, tgrid, grid)
 
 
-def _dc_level(cfg: RunConfig, level: int) -> dict:
-    grid, f1, f2, F, G = _dc_fields(cfg, level)
+def _dc_level(cfg: RunConfig, scale) -> dict:
+    grid, f1, f2, F, G = _dc_fields(scale)
     FG = dual_convolution(F, G, grid)
     GF = dual_convolution(G, F, grid)
     direct = forward_field(f1 * f2, F.tgrid, grid)
@@ -585,12 +550,11 @@ def _dc_level(cfg: RunConfig, level: int) -> dict:
 @_suite("dualconv")
 def dualconv_suite(cfg: RunConfig):
     tol = TOL["dualconv"]
-    base = _dc_level(cfg, 0)
+    base, refined = levels("dualconv", cfg, 2)
     prod, remark = base["product_identity"], base["remark_identity"]
     yield check("product_identity", prod, tol)
     yield check("commutativity", base["commutativity"], tol)
     yield check("remark_identity_nodewise", remark, tol)
-    refined = _dc_level(cfg, 1)
     yield refinement(
         "product_identity_refined",
         [(prod, refined["product_identity"])],
@@ -606,7 +570,7 @@ _THETA1_PAIRS = ((3, 3), (4, 2), (3, -2), (-2, 4), (5, 3))
 @_suite("inequalities")
 def inequalities_suite(cfg: RunConfig):
     tol = TOL["inequalities"]
-    grid, _, _, F, G = _dc_fields(cfg, 0)
+    grid, _, _, F, G = _dc_fields(LADDERS["dualconv"].scales[0])
     FG, bounds = dual_convolution(F, G, grid, with_theta_bounds=True)
     worst = float(np.max(schatten_norm(FG.mats, 1) - bounds))
     yield check("theta2_nodewise_slack", worst, tol, worst <= tol)
@@ -622,11 +586,11 @@ def inequalities_suite(cfg: RunConfig):
     yield check("theta1_trace_norm_slack", worst, tol, worst <= tol)
 
 
-def _deriv_level(cfg: RunConfig, level: int) -> dict:
-    """The odd family at one level: the multiplier, both sides of
+def _deriv_level(cfg: RunConfig, scale) -> dict:
+    """The odd family at one scale: the multiplier, both sides of
     w_norm(d_z f) <= a_norm(F_f) and of the module inequality
     w_norm(f h) <= a_norm(F_f) w_norm(h)."""
-    box, counts, tg, carrier = _scales("derivation", level)
+    box, counts, tg, carrier = scale
     f = sample_family(DERIV_FAMILY, box, counts)
     h = sample_family(DERIV_MODULE_PARTNER, box, counts)
     gap, dz_norm, trace_norm = derivation_nodes(f, tg, carrier)
@@ -649,16 +613,17 @@ def _deriv_level(cfg: RunConfig, level: int) -> dict:
 @_suite("derivation")
 def derivation_suite(cfg: RunConfig):
     tol = TOL["derivation"]
+    deriv = levels("derivation", cfg, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        base = _deriv_level(cfg, 0)
+        base = next(deriv)
     f, mult = base["f"], base["multiplier_identity"]
     yield check("multiplier_identity", mult, tol)
     # the same samples without the family take the spectral path
     plain = SampledFunction3D(f.box, f.counts, f.samples)
     gap = float(np.max(np.abs(d_z(f).samples - d_z(plain).samples)))
     yield check("spectral_vs_analytic", gap, tol)
-    box, counts, tg, carrier = SCALES["derivation"][0]
+    box, counts, tg, carrier = LADDERS["derivation"].scales[0]
     g = sample_family(DERIV_LEIBNIZ_PARTNER, box, counts)
     yield check("leibniz_identity", leibniz_defect(f, g), 1e-12)
 
@@ -690,7 +655,7 @@ def derivation_suite(cfg: RunConfig):
         lhs=base["module_lhs"],
         rhs=base["module_rhs"],
     )
-    refined = _deriv_level(cfg, 1)
+    refined = next(deriv)
     excess_ref = refined["module_rel_excess"]
     yield check(
         "module_inequality_refined",
@@ -778,36 +743,70 @@ def run_suite(name: str, cfg: RunConfig) -> list[CheckRecord]:
 
 
 # ---------------------------------------------------------------------------
-# convergence tables
+# ladders and convergence tables
 
 
-# each ladder's level function and the values of it that converge reports
+# each ladder's scales, coarsest first.  A scale is (box, counts, t-grid,
+# carrier), or a bare carrier for a representation or fusion level.  An
+# inversion scale is the pair (adjoint-pairing scales, plancherel scales), for
+# neither check converges at the other's scales: the adjoint pairing at the
+# plancherel scales reads 1.737e-5, 6.893e-5, 3.770e-5, which does not
+# decrease, and the round trip at the adjoint-pairing scales, where delta
+# stays 0.125, stalls on the dropped t = 0 term at 7.842e-3, 7.531e-3, 7.530e-3.
+_PLANCHEREL_SCALES = (
+    ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
+    ((5.2, 5.2, 3.2), (96, 192, 44), TGrid(0.0625, 64), GridSpec1D(128, 4.0 * math.sqrt(2.0))),
+    ((5.2, 5.2, 3.2), (128, 384, 44), TGrid(0.03125, 128), GridSpec1D(256, 8.0)),
+)
+_ADJOINT_PAIRING_SCALES = (
+    ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
+    ((5.2, 5.2, 3.2), (112, 136, 44), TGrid(0.125, 32), GridSpec1D(128, 4.0 * math.sqrt(2.0))),
+    ((5.2, 5.2, 3.2), (192, 192, 44), TGrid(0.125, 32), GridSpec1D(256, 8.0)),
+)
+_DUALCONV_SCALES = (
+    ((2.0, 2.9, 5.6), (22, 42, 40), TGrid(0.125, 16), GridSpec1D(16, 2.2)),
+    ((2.0, 2.9, 5.6), (22, 56, 40), TGrid(0.0625, 32), GridSpec1D(32, 4.4)),
+)
+_DERIVATION_SCALES = (
+    ((5.0, 5.0, 4.0), (40, 40, 32), TGrid(0.25, 8), GridSpec1D(32, 3.2)),
+    ((5.0, 5.0, 4.0), (56, 56, 44), TGrid(0.25, 8), GridSpec1D(64, 3.2)),
+)
+
 LADDERS = {
-    "representation": (_rep_level, ("homomorphism",)),
-    "plancherel": (_plancherel_level, ("isometry_defect",)),
-    "inversion": (_inversion_level, ("roundtrip", "adjoint_pairing")),
-    "fusion": (_fusion_level, ("residual_max", "composed_action_oracle")),
-    "dualconv": (_dc_level, ("product_identity", "remark_identity")),
-    "derivation": (_deriv_level, ("multiplier_identity", "module_rel_excess")),
+    "representation": Ladder(
+        tuple(GridSpec1D(n, 10.0) for n in (256, 512, 1024)), _rep_level, ("homomorphism",)
+    ),
+    "plancherel": Ladder(_PLANCHEREL_SCALES, _plancherel_level, ("isometry_defect",)),
+    "inversion": Ladder(
+        tuple(zip(_ADJOINT_PAIRING_SCALES, _PLANCHEREL_SCALES)),
+        _inversion_level,
+        ("roundtrip", "adjoint_pairing"),
+    ),
+    "fusion": Ladder(
+        tuple(GridSpec1D(n, 4.0) for n in (16, 32, 64, 128, 256, 512, 1024)),
+        _fusion_level,
+        ("residual_max", "composed_action_oracle"),
+    ),
+    "dualconv": Ladder(_DUALCONV_SCALES, _dc_level, ("product_identity", "remark_identity")),
+    "derivation": Ladder(_DERIVATION_SCALES, _deriv_level, ("multiplier_identity", "module_rel_excess")),
 }
 
 
-def convergence_rows(ladder: str, cfg: RunConfig, levels: int):
+def convergence_rows(ladder: str, cfg: RunConfig, count: int):
     """CSV rows defect-vs-level with successive improvement ratios.
 
     Yields the header, then each level's rows as soon as that level is
-    done; a level past the ladder's table raises the CapacityError of
-    _scales after the rows of the levels before it.
+    done; a count past the ladder's scales raises the capacity stop of
+    levels() after the rows of the levels before it.
     """
-    if levels < 2:
+    if count < 2:
         raise ValueError("levels must be at least 2")
     if ladder not in LADDERS:
         raise ValueError(f"unknown ladder {ladder!r}")
-    level_fn, names = LADDERS[ladder]
+    names = LADDERS[ladder].values
     yield "suite,check,level,value,gain_vs_prev"
     prev: dict[str, float] = {}
-    for level in range(levels):
-        values = level_fn(cfg, level)
+    for level, values in enumerate(levels(ladder, cfg, count)):
         for name in names:
             value = values[name]
             ratio = f"{gain(prev[name], value):.6g}" if name in prev else ""
@@ -819,11 +818,12 @@ def convergence_rows(ladder: str, cfg: RunConfig, levels: int):
 # entry point
 
 
-# transform --function NAME: the family and the ladder that samples it, whose
-# level 0 gives the scales
+# transform --function NAME: the family and the ladder whose first scale
+# samples it; the partner's adjoint-pairing base scales are the plancherel base
+# scales
 _NAMED_FUNCTIONS = {
     "canonical": (CANONICAL_FAMILY, "plancherel"),
-    "partner": (PARTNER_FAMILY, "inversion"),
+    "partner": (PARTNER_FAMILY, "plancherel"),
     "dc-left": (DC_LEFT, "dualconv"),
     "dc-right": (DC_RIGHT, "dualconv"),
     "derivation-odd": (DERIV_FAMILY, "derivation"),
@@ -876,7 +876,7 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
     if args.function not in _NAMED_FUNCTIONS:
         raise ValueError(f"unknown function {args.function!r}; have {', '.join(_NAMED_FUNCTIONS)}")
     family, ladder = _NAMED_FUNCTIONS[args.function]
-    box, counts, tgrid, grid = SCALES[ladder][0]
+    box, counts, tgrid, grid = LADDERS[ladder].scales[0]
     field = forward_field(sample_family(family, box, counts), tgrid, grid)
     save_field(field, args.out)
     print(f"wrote {field.tgrid.n_nodes} nodes of dimension {field.dim} to {args.out}")

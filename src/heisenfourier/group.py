@@ -207,6 +207,13 @@ class SampledFunction3D:
         self.box = tuple(as_real("box", h) for h in self.box)
         self.counts = tuple(as_count("counts", n) for n in self.counts)
         box_axes(self.box, self.counts)
+        # every quadrature weight is this volume; one that overflows or
+        # underflows would make each transform inf or silently zero
+        if not 0.0 < self.cell_volume < math.inf:
+            raise ValueError(
+                f"box {self.box} with counts {self.counts} has cell volume "
+                f"{self.cell_volume}, not a positive finite float"
+            )
         samples = np.asarray(self.samples)
         if samples.dtype.kind not in "biufc":
             raise ValueError(f"samples must be numeric, got dtype {samples.dtype}")

@@ -10,6 +10,7 @@ import heisenfourier.cli as cli
 import heisenfourier.derivation as derivation
 import heisenfourier.fusion as fusion
 import heisenfourier.liealg as liealg
+import heisenfourier.plancherel as plancherel
 import heisenfourier.schrodinger as schrodinger
 from heisenfourier.cli import (
     CheckRecord,
@@ -210,11 +211,10 @@ def test_a_level_that_reaches_zero_gives_a_clean_row(monkeypatch, defects, gain,
     column reads inf; a level that stays at 0 is no gain, and the row
     fails."""
 
-    def level(cfg, index):
-        return {"isometry_defect": defects[index]}
-
-    monkeypatch.setattr(cli, "_plancherel_level", level)
-    monkeypatch.setitem(cli.LADDERS, "plancherel", (level, ("isometry_defect",)))
+    ladder = cli.LADDERS["plancherel"]._replace(
+        scales=defects, level=lambda cfg, defect: {"isometry_defect": defect}
+    )
+    monkeypatch.setitem(cli.LADDERS, "plancherel", ladder)
     row = cli.plancherel_suite(RunConfig())[-1]
     assert row.name == "isometry_defect_decreasing"
     assert (row.value, row.tol, row.passed) == (gain, 1.0, passed)
@@ -300,18 +300,19 @@ def test_representation_and_inequality_rows(monkeypatch):
     assert _names(records, "inequalities") == CHECK_NAMES["inequalities"]
     assert all(r.passed for r in records)
     # the refined carrier is too slow for a unit test; a stub level pins the
-    # rows and the > 4 doubling-gain rule
-    defects = {0: 2.0**-24, 1: 2.0**-26}
-    monkeypatch.setattr(
-        cli,
-        "_rep_level",
-        lambda cfg, level: {"homomorphism": defects[level], "unitarity": 0.0},
+    # rows and the > 4 doubling-gain rule, and unitarity runs at the base
+    # carrier
+    defects = {256: 2.0**-24, 512: 2.0**-26}
+    ladder = cli.LADDERS["representation"]._replace(
+        level=lambda cfg, grid: {"homomorphism": defects[grid.n_points]}
     )
+    monkeypatch.setitem(cli.LADDERS, "representation", ladder)
     records = representation_suite(RunConfig())
     assert _names(records, "representation") == CHECK_NAMES["representation"]
+    assert records[0].passed and records[0].value < 1e-12
     assert records[2].value == 4.0 and not records[2].passed
     assert records[2].extra == {"defect_512": 2.0**-26}
-    defects[1] = 2.0**-27
+    defects[512] = 2.0**-27
     assert representation_suite(RunConfig())[2].passed
 
 
@@ -367,7 +368,7 @@ def test_derivation_suite_and_ladder_share_one_source():
     # each row reads the one pass of derivation_nodes; the values are those
     # of the separate transforms, bit for bit, with a_norm(F_f) summed from
     # |t| ||pi_t(f)||_1 as derivation_nodes forms it
-    box, counts, tg, grid = cli.SCALES["derivation"][0]
+    box, counts, tg, grid = cli.LADDERS["derivation"].scales[0]
     f = sample_family(cli.DERIV_FAMILY, box, counts)
     h = sample_family(cli.DERIV_MODULE_PARTNER, box, counts)
     w_dz = w_norm(d_z(f), tg, grid)
@@ -381,7 +382,7 @@ def test_derivation_suite_and_ladder_share_one_source():
         "rhs": a_f * w_norm(h, tg, grid),
     }
     # the level-1 multiplier that only converge reports
-    box1, counts1, tg1, grid1 = cli.SCALES["derivation"][1]
+    box1, counts1, tg1, grid1 = cli.LADDERS["derivation"].scales[1]
     assert (box1, tg1) == (box, tg)
     assert counts1 == (56, 56, 44) and grid1.n_points == 2 * grid.n_points
     f1 = sample_family(cli.DERIV_FAMILY, box1, counts1)
@@ -458,26 +459,26 @@ def test_converge_accepts_only_the_ladders(capsys, suite):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def _toy_ladder(cfg, level):
-    if level >= 2:
-        raise CapacityError("toy ladder stops at 2 levels")
-    return {"defect": 1.0 / (level + 1)}
+def _toy_ladder(monkeypatch, name, level=lambda cfg, n: {"defect": 1.0 / n}):
+    """Stub a ladder with two scales, 1 and 2, and the one value defect."""
+    ladder = cli.LADDERS[name]._replace(scales=(1, 2), level=level, values=("defect",))
+    monkeypatch.setitem(cli.LADDERS, name, ladder)
 
 
 def test_convergence_capacity_stop_carries_partial_rows(monkeypatch):
-    monkeypatch.setitem(cli.LADDERS, "dualconv", (_toy_ladder, ("defect",)))
+    _toy_ladder(monkeypatch, "dualconv")
     rows = convergence_rows("dualconv", RunConfig(), 9)
     assert next(rows) == "suite,check,level,value,gain_vs_prev"
     assert next(rows).endswith(",")  # no predecessor at level 0
     assert next(rows).endswith(",2")  # improvement ratio vs level 0
-    with pytest.raises(CapacityError, match="toy ladder stops at 2 levels"):
+    with pytest.raises(CapacityError, match="^dualconv ladder is defined for 2 levels$"):
         next(rows)
 
 
 def test_converge_writes_the_completed_rows_before_a_capacity_stop(
     tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setitem(cli.LADDERS, "dualconv", (_toy_ladder, ("defect",)))
+    _toy_ladder(monkeypatch, "dualconv")
     out = tmp_path / "table.csv"
     assert main(["converge", "dualconv", "--levels", "9", "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -487,66 +488,60 @@ def test_converge_writes_the_completed_rows_before_a_capacity_stop(
     assert rows[1].endswith(",")
     assert rows[2].endswith(",2")
     assert out.read_text() == captured.out
-    assert captured.err == "capacity stop: toy ladder stops at 2 levels\n"
+    assert captured.err == "capacity stop: dualconv ladder is defined for 2 levels\n"
 
 
 def test_converge_prints_each_level_as_soon_as_it_is_done(tmp_path, monkeypatch, capsys):
     out = tmp_path / "table.csv"
     level0 = "suite,check,level,value,gain_vs_prev\nfusion,defect,0,1.000000000e+00,\n"
 
-    def toy(cfg, level):
-        if level == 1:
+    def toy(cfg, n):
+        if n == 2:
             # level 0's rows are on stdout and in --out before level 1 starts
             assert capsys.readouterr().out == level0
             assert out.read_text() == level0
-        return {"defect": 1.0 / (level + 1)}
+        return {"defect": 1.0 / n}
 
-    monkeypatch.setitem(cli.LADDERS, "fusion", (toy, ("defect",)))
+    _toy_ladder(monkeypatch, "fusion", toy)
     assert main(["converge", "fusion", "--levels", "2", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "fusion,defect,1,5.000000000e-01,2\n"
     assert out.read_text() == level0 + "fusion,defect,1,5.000000000e-01,2\n"
 
 
-class _LevelWork(Exception):
-    pass
-
-
-# each ladder's first undefined level and the message of its capacity stop
-LADDER_STOPS = {
-    "plancherel": (3, "plancherel ladder is defined for 3 levels"),
-    "inversion": (3, "inversion ladder is defined for 3 levels"),
-    "dualconv": (2, "dualconv ladder is defined for 2 levels"),
-    "derivation": (2, "derivation ladder is defined for 2 levels"),
-    "representation": (3, "representation ladder is defined for 3 levels"),
-    "fusion": (7, "fusion ladder is defined for 7 levels"),
+# the number of scales of each ladder
+LADDER_LENGTHS = {
+    "representation": 3,
+    "plancherel": 3,
+    "inversion": 3,
+    "fusion": 7,
+    "dualconv": 2,
+    "derivation": 2,
 }
 
 
-@pytest.mark.parametrize("suite", sorted(LADDER_STOPS))
+@pytest.mark.parametrize("suite", sorted(LADDER_LENGTHS))
 def test_each_ladder_stops_at_its_first_undefined_level(monkeypatch, suite):
-    """The stop comes before any sampling, transform or representation
-    work, and the level below it gets as far as that work."""
-
-    def work(*args, **kwargs):
-        raise _LevelWork
-
-    for name in ("sample_family", "forward_field", "rep_matrix", "intertwiner"):
-        monkeypatch.setattr(cli, name, work)
-    stop, message = LADDER_STOPS[suite]
-    level_fn, _ = cli.LADDERS[suite]
+    """levels() runs the level function once per scale, in order, and
+    raises the capacity stop instead of a level past the last one."""
+    calls = []
+    ladder = cli.LADDERS[suite]
+    monkeypatch.setitem(cli.LADDERS, suite, ladder._replace(level=lambda cfg, s: calls.append(s)))
+    n = LADDER_LENGTHS[suite]
     with pytest.raises(CapacityError) as info:
-        level_fn(RunConfig(), stop)
-    assert str(info.value) == message
-    with pytest.raises(_LevelWork):
-        level_fn(RunConfig(), stop - 1)
+        list(cli.levels(suite, RunConfig(), n + 1))
+    assert str(info.value) == f"{suite} ladder is defined for {n} levels"
+    assert len(calls) == n and all(a is b for a, b in zip(calls, ladder.scales))
 
 
 def test_rep_level_matches_the_literal_rep_matrix(monkeypatch, literal_rep_matrix):
-    """The report values of the representation suite's base level, from
-    the strided circulant and from the index-table gather, bit for bit."""
-    fast = cli._rep_level(RunConfig(), 0)
+    """The report values of the representation suite at its base carrier,
+    from the strided circulant and from the index-table gather, bit for
+    bit."""
+    ladder = cli.LADDERS["representation"]
+    monkeypatch.setitem(cli.LADDERS, "representation", ladder._replace(scales=ladder.scales[:1] * 2))
+    fast = [r.value for r in representation_suite(RunConfig())]
     monkeypatch.setattr(cli, "rep_matrix", literal_rep_matrix)
-    assert cli._rep_level(RunConfig(), 0) == fast
+    assert [r.value for r in representation_suite(RunConfig())] == fast
 
 
 def test_main_verify_and_exit_codes(tmp_path, monkeypatch, capsys):
@@ -620,7 +615,7 @@ def test_main_checks_the_out_path_before_any_work(tmp_path, monkeypatch, capsys)
         raise AssertionError("ran although --out cannot be written")
 
     monkeypatch.setitem(cli.SUITES, "group", never)
-    monkeypatch.setitem(cli.LADDERS, "fusion", (never, ("residual_max",)))
+    monkeypatch.setitem(cli.LADDERS, "fusion", cli.LADDERS["fusion"]._replace(level=never))
     out = str(tmp_path / "no" / "such" / "out")
     assert main(["verify", "group", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -647,13 +642,17 @@ def test_main_transform_writes_a_loadable_field(tmp_path, capsys):
 
 
 def test_partner_base_scales_are_the_plancherel_base_scales():
-    assert cli.SCALES["inversion"][0] == cli.SCALES["plancherel"][0]
+    """transform --function partner samples the partner at the plancherel
+    base scales, which are the base scales of the adjoint pairing."""
+    base = cli.LADDERS["plancherel"].scales[0]
+    assert cli.LADDERS["inversion"].scales[0] == (base, base)
 
 
-# transform --function NAME: the family and the ladder that samples it
+# transform --function NAME: the family and the ladder whose first scale
+# samples it
 TRANSFORM_FAMILIES = {
     "canonical": (cli.CANONICAL_FAMILY, "plancherel"),
-    "partner": (cli.PARTNER_FAMILY, "inversion"),
+    "partner": (cli.PARTNER_FAMILY, "plancherel"),
     "dc-left": (cli.DC_LEFT, "dualconv"),
     "dc-right": (cli.DC_RIGHT, "dualconv"),
     "derivation-odd": (cli.DERIV_FAMILY, "derivation"),
@@ -663,7 +662,7 @@ TRANSFORM_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(TRANSFORM_FAMILIES))
 def test_transform_writes_the_base_level_field_of_its_ladder(tmp_path, capsys, name):
     family, suite = TRANSFORM_FAMILIES[name]
-    box, counts, tgrid, grid = cli.SCALES[suite][0]
+    box, counts, tgrid, grid = cli.LADDERS[suite].scales[0]
     want = forward_field(sample_family(family, box, counts), tgrid, grid)
     out = tmp_path / name
     assert main(["transform", "--function", name, "--out", str(out)]) == 0
@@ -716,38 +715,91 @@ def _swapped_fusion_ratio(monkeypatch):
     monkeypatch.setattr(cli, "_exact_ratio", swapped)
 
 
-# one-line defects, each planted by monkeypatching: the suite that must
-# catch it and the rows that must fail.  The ladders run their base level
-# twice, so a *_decreasing row reads a gain of 1 and fails whatever is
-# planted; the table leaves those rows out
+def _scaled_coefficients(monkeypatch):
+    """Every coefficient pi_t(f) that node_terms hands to a term scaled by
+    1 + 1e-3, in each module that calls it."""
+    real = schrodinger.node_terms
+
+    def scaled(fs, tgrid, grid, term):
+        return real(fs, tgrid, grid, lambda k, *coefs: term(k, *(c * (1 + 1e-3) for c in coefs)))
+
+    for module in (schrodinger, plancherel, derivation, cli):
+        monkeypatch.setattr(module, "node_terms", scaled)
+
+
+def _shifted_weight(monkeypatch):
+    """The Plancherel weight |t| read as |t| + 1e-4 in forward_field and in
+    plancherel_defect."""
+
+    def shifted_field(f, tgrid, grid):
+        F = forward_field(f, tgrid, grid)
+        weights = (np.abs(tgrid.nodes) + 1e-4) / np.abs(tgrid.nodes)
+        return OperatorField(F.tgrid, F.mats * weights[:, None, None])
+
+    def shifted_defect(f, tgrid, grid):
+        weights = tgrid.delta * (np.abs(tgrid.nodes) + 1e-4)
+        terms = node_terms(f, tgrid, grid, lambda k, coef: weights[k] * np.linalg.norm(coef) ** 2)
+        mass = f.l2_norm_sq()
+        return float(abs(sum(terms) - mass) / mass)
+
+    monkeypatch.setattr(cli, "forward_field", shifted_field)
+    monkeypatch.setattr(cli, "plancherel_defect", shifted_defect)
+
+
+# one-line defects, each planted by monkeypatching: the suites that must
+# catch it, and every row, as suite.check, that fails with the ladders at
+# their first two levels
 PLANTED_DEFECTS = {
-    "forward_field_scaled_1e-3": (_scaled_forward_field, "inversion", {"a_norm_convention"}),
-    "xy_phase_conjugated": (_conjugated_xy_phase, "inversion", {"adjoint_pairing_level0"}),
-    "d_z_negated": (_negated_d_z, "derivation", {"multiplier_identity", "boundary_decay_gain"}),
+    "forward_field_scaled_1e-3": (
+        _scaled_forward_field,
+        ("inversion",),
+        {"inversion.a_norm_convention"},
+    ),
+    "xy_phase_conjugated": (
+        _conjugated_xy_phase,
+        ("inversion",),
+        {"inversion.adjoint_pairing_level0", "inversion.adjoint_pairing_decreasing"},
+    ),
+    "d_z_negated": (
+        _negated_d_z,
+        ("derivation",),
+        {"derivation.multiplier_identity", "derivation.boundary_decay_gain"},
+    ),
     "fusion_ratio_swapped": (
         _swapped_fusion_ratio,
-        "fusion",
+        ("fusion",),
         {
-            "residual_r+0p2500_s+0p1250",
-            "residual_r+0p3750_s-0p0625",
-            "residual_gain_r+0p3750_s-0p0625",
+            "fusion.residual_r+0p2500_s+0p1250",
+            "fusion.residual_r+0p3750_s-0p0625",
+            "fusion.residual_gain_r+0p3750_s-0p0625",
         },
+    ),
+    "coefficients_scaled_1e-3": (
+        _scaled_coefficients,
+        ("plancherel", "inversion"),
+        {"plancherel.isometry_defect_decreasing"},
+    ),
+    "plancherel_weight_shifted_1e-4": (
+        _shifted_weight,
+        ("plancherel", "inversion"),
+        {"plancherel.isometry_defect_decreasing", "inversion.a_norm_convention"},
     ),
 }
 
 
 @pytest.fixture
 def base_levels(monkeypatch):
-    for ladder in ("inversion", "plancherel", "derivation"):
-        monkeypatch.setitem(cli.SCALES, ladder, cli.SCALES[ladder][:1] * 2)
+    """Every ladder trimmed to its first two scales."""
+    for name, ladder in cli.LADDERS.items():
+        monkeypatch.setitem(cli.LADDERS, name, ladder._replace(scales=ladder.scales[:2]))
 
 
 @pytest.mark.parametrize("defect", sorted(PLANTED_DEFECTS))
 def test_a_planted_defect_fails_its_rows(monkeypatch, base_levels, defect):
-    plant, suite, rows = PLANTED_DEFECTS[defect]
+    plant, suites, rows = PLANTED_DEFECTS[defect]
     plant(monkeypatch)
-    failed = {r.name for r in cli.SUITES[suite](RunConfig()) if not r.passed}
-    assert {name for name in failed if not name.endswith("_decreasing")} == rows
+    records = [r for suite in suites for r in cli.SUITES[suite](RunConfig())]
+    assert {f"{r.suite}.{r.name}" for r in records if not r.passed} == rows
 
 
 def test_a_norm_convention_fails_on_a_scaled_forward_field(monkeypatch, base_levels):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heisenfourier import fusion, split
-from heisenfourier.cli import SCALES, _FUSION_RATIOS, _RESIDUAL_PAIRS
+from heisenfourier.cli import LADDERS, _FUSION_RATIOS, _RESIDUAL_PAIRS
 from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.fusion import (
     _dense_w,
@@ -69,7 +69,7 @@ def test_intertwiner_equals_the_dense_product_for_dyadic_pairs(n, r, s, seed):
 
 
 def test_the_fusion_ladders_largest_grid_passes_the_phase_overflow_check():
-    grid = SCALES["fusion"][-1]
+    grid = LADDERS["fusion"].scales[-1]
     assert grid.n_points == 1024
     # the suite's largest shift: ratio -1 moves by up to the half-width
     assert abs(np.linalg.norm(intertwiner(2.0, -1.0, grid, _unit(1024))) - 1.0) < 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,17 @@ def test_sampled_shape_validation():
         SampledFunction3D((-1.0, 1.0, 1.0), (4, 4, 4), np.ones((4, 4, 4)))
     with pytest.raises(ValueError, match="counts must be positive even integers"):
         SampledFunction3D((1.0, 1.0, 1.0), (3, 3, 3), np.ones((3, 3, 3)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("half", [1e200, 1e-120], ids=["inf", "zero"])
+def test_a_box_whose_cell_volume_is_not_a_positive_finite_float_is_refused(half):
+    """A cell volume of inf would make forward_field overflow in its box
+    tables; one of 0.0 would give an all-zero field with no warning, which
+    plancherel_defect would call the zero function."""
+    box = (half,) * 3
+    with pytest.raises(ValueError, match=re.escape(f"box {box!r} with counts (4, 4, 4)")):
+        SampledFunction3D(box, (4, 4, 4), np.ones((4, 4, 4)))
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heisenfourier.cli import SCALES
+from heisenfourier.cli import LADDERS
 from heisenfourier.field import OperatorField, TGrid
 from heisenfourier.grid import GridSpec1D, circulant_view, schatten_norm, shift_kernel
 from heisenfourier.group import (
@@ -349,14 +349,14 @@ def test_transforms_refuse_a_lattice_whose_phases_overflow(tg, box, grid, phases
 
 
 def test_every_ladder_level_passes_the_phase_overflow_check():
-    for ladder, levels in SCALES.items():
-        for scales in levels:
-            if not isinstance(scales, tuple):
-                continue  # a carrier alone, with no transform
-            box, counts, tg, grid = scales
-            xs, ys, zs = box_axes(box, counts)
-            _, _, factors = _box_tables(grid, xs, ys)
-            _check_phases(tg, factors, zs, box, grid)
+    # an inversion scale is a pair of transform scales; a representation or
+    # fusion scale is a carrier alone, with no transform
+    transforms = [s for name in ("plancherel", "dualconv", "derivation") for s in LADDERS[name].scales]
+    transforms += [s for pair in LADDERS["inversion"].scales for s in pair]
+    for box, counts, tg, grid in transforms:
+        xs, ys, zs = box_axes(box, counts)
+        _, _, factors = _box_tables(grid, xs, ys)
+        _check_phases(tg, factors, zs, box, grid)
 
 
 def test_coefficient_is_linear():
