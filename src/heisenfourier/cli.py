@@ -5,7 +5,7 @@ Commands (run as python -m heisenfourier.cli):
     verify <suite> [--out REPORT]
     converge <ladder> --levels N [--out CSV]
     lie find-h3 <structure-file>
-    transform --function NAME --out FIELD_DIR
+    transform --function NAME --out FIELD_FILE
 
 Suites: group, representation, plancherel, inversion, fusion, dualconv,
 derivation, inequalities, lie, all; run_suite returns their CheckRecords.
@@ -665,7 +665,7 @@ def derivation_suite(cfg: RunConfig):
 
     small = sample_family(DERIV_FAMILY, (4.0, 4.0, 2.5), (32, 32, 20))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore", "boundary samples reach", UserWarning)
         d_small = float(np.max(derivation_nodes(small, tg, carrier)[0]))
     yield refinement("boundary_decay_gain", [(d_small, mult)])
 
@@ -906,7 +906,7 @@ def main(argv=None) -> int:
 
     p_tr = sub.add_parser("transform", help="write a named forward field")
     p_tr.add_argument("--function", required=True)
-    p_tr.add_argument("--out", required=True)
+    p_tr.add_argument("--out", required=True, help="write the field to this file")
     p_tr.set_defaults(run=_cmd_transform)
 
     args = parser.parse_args(argv)

@@ -13,9 +13,9 @@ for |k| > K, whose frequencies the stored field leaves out.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -110,60 +110,39 @@ class OperatorField:
 
 
 # ---------------------------------------------------------------------------
-# directory serialization: meta.txt plus one raw little-endian complex-double
-# matrix file per node, named by the integer node index
+# one-file serialization: the lines "delta <float>", "k_max <int>" and
+# "dim <int>", then the node matrices as raw little-endian complex doubles
+# in storage order
+
+_LINE_MAX = 64
+_HEADER = re.compile(rb"delta (\S+)\nk_max (\S+)\ndim (\S+)\n")
 
 
-def _read_header(dirpath) -> tuple:
-    """(tgrid, dim) from dirpath's meta.txt; a ValueError that names the
-    file when it is not a field header."""
-    path = os.path.join(dirpath, "meta.txt")
-    meta = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 2:
-                    meta[parts[0]] = parts[1]
-        tgrid = TGrid(float(meta["delta"]), int(meta["k_max"]))
-        dim = int(meta["dim"])
-        if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
-    except KeyError as missing:
-        raise ValueError(f"{path}: metadata lacks {missing}") from None
-    except ValueError as err:
-        raise ValueError(f"{path}: not a field header ({err})") from None
-    return tgrid, dim
+def save_field(F: OperatorField, path) -> None:
+    """Write F to the file path, replacing what was there."""
+    header = f"delta {F.tgrid.delta!r}\nk_max {F.tgrid.k_max}\ndim {F.dim}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(np.ascontiguousarray(F.mats, dtype="<c16"))
 
 
-def save_field(F: OperatorField, dirpath) -> None:
-    """Write F into dirpath.  The node files listed by a meta.txt already
-    there are deleted first, and no other file; a meta.txt that is not a
-    field header is a ValueError, and then no file is deleted."""
-    os.makedirs(dirpath, exist_ok=True)
-    if os.path.exists(os.path.join(dirpath, "meta.txt")):
-        old, _ = _read_header(dirpath)
-        for k in old.ks:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(dirpath, f"{k}.bin"))
-    with open(os.path.join(dirpath, "meta.txt"), "w") as fh:
-        fh.write(f"delta {F.tgrid.delta!r}\n")
-        fh.write(f"k_max {F.tgrid.k_max}\n")
-        fh.write(f"dim {F.dim}\n")
-    for pos, k in enumerate(F.tgrid.ks):
-        mat = np.ascontiguousarray(F.mats[pos], dtype="<c16")
-        with open(os.path.join(dirpath, f"{k}.bin"), "wb") as fh:
-            fh.write(mat.tobytes())
-
-
-def load_field(dirpath) -> OperatorField:
-    tgrid, dim = _read_header(dirpath)
-    mats = np.empty((tgrid.n_nodes, dim, dim), dtype=complex)
-    for pos, k in enumerate(tgrid.ks):
-        path = os.path.join(dirpath, f"{k}.bin")
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) != dim * dim * 16:
-            raise ValueError(f"{path}: expected {dim * dim * 16} bytes, got {len(raw)}")
-        mats[pos] = np.frombuffer(raw, dtype="<c16").reshape(dim, dim)
-    return OperatorField(tgrid, mats)
+def load_field(path) -> OperatorField:
+    """The field that save_field wrote to path.  A header other than its
+    three lines, or node bytes of another length than the header gives, is
+    a ValueError that names path, raised before any node byte is read."""
+    with open(path, "rb") as fh:
+        try:
+            header = _HEADER.fullmatch(b"".join(fh.readline(_LINE_MAX) for _ in range(3)))
+            if header is None:
+                raise ValueError(f"expected lines delta, k_max, dim of at most {_LINE_MAX} bytes")
+            tgrid, dim = TGrid(float(header[1]), int(header[2])), int(header[3])
+            if dim < 1:
+                raise ValueError(f"dim must be positive, got {dim}")
+            size = tgrid.n_nodes * dim * dim * 16
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left != size:
+                raise ValueError(f"expected {size} bytes of node matrices, got {left}")
+        except ValueError as err:
+            raise ValueError(f"{path}: not a field ({err})") from None
+        mats = np.fromfile(fh, dtype="<c16", count=size // 16)
+    return OperatorField(tgrid, mats.reshape(tgrid.n_nodes, dim, dim))

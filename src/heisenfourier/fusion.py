@@ -257,7 +257,7 @@ def theta1(
     tg = field_f.tgrid
     if j + m == 0 or tg.index_of(j) is None or tg.index_of(m) is None:
         return np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    return _theta_term(Fraction(m, j + m), grid, field_f.at_k(j), field_g.at_k(m))
+    return _theta_term(_exact_ratio(j, m), grid, field_f.at_k(j), field_g.at_k(m))
 
 
 def dual_convolution(

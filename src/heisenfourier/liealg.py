@@ -13,6 +13,10 @@ Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 
+# from_brackets builds a dim^3 tensor and the Jacobi check runs over every
+# triple, so a structure file's dimension is capped; the bundled ones stop at 6
+MAX_DIM = 32
+
 
 def _vec(values) -> Vector:
     return tuple(Fraction(v) for v in values)
@@ -93,7 +97,10 @@ class LieAlgebra:
     def from_brackets(cls, dim: int, entries: dict) -> "LieAlgebra":
         """Build from {(i, j): {k: value}} with 1-based indices, i < j allowed
         in either order; the antisymmetric partner is filled in and, when both
-        orders are present, checked for consistency."""
+        orders are present, checked for consistency.  A dim above MAX_DIM
+        is a ValueError, raised before the tensor is built."""
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} is above the limit {MAX_DIM}")
         c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         seen = set()
         for (i, j), comps in entries.items():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -354,6 +355,22 @@ def _ladder_column(rows, check):
     return [row.split(",")[3] for row in rows[1:] if row.split(",")[1] == check]
 
 
+def test_derivation_suite_ignores_only_the_boundary_warning(monkeypatch):
+    """The boundary-decay pass ignores derivation_nodes' boundary warning and
+    nothing else: a numpy RuntimeWarning there still fails the suite."""
+
+    def noisy(f, tgrid, grid):
+        if f.boundary_max() > derivation.BOUNDARY_TOL:
+            warnings.warn("overflow encountered in a planted product", RuntimeWarning)
+        return derivation_nodes(f, tgrid, grid)
+
+    monkeypatch.setattr(cli, "derivation_nodes", noisy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="planted product"):
+            derivation_suite(RunConfig())
+
+
 def test_derivation_suite_and_ladder_share_one_source():
     cfg = RunConfig()
     table = list(convergence_rows("derivation", cfg, 2))
@@ -624,7 +641,7 @@ def test_main_checks_the_out_path_before_any_work(tmp_path, monkeypatch, capsys)
 
 
 def test_main_transform_writes_a_loadable_field(tmp_path, capsys):
-    out = tmp_path / "field"
+    out = tmp_path / "derivation-odd.field"
     code = main(
         [
             "transform",
@@ -664,12 +681,21 @@ def test_transform_writes_the_base_level_field_of_its_ladder(tmp_path, capsys, n
     family, suite = TRANSFORM_FAMILIES[name]
     box, counts, tgrid, grid = cli.LADDERS[suite].scales[0]
     want = forward_field(sample_family(family, box, counts), tgrid, grid)
-    out = tmp_path / name
+    out = tmp_path / f"{name}.field"
     assert main(["transform", "--function", name, "--out", str(out)]) == 0
     got = load_field(out)
     assert got.tgrid == want.tgrid
-    assert np.array_equal(got.mats, want.mats)
+    assert got.mats.tobytes() == want.mats.tobytes()
+    again = tmp_path / "again.field"
+    assert main(["transform", "--function", name, "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
     capsys.readouterr()
+
+
+def test_transform_into_a_directory_is_a_usage_error_that_names_it(tmp_path, capsys):
+    assert main(["transform", "--function", "canonical", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_main_transform_rejects_unknown_functions(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import os
 import tempfile
 
 import numpy as np
@@ -133,14 +134,18 @@ def test_field_arithmetic_requires_same_lattice():
 def test_save_load_roundtrip_is_exact(tmp_path):
     tg = TGrid(0.125, 3)
     F = _random_field(tg, 5)
-    save_field(F, tmp_path / "field")
-    back = load_field(tmp_path / "field")
+    save_field(F, tmp_path / "f.field")
+    back = load_field(tmp_path / "f.field")
     assert back.tgrid == tg
     assert np.array_equal(back.mats, F.mats)
+    assert back.mats.flags.writeable
 
 
-def _files(path):
-    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+def test_a_field_file_is_the_header_then_the_nodes_in_storage_order(tmp_path):
+    F = _random_field(TGrid(0.25, 2), 3)
+    save_field(F, tmp_path / "f.field")
+    header = b"delta 0.25\nk_max 2\ndim 3\n"
+    assert (tmp_path / "f.field").read_bytes() == header + F.mats.astype("<c16").tobytes()
 
 
 def test_save_replaces_the_field_already_in_the_directory(tmp_path):
@@ -148,36 +153,59 @@ def test_save_replaces_the_field_already_in_the_directory(tmp_path):
     save_field(_random_field(TGrid(0.125, 4), 8), tmp_path / "reused")
     save_field(small, tmp_path / "reused")
     save_field(small, tmp_path / "fresh")
-    assert _files(tmp_path / "reused") == _files(tmp_path / "fresh")
+    assert (tmp_path / "reused").read_bytes() == (tmp_path / "fresh").read_bytes()
 
 
-def test_save_deletes_only_the_node_files_the_old_header_lists(tmp_path):
-    save_field(_random_field(TGrid(0.125, 4), 8), tmp_path)
-    (tmp_path / "notes.txt").write_text("kept")
-    (tmp_path / "9.bin").write_bytes(b"not a node of the old field")
-    save_field(_random_field(TGrid(0.25, 2), 4), tmp_path)
-    assert (tmp_path / "notes.txt").read_text() == "kept"
-    assert (tmp_path / "9.bin").read_bytes() == b"not a node of the old field"
-    assert sorted(p.name for p in tmp_path.glob("*.bin")) == [
-        "-1.bin", "-2.bin", "1.bin", "2.bin", "9.bin"
-    ]
+_NODES = bytes(4 * 4 * 4 * 16)  # the node bytes of a k_max 2, dim 4 field
 
 
 @pytest.mark.parametrize(
-    "meta",
+    "content",
     [
-        "delta 0.25\nk_max 2\n",
-        "delta x\nk_max 2\ndim 4\n",
-        "delta 0.25\nk_max -1\ndim 4\n",
-        "delta 0.25\nk_max 2\ndim 0\n",
+        b"delta 0.25\nk_max 2\n" + _NODES,
+        b"delta x\nk_max 2\ndim 4\n" + _NODES,
+        b"delta 0.25\nk_max -1\ndim 4\n" + _NODES,
+        b"delta 0.25\nk_max 2\ndim 0\n" + _NODES,
+        b"delta 0.25\nk_max 2\nk_max 2\ndim 4\n" + _NODES,
+        b"delta 0.25\nk_max 2\ndim 4\ndim 4\n" + _NODES,
+        b"dim 4\ndelta 0.25\nk_max 2\n" + _NODES,
+        b"delta 0." + b"2" * 64 + b"\nk_max 2\ndim 4\n" + _NODES,
+        b"delta 0.25\nk_max 2\ndim 4\n" + _NODES[:-1],
+        b"delta 0.25\nk_max 2\ndim 4\n" + _NODES + b"\0",
+        bytes(1000),
+        b"",
+    ],
+    ids=[
+        "no_dim", "bad_delta", "negative_k_max", "zero_dim", "repeated_k_max",
+        "repeated_dim", "keys_out_of_order", "overlong_line", "one_byte_short",
+        "one_byte_over", "zero_bytes", "empty",
     ],
 )
-def test_save_over_a_foreign_meta_file_deletes_nothing(tmp_path, meta):
-    (tmp_path / "meta.txt").write_text(meta)
-    (tmp_path / "1.bin").write_bytes(b"theirs")
-    with pytest.raises(ValueError, match="meta.txt"):
-        save_field(_random_field(TGrid(0.25, 2), 4), tmp_path)
-    assert _files(tmp_path) == {"1.bin": b"theirs", "meta.txt": meta.encode()}
+def test_load_refuses_a_file_that_is_not_a_field(tmp_path, content):
+    path = tmp_path / "bad.field"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="bad.field: not a field"):
+        load_field(path)
+
+
+def test_load_refuses_a_huge_dim_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "huge.field"
+    path.write_bytes(b"delta 0.25\nk_max 2\ndim 100000000\n" + _NODES)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated the node matrices of a refused header")
+
+    monkeypatch.setattr(np, "fromfile", no_allocation)
+    with pytest.raises(ValueError, match="huge.field: not a field"):
+        load_field(path)
+
+
+def test_load_of_a_directory_is_an_os_error_that_names_it(tmp_path):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "meta.txt").write_text("delta 0.25\nk_max 2\ndim 4\n")
+    with pytest.raises(OSError) as refused:
+        load_field(tmp_path / "old")
+    assert str(tmp_path / "old") in str(refused.value)
 
 
 # parts that a float format could lose: signed zeros, subnormals, extremes
@@ -200,7 +228,8 @@ def test_save_load_round_trip_is_bit_exact(delta, k_max, dim, seed, placed):
     mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for pos, re, im in placed:
         mats.flat[pos % mats.size] = complex(re, im)
-    with tempfile.TemporaryDirectory() as path:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.field")
         save_field(OperatorField(tgrid, mats), path)
         back = load_field(path)
     assert back.tgrid == tgrid

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from heisenfourier.liealg import (
     BUNDLED,
+    MAX_DIM,
     H3Embedding,
     LieAlgebra,
     _basis_of_full_space,
@@ -176,6 +178,16 @@ def test_load_structure_errors(tmp_path):
     repeated.write_text("3\n1 2 3 1\n1 2 3 5\n")
     with pytest.raises(ValueError, match=r"repeated\.alg: repeated entry \(1, 2, 3\)"):
         load_structure(repeated)
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 100000])
+def test_a_structure_file_above_the_dimension_limit_is_refused_at_once(tmp_path, dim):
+    path = tmp_path / "big.alg"
+    path.write_text(f"{dim}\n")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"big\.alg: dimension {dim} is above the limit 32"):
+        load_structure(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_load_structure_accepts_rationals(tmp_path):
