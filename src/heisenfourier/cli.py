@@ -246,6 +246,8 @@ DC_RIGHT = GaussianPoly(Poly3.const(1.0), (0.55, 0.75, 1.6), z_freq=0.38)
 DC_WINDOW = ((1.4, 1.2, 1.2), (12, 10, 10))
 
 DERIV_FAMILY = GaussianPoly(Poly3({(0, 0, 1): 1.0}), (0.6, 0.6, 0.5))
+# the box and counts of the boundary-decay pass, which reaches the boundary
+DERIV_SMALL_BOX = ((4.0, 4.0, 2.5), (32, 32, 20))
 DERIV_LEIBNIZ_PARTNER = GaussianPoly(
     Poly3({(0, 0, 2): 0.5, (0, 0, 0): 0.2}), (0.55, 0.7, 0.65)
 )
@@ -663,7 +665,7 @@ def derivation_suite(cfg: RunConfig):
         passed=module_holds(refined) and excess_ref <= max(excess, 1e-9),
     )
 
-    small = sample_family(DERIV_FAMILY, (4.0, 4.0, 2.5), (32, 32, 20))
+    small = sample_family(DERIV_FAMILY, *DERIV_SMALL_BOX)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "boundary samples reach", UserWarning)
         d_small = float(np.max(derivation_nodes(small, tg, carrier)[0]))
@@ -753,6 +755,27 @@ def run_suite(name: str, cfg: RunConfig) -> list[CheckRecord]:
 # plancherel scales reads 1.737e-5, 6.893e-5, 3.770e-5, which does not
 # decrease, and the round trip at the adjoint-pairing scales, where delta
 # stays 0.125, stalls on the dropped t = 0 term at 7.842e-3, 7.531e-3, 7.530e-3.
+#
+# The x quadrature of a box repeats f's spectrum at 1/h_x, h_x = 2*box[0] /
+# counts[0], so a carrier band N/(4L) at or past 1/h_x holds a whole copy of
+# it and the Plancherel defect reads 2.0.  Every transform scale keeps
+# band * h_x below 1 (tests/test_cli.py); derivation level 1, at 0.893, is
+# the nearest.  DC_WINDOW sits on both dualconv carriers and DERIV_SMALL_BOX
+# on derivation level 0's.
+#
+#   scale                  N         L  band  1/h_x  1/h_y  K*delta
+#   plancherel 0          64      4.00  4.00   6.15   9.23        4
+#   plancherel 1         128      5.66  5.66   9.23  18.46        4
+#   plancherel 2         256      8.00  8.00  12.31  36.92        4
+#   adjoint pairing 0     64      4.00  4.00   6.15   9.23        4
+#   adjoint pairing 1    128      5.66  5.66  10.77  13.08        4
+#   adjoint pairing 2    256      8.00  8.00  18.46  18.46        4
+#   dualconv 0            16      2.20  1.82   5.50   7.24        2
+#   dualconv 1            32      4.40  1.82   5.50   9.66        2
+#   DC_WINDOW         16, 32  2.2, 4.4  1.82   4.29   4.17        2
+#   derivation 0          32      3.20  2.50   4.00   4.00        2
+#   derivation 1          64      3.20  5.00   5.60   5.60        2
+#   DERIV_SMALL_BOX       32      3.20  2.50   4.00   4.00        2
 _PLANCHEREL_SCALES = (
     ((5.2, 5.2, 3.2), (64, 96, 44), TGrid(0.125, 32), GridSpec1D(64, 4.0)),
     ((5.2, 5.2, 3.2), (96, 192, 44), TGrid(0.0625, 64), GridSpec1D(128, 4.0 * math.sqrt(2.0))),

@@ -38,7 +38,7 @@ def d_z(f: SampledFunction3D) -> SampledFunction3D:
 
 
 def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
-    """Per-node terms of the derivation checks, from one pass over d_z f and f.
+    """Per-node terms of the derivation checks, from a pass over f and one over d_z f.
 
     Returns three arrays in lattice order:
       - the multiplier gap ||pi_t(d_z f) - t pi_t(f)||_inf, relatively
@@ -47,8 +47,8 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
       - |t| ||pi_t(f)||_1, the terms of a_norm(F_f), from the same SVD
         of pi_t(f) as the operator norm in the gap's normalization
 
-    One node_terms pass takes both functions, so each node pair builds its
-    phase tables once for both coefficients.
+    The first node_terms pass keeps f's bare coefficients as one
+    (2K, N, N) stack (1.0 MiB at derivation level 1); d_z f's reads it.
 
     The multiplier comparison integrates by parts, so it is only meaningful
     when f is numerically supported inside the box; a boundary above
@@ -62,15 +62,16 @@ def derivation_nodes(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
             stacklevel=2,
         )
     ts = tgrid.nodes
+    coefs = node_terms(f, tgrid, grid, lambda k, coef: coef)
 
-    def term(k, lhs, coef):
-        t = ts[k]
+    def term(k, lhs):
+        t, coef = ts[k], coefs[k]
         sv = singular_values(coef)
         scale = max(1.0, abs(t) * float(sv[0]))
         gap = schatten_norm(lhs - t * coef, np.inf) / scale
         return gap, schatten_norm(lhs, np.inf), abs(t) * float(np.sum(sv))
 
-    gap, dz_norm, trace_norm = node_terms((d_z(f), f), tgrid, grid, term).T
+    gap, dz_norm, trace_norm = node_terms(d_z(f), tgrid, grid, term).T
     return gap, dz_norm, trace_norm
 
 

@@ -197,79 +197,75 @@ def _z_sums(samples: np.ndarray, ez: np.ndarray) -> np.ndarray:
     return (flat @ ez.view(float)).view(complex)
 
 
-def node_terms(fs, tgrid: TGrid, grid: GridSpec1D, term) -> np.ndarray:
-    """np.array([term(k, *coefs) for every k]) in lattice order, coefs
-    the bare coefficients pi_{t_k}(f) of each f in fs at the node t_k =
-    tgrid.nodes[k], from one pass.
+def _check_pass(f, tgrid) -> None:
+    """A lattice pass takes one sampled function and a TGrid."""
+    if not isinstance(f, SampledFunction3D):
+        raise ValueError(f"f must be one SampledFunction3D, got {type(f).__name__}")
+    if not isinstance(tgrid, TGrid):
+        raise ValueError(f"tgrid must be a TGrid, got {type(tgrid).__name__}")
 
-    fs is one sampled function or a non-empty tuple of them on one box.
+
+def node_terms(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, term) -> np.ndarray:
+    """np.array([term(k, coef) for every k]) in lattice order, coef the
+    bare coefficient pi_{t_k}(f) at the node t_k = tgrid.nodes[k].
+
     term runs on the worker threads, several at once; it returns node
-    k's value and writes nothing but its own slot k.  The coefficients
-    are fresh arrays it may keep.  A lattice whose phases overflow on
-    the box is a ValueError (_check_phases).
+    k's value and writes nothing but its own slot k.  The coefficient is
+    a fresh array it may keep.  Bad inputs (_check_pass) and phases that
+    overflow on the box (_check_phases) are a ValueError.
 
-    The z sums of all nodes come from one (nx*ny, nz) @ (nz, K) product
-    per function, in the calling thread (_z_sums); each coefficient is
-    then sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
+    The z sums of all nodes come from one (nx*ny, nz) @ (nz, K) product in
+    the calling thread (_z_sums); each coefficient is then
+    sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
     A = (fz_k * P) @ E, fz_k the z sums of node k as an (nx, ny) array
     and P, E the x/y phase tables of t_k.  With the kernel split as in
     _box_tables that is R[(m - n) mod N, m] + (u*s)[m] s[n] / N, where
     R = rows^T @ A is one real (N, nx) @ (nx, 2N) product on A's float
     view, written into the float view of an (N, N) complex buffer, and
     u = nyquist @ A; the cell volume scales rows and nyquist once per
-    call.  The samples' dtype decides the path.  A real f,
-    float64 samples, takes its z sums as one real product on the
-    interleaved float view of the z table, with no complex copy of the
-    samples.  Its z sums and the tables of k are those of -k conjugated,
-    and so are A and, as the rows are real, R: a real f takes the complex
-    (nx, ny) @ (ny, N) product and the real one once per pair, at its -k
-    node, and the k node conjugates them in place, then costs a gather, u
-    and the rank-one term.  A complex f, such as d_z f, takes the complex
-    z product and both x products at every node.
+    call.  The samples' dtype decides the path.  A real f, float64
+    samples, takes its z sums as one real product on the interleaved
+    float view of the z table, with no complex copy of the samples.  Its
+    z sums and the tables of k are those of -k conjugated, and so are A
+    and, as the rows are real, R: a real f takes the complex (nx, ny) @
+    (ny, N) product and the real one once per pair, at its -k node, and
+    the k node conjugates them in place, then costs a gather, u and the
+    rank-one term.  A complex f, such as d_z f, takes the complex z
+    product and both x products at every node.
     """
-    fs = (fs,) if isinstance(fs, SampledFunction3D) else tuple(fs)
-    if not fs:
-        raise ValueError("node terms need at least one function in fs")
-    if not all(fs[0].same_grid(g) for g in fs[1:]):
-        raise ValueError("node terms need functions sampled on one box")
-    if not isinstance(tgrid, TGrid):
-        raise ValueError(f"tgrid must be a TGrid, got {type(tgrid).__name__}")
+    _check_pass(f, tgrid)
     ts = tgrid.nodes
-    xs, ys, zs = fs[0].axes
+    xs, ys, zs = f.axes
     rows, nyquist, factors = _box_tables(grid, xs, ys)
-    _check_phases(tgrid, factors, zs, fs[0].box, grid)
-    nx, ny, nz = fs[0].counts
+    _check_phases(tgrid, factors, zs, f.box, grid)
+    nx, ny, _ = f.counts
     n = grid.n_points
     # the quadrature weight rides on the kernel, not on each coefficient
-    rows *= fs[0].cell_volume
-    nyquist *= fs[0].cell_volume / n
+    rows *= f.cell_volume
+    nyquist *= f.cell_volume / n
     # flat positions of R[(m - n) mod N, m]
     gather = n * circulant_view(np.arange(n)) + np.arange(n)[:, None]
-    ez = np.exp(np.outer(zs, 2j * np.pi * ts))
-    fzs = [_z_sums(f.samples, ez) for f in fs]
-    reals = [not np.iscomplexobj(f.samples) for f in fs]
+    fz = _z_sums(f.samples, np.exp(np.outer(zs, 2j * np.pi * ts)))
+    real = not np.iscomplexobj(f.samples)
     values = [None] * len(ts)
 
-    def node(k, first, P, E, XY, *buffers):
-        coefs = []
-        for fz, real, R, A in zip(fzs, reals, buffers[::2], buffers[1::2]):
-            if first or not real:
-                np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
-                np.matmul(rows.T, A.view(float), out=R.view(float))
-            else:
-                # A and R still hold the products of -t_k
-                np.conj(A, out=A)
-                np.conj(R, out=R)
-            out = np.take(R, gather)
-            u = nyquist @ A
-            # (u*s)[m] s[n] with s = (-1)^n, in place on the columns of each sign
-            u[1::2] *= -1.0
-            out[:, 0::2] += u[:, None]
-            out[:, 1::2] -= u[:, None]
-            coefs.append(out)
-        values[k] = term(k, *coefs)
+    def node(k, first, P, E, XY, R, A):
+        if first or not real:
+            np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
+            np.matmul(rows.T, A.view(float), out=R.view(float))
+        else:
+            # A and R still hold the products of -t_k
+            np.conj(A, out=A)
+            np.conj(R, out=R)
+        coef = np.take(R, gather)
+        u = nyquist @ A
+        # (u*s)[m] s[n] with s = (-1)^n, in place on the columns of each sign
+        u[1::2] *= -1.0
+        coef[:, 0::2] += u[:, None]
+        coef[:, 1::2] -= u[:, None]
+        values[k] = term(k, coef)
 
-    _split(tgrid, factors, node, ((nx, ny),) + ((n, n), (nx, n)) * len(fs))
+    _split(tgrid, factors, node, ((nx, ny), (n, n), (nx, n)))
     return np.array(values)
 
 
@@ -351,7 +347,9 @@ def _coefficient_direct(f: SampledFunction3D, t: float, grid: GridSpec1D):
 
 
 def forward_field(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D):
-    """The measure-absorbed transform: node matrix |t_k| * pi_{t_k}(f)."""
+    """The measure-absorbed transform: node matrix |t_k| * pi_{t_k}(f).
+    Its inputs are checked (_check_pass) before the field is allocated."""
+    _check_pass(f, tgrid)
     ts = tgrid.nodes
     mats = np.empty((tgrid.n_nodes, grid.n_points, grid.n_points), dtype=complex)
 

@@ -32,7 +32,7 @@ from heisenfourier.cli import (
 )
 from heisenfourier.derivation import d_z, derivation_nodes
 from heisenfourier.field import OperatorField, load_field
-from heisenfourier.grid import CapacityError, schatten_norm
+from heisenfourier.grid import CapacityError, GridSpec1D, schatten_norm
 from heisenfourier.group import SampledFunction3D, sample_family
 from heisenfourier.liealg import H3Embedding, bracket, bundled_structure
 from heisenfourier.plancherel import a_norm, w_norm
@@ -665,6 +665,26 @@ def test_partner_base_scales_are_the_plancherel_base_scales():
     assert cli.LADDERS["inversion"].scales[0] == (base, base)
 
 
+def test_every_transform_scale_keeps_its_band_below_the_box_alias():
+    """The x quadrature of a box repeats f's spectrum at 1/h_x, so a
+    carrier band N/(4L) at or past 1/h_x holds a whole copy of it.  Every
+    ladder scale that samples a box, both halves of each inversion pair,
+    DC_WINDOW on both dualconv carriers and DERIV_SMALL_BOX on derivation
+    level 0's carrier keep band * h_x below 1."""
+    scales = []
+    for ladder in cli.LADDERS.values():
+        for scale in ladder.scales:
+            # a bare carrier samples no box; an inversion scale is a pair
+            if not isinstance(scale, GridSpec1D):
+                scales += [scale] if isinstance(scale[-1], GridSpec1D) else list(scale)
+    scales += [(*cli.DC_WINDOW, tg, grid) for _, _, tg, grid in cli.LADDERS["dualconv"].scales]
+    _, _, tg, grid = cli.LADDERS["derivation"].scales[0]
+    scales.append((*cli.DERIV_SMALL_BOX, tg, grid))
+    for box, counts, _, grid in scales:
+        band = grid.n_points / (4.0 * grid.half_width)
+        assert band * (2.0 * box[0] / counts[0]) < 1.0, (box, counts, grid)
+
+
 # transform --function NAME: the family and the ladder whose first scale
 # samples it
 TRANSFORM_FAMILIES = {
@@ -746,8 +766,8 @@ def _scaled_coefficients(monkeypatch):
     1 + 1e-3, in each module that calls it."""
     real = schrodinger.node_terms
 
-    def scaled(fs, tgrid, grid, term):
-        return real(fs, tgrid, grid, lambda k, *coefs: term(k, *(c * (1 + 1e-3) for c in coefs)))
+    def scaled(f, tgrid, grid, term):
+        return real(f, tgrid, grid, lambda k, coef: term(k, coef * (1 + 1e-3)))
 
     for module in (schrodinger, plancherel, derivation, cli):
         monkeypatch.setattr(module, "node_terms", scaled)

@@ -13,7 +13,7 @@ from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D, schatten_norm
 from heisenfourier.group import GaussianPoly, Poly3, SampledFunction3D, sample_family
 from heisenfourier.plancherel import a_norm, w_norm
-from heisenfourier.schrodinger import forward_field, node_terms
+from heisenfourier.schrodinger import _coefficient_direct, forward_field, node_terms
 
 F_ODD = GaussianPoly(Poly3({(0, 0, 1): 1.0}), (0.6, 0.6, 0.5))
 G_PARTNER = GaussianPoly(Poly3({(0, 0, 2): 0.5, (0, 0, 0): 0.2}), (0.55, 0.7, 0.65))
@@ -120,6 +120,28 @@ def test_derivation_nodes_match_the_separate_transforms():
     assert np.max(np.abs(trace_norm - direct)) <= 1e-14 * np.max(direct)
     # a second pass gives the same bits
     assert np.array_equal(gap, derivation_nodes(f, TG, GRID)[0])
+
+
+def test_derivation_nodes_match_the_literal_sums():
+    """The three arrays rebuilt at every node from the per-sample sums of
+    d_z f and f, within the fast-vs-direct tolerance relative to each
+    node's norms.  The carrier's band N/(4L) is 1, so band * h_x is 0.75;
+    the small box reaches the boundary warning."""
+    f = sample_family(F_ODD, (1.5, 1.5, 1.5), (4, 4, 4))
+    tg, grid = TGrid(0.25, 3), GridSpec1D(8, 2.0)
+    with pytest.warns(UserWarning, match="boundary samples"):
+        gap, dz_norm, trace_norm = derivation_nodes(f, tg, grid)
+    df = d_z(f)
+    for k, t in enumerate(tg.nodes):
+        lhs = _coefficient_direct(df, t, grid)
+        coef = _coefficient_direct(f, t, grid)
+        dz, op = schatten_norm(lhs, np.inf), abs(t) * schatten_norm(coef, np.inf)
+        trace = abs(t) * schatten_norm(coef, 1)
+        scale = max(1.0, op)
+        want = schatten_norm(lhs - t * coef, np.inf) / scale
+        assert abs(gap[k] - want) <= 1e-10 * max(dz, op) / scale
+        assert abs(dz_norm[k] - dz) <= 1e-10 * dz
+        assert abs(trace_norm[k] - trace) <= 1e-10 * trace
 
 
 def test_derivation_nodes_bound_chain():

@@ -181,38 +181,35 @@ def test_plan_coefficients_match_direct_on_any_node_list(ts):
 @settings(max_examples=30)
 @given(
     tg=st.builds(TGrid, st.floats(0.0625, 0.5), st.integers(1, 3)),
-    complex_samples=st.lists(st.booleans(), min_size=1, max_size=2),
+    complex_samples=st.booleans(),
     counts=st.tuples(*[st.sampled_from((2, 4))] * 3),
     half=st.floats(0.5, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(tg=TGrid(0.25, 1), complex_samples=[True, True], counts=(4, 4, 4), half=1.5, seed=0)
-@example(tg=TGrid(0.125, 3), complex_samples=[True], counts=(4, 2, 4), half=1.0, seed=1)
-@example(tg=TGrid(0.25, 2), complex_samples=[False], counts=(4, 4, 4), half=1.5, seed=0)
-@example(tg=TGrid(0.5, 3), complex_samples=[True, False], counts=(4, 2, 4), half=1.0, seed=1)
+@example(tg=TGrid(0.25, 1), complex_samples=True, counts=(4, 4, 4), half=1.5, seed=0)
+@example(tg=TGrid(0.125, 3), complex_samples=True, counts=(4, 2, 4), half=1.0, seed=1)
+@example(tg=TGrid(0.25, 2), complex_samples=False, counts=(4, 4, 4), half=1.5, seed=0)
+@example(tg=TGrid(0.5, 3), complex_samples=False, counts=(4, 2, 4), half=1.0, seed=1)
 def test_node_terms_match_direct_sums(tg, complex_samples, counts, half, seed):
-    """Every node's value under its own position, for one or two functions
-    per pass, equal to the literal per-sample sums.  Real samples with no
-    symmetry take one x/y product per node pair and conjugate it for k,
-    while a complex function takes its own at every node; either matches
-    fourier_coefficient's one-pair lattice at that node."""
+    """Every node's value under its own position, equal to the literal
+    per-sample sum.  Real samples with no symmetry take one x/y product
+    per node pair and conjugate it for k, while complex samples take
+    their own at every node; either matches fourier_coefficient's
+    one-pair lattice at that node."""
     rng = np.random.default_rng(seed)
     box = (half, 1.25 * half, 0.75 * half)
-    fs = tuple(
-        SampledFunction3D(
-            box, counts, rng.standard_normal(counts) + (1j * rng.standard_normal(counts) if c else 0)
-        )
-        for c in complex_samples
-    )
+    samples = rng.standard_normal(counts)
+    if complex_samples:
+        samples = samples + 1j * rng.standard_normal(counts)
+    f = SampledFunction3D(box, counts, samples)
     grid = GridSpec1D(8, 2.0)
-    got = node_terms(fs if len(fs) > 1 else fs[0], tg, grid, lambda k, *coefs: np.stack(coefs))
-    assert got.shape == (tg.n_nodes, len(fs), 8, 8)
-    for k, t in enumerate(tg.nodes):
-        for coef, f in zip(got[k], fs):
-            direct = _coefficient_direct(f, t, grid)
-            assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
-            alone = fourier_coefficient(f, t, grid)
-            assert np.max(np.abs(coef - alone)) / np.max(np.abs(alone)) < 1e-13
+    got = node_terms(f, tg, grid, lambda k, coef: coef)
+    assert got.shape == (tg.n_nodes, 8, 8)
+    for coef, t in zip(got, tg.nodes):
+        direct = _coefficient_direct(f, t, grid)
+        assert np.max(np.abs(coef - direct)) / np.max(np.abs(direct)) < 1e-10
+        alone = fourier_coefficient(f, t, grid)
+        assert np.max(np.abs(coef - alone)) / np.max(np.abs(alone)) < 1e-13
 
 
 @settings(max_examples=40)
@@ -270,29 +267,28 @@ def test_box_tables_split_the_kernel_into_real_rows_and_a_nyquist_column(n, widt
     assert np.all(np.abs(nyquist - np.exp(1j * arg)) <= bound)
 
 
-def test_node_terms_reject_mixed_boxes():
-    f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
-    grid = GridSpec1D(8, 2.0)
-    for other in (
-        sample_family(CANON, (1.5, 1.5, 1.0), (4, 4, 4)),
-        sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 2)),
-    ):
-        with pytest.raises(ValueError, match="one box"):
-            node_terms((f, other), TGrid(0.5, 1), grid, lambda k, a, b: 0.0)
-
-
 @pytest.mark.parametrize(
-    "fs, ts, message",
+    "inputs, message",
     [
-        ((), TGrid(0.5, 1), "at least one function in fs"),
-        (None, TGrid(0.5, 1).nodes, "tgrid must be a TGrid, got ndarray"),
+        (lambda f, tg: ((f, f), tg), "f must be one SampledFunction3D, got tuple"),
+        (lambda f, tg: ([f], tg), "f must be one SampledFunction3D, got list"),
+        (lambda f, tg: (f.samples, tg), "f must be one SampledFunction3D, got ndarray"),
+        (lambda f, tg: (f, tg.nodes), "tgrid must be a TGrid, got ndarray"),
     ],
+    ids=["tuple", "list", "ndarray", "nodes"],
 )
-def test_node_terms_reject_empty_fs_and_non_list_ts(fs, ts, message):
-    """A node list, such as a lattice's nodes, is not a lattice."""
+def test_lattice_passes_take_one_function_and_a_tgrid(inputs, message):
+    """node_terms and forward_field share one check, which runs before
+    any allocation: the field of this lattice on this carrier would take
+    8.6e13 bytes, so a MemoryError here means it was allocated first.  A
+    node list, such as a lattice's nodes, is not a lattice."""
     f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
+    bad_f, bad_tg = inputs(f, TGrid(0.01, 10**4))
+    grid = GridSpec1D(16384, 8.0)
     with pytest.raises(ValueError, match=message):
-        node_terms(f if fs is None else fs, ts, GridSpec1D(8, 2.0), lambda k, *coefs: 0.0)
+        node_terms(bad_f, bad_tg, grid, lambda k, coef: 0.0)
+    with pytest.raises(ValueError, match=message):
+        forward_field(bad_f, bad_tg, grid)
 
 
 @pytest.mark.parametrize(

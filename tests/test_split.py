@@ -119,8 +119,9 @@ def test_derivation_builds_each_phase_table_pair_once(monkeypatch):
 
     monkeypatch.setattr(schrodinger, "_phase_tables", counted)
     derivation_nodes(f, TG, GRID)
-    # at each |t| group's first node, which is -|t| in lattice order
-    assert sorted(calls) == sorted(set(-np.abs(TG.nodes)))
+    # once per pass, f's and d_z f's, at each |t| group's first node,
+    # which is -|t| in lattice order
+    assert sorted(calls) == sorted(2 * sorted(set(-np.abs(TG.nodes))))
 
 
 def test_transform_scratch_is_the_table_pair_and_the_node_buffers(monkeypatch):
