@@ -18,13 +18,16 @@ operators they generate must stay band-limited within the carrier.
 
 The transform has one driver per direction: node_terms for the forward
 coefficients on a lattice, inverse_transform_grid for the inverse of a
-field on a box.  Each applies the z axis for all nodes in one matrix
-product in the calling thread (for the forward transform of a real f,
-whose samples are float64, a real product on the float view of the z
-table), then the x and y axes node by node, with the lattice's (-k, k)
-pairs split across the CPUs (_split).  A worker's scratch is one pair of
-phase tables, built at a pair's -k node and conjugated in place for its
-k node, and the buffers each node writes.  Each table is the product of
+field on a box.  Both deal the lattice across the CPUs in blocks of
+consecutive (-k, k) pairs (_split).  A forward block's worker first takes
+the block's z sums in one matrix product (for a real f, whose samples
+are float64, a real product on the float view of the z phases of the
+block's -k nodes alone), then the x and y axes node by node.  The
+inverse takes the x and y axes node by node, then the z axis in one
+product that the workers split by rows of the box.  A worker's scratch
+is one pair of phase tables, built at a pair's -k node and conjugated in
+place for its k node, a forward block's z sums and the buffers each node
+writes.  Each table is the product of
 the temporary exponentials of a coarse and a fine factor of its uniform
 axis (_phase_tables), so an R x C table costs R * (C/q + q) complex
 exponentials, q near sqrt(C).  Each shift kernel is a real Dirichlet
@@ -160,47 +163,85 @@ def _check_phases(tgrid: TGrid, factors, zs, box, grid: GridSpec1D) -> None:
             )
 
 
-def _split(tgrid: TGrid, factors, node, shapes) -> None:
-    """node(j, first, P, E, *buffers) with the tables of tgrid.nodes[j] for every j, on the workers.
+# pairs per block.  The last bits of a z sum depend on whether its column
+# falls in a whole or a partial column tile of the GEMM kernel.  With the
+# Haswell kernels of OpenBLAS 0.3.31 a block of four pairs fills whole
+# tiles (a real f's 8 float columns, a complex f's 8 complex columns), so
+# on a lattice of a multiple of four pairs, such as every ladder's, each z
+# sum has the bits of one product over the whole lattice; narrower blocks
+# moved some in the last bits.  At the transform benchmark's scale,
+# 128 x 384 x 44 samples, a block reads the 17 MB of samples once and a
+# real f's block holds 3 MB of z sums.
+_BLOCK_PAIRS = 4
 
-    run_split deals tgrid.pairs.  A pair's worker builds the tables of
-    its -k node, runs that node with first True, conjugates the tables in
-    place, which makes them the tables of k, and runs the k node with
-    first False on the same buffers, so it may reuse what the -k node
-    left in them.  Each pair is computed whole, in one worker, so no bit
-    depends on the core count.  The tables and the complex buffers of the
-    given shapes, which each node writes, are run_split's scratch.
+
+def _blocks(tgrid: TGrid) -> list:
+    """tgrid.pairs in runs of consecutive pairs, the items _split deals:
+    _BLOCK_PAIRS pairs a run, fewer on a lattice of under 2 * _BLOCK_PAIRS
+    pairs, so that any lattice of two or more pairs makes two or more runs.
+    The runs depend on the lattice alone, not on the core count."""
+    pairs = tgrid.pairs
+    size = min(_BLOCK_PAIRS, -(-len(pairs) // 2))
+    return [pairs[i : i + size] for i in range(0, len(pairs), size)]
+
+
+def _split(tgrid: TGrid, factors, block, node, shapes) -> None:
+    """block(pairs, *buffers) for every block of _blocks(tgrid), then
+    node(j, b, first, P, E, *buffers) with the tables of tgrid.nodes[j]
+    for each node of the block's b-th pair, on the workers.
+
+    run_split deals the blocks.  A block's worker first runs block, which
+    may fill its buffers with what the block's nodes share, such as their
+    z sums.  For each pair it then builds the tables of the -k node, runs
+    that node with first True, conjugates the tables in place, which
+    makes them the tables of k, and runs the k node with first False on
+    the same buffers, so it may reuse what the -k node left in them.
+    Each block is computed whole, in one worker, so no bit depends on the
+    core count.  The tables and the complex buffers of the given shapes,
+    which each block and node write, are run_split's scratch.
     """
     shapes = [(len(c), c.shape[1] * f.shape[1]) for c, f in factors] + list(shapes)
 
     def work(share, P, E, *buffers):
-        for neg, pos in share:
-            _phase_tables(tgrid.nodes[neg], factors, P, E)
-            node(neg, True, P, E, *buffers)
-            np.conj(P, out=P)
-            np.conj(E, out=E)
-            node(pos, False, P, E, *buffers)
+        for pairs in share:
+            block(pairs, *buffers)
+            for b, (neg, pos) in enumerate(pairs):
+                _phase_tables(tgrid.nodes[neg], factors, P, E)
+                node(neg, b, True, P, E, *buffers)
+                np.conj(P, out=P)
+                np.conj(E, out=E)
+                node(pos, b, False, P, E, *buffers)
 
-    run_split(tgrid.pairs, work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
+    run_split(_blocks(tgrid), work, lambda: [np.empty(sh, dtype=complex) for sh in shapes])
 
 
-def _z_sums(samples: np.ndarray, ez: np.ndarray) -> np.ndarray:
-    """samples.reshape(nx*ny, nz) @ ez, the (nx*ny, K) z sums of every node.
+def _z_sums(samples: np.ndarray, ez: np.ndarray, cols, out: np.ndarray) -> None:
+    """Write samples.reshape(nx*ny, nz) @ ez[:, cols], the z sums of the
+    nodes cols, into out (nx*ny, len(cols)).
 
-    Real samples multiply the interleaved float view of ez, (nz, 2K), in
-    one real product whose rows are the complex sums re, im, re, ...: half
-    the real flops of the complex product, and no complex copy of the
-    samples, which numpy's implicit cast would make."""
+    Real samples multiply the interleaved float view of those columns,
+    (nz, 2 len(cols)), in one real product whose rows are the complex
+    sums re, im, re, ...: half the real flops of the complex product, and
+    no complex copy of the samples, which numpy's implicit cast would
+    make.  The GEMM kernel's column tiles can set the last bits of a sum,
+    so a block's width is chosen to keep them (_BLOCK_PAIRS)."""
     flat = samples.reshape(-1, samples.shape[-1])
+    phases = ez.take(cols, axis=1)
     if np.iscomplexobj(flat):
-        return flat @ ez
-    return (flat @ ez.view(float)).view(complex)
+        np.matmul(flat, phases, out=out)
+    else:
+        np.matmul(flat, phases.view(float), out=out.view(float))
+
+
+def _check_f(f) -> None:
+    """A transform, on a lattice or at one node, takes one sampled function."""
+    if not isinstance(f, SampledFunction3D):
+        raise ValueError(f"f must be one SampledFunction3D, got {type(f).__name__}")
 
 
 def _check_pass(f, tgrid) -> None:
     """A lattice pass takes one sampled function and a TGrid."""
-    if not isinstance(f, SampledFunction3D):
-        raise ValueError(f"f must be one SampledFunction3D, got {type(f).__name__}")
+    _check_f(f)
     if not isinstance(tgrid, TGrid):
         raise ValueError(f"tgrid must be a TGrid, got {type(tgrid).__name__}")
 
@@ -214,8 +255,10 @@ def node_terms(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, term) -> np
     a fresh array it may keep.  Bad inputs (_check_pass) and phases that
     overflow on the box (_check_phases) are a ValueError.
 
-    The z sums of all nodes come from one (nx*ny, nz) @ (nz, K) product in
-    the calling thread (_z_sums); each coefficient is then
+    Each block of _split first takes the z sums of its nodes in one
+    product on its worker (_z_sums), into the worker's z buffer of one
+    column per node, from which each node reads its column; each
+    coefficient is then
     sum_i A[i, m] T_i[m, n] = (A^T @ kernel)[m, (m - n) mod N], with
     A = (fz_k * P) @ E, fz_k the z sums of node k as an (nx, ny) array
     and P, E the x/y phase tables of t_k.  With the kernel split as in
@@ -224,14 +267,15 @@ def node_terms(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, term) -> np
     view, written into the float view of an (N, N) complex buffer, and
     u = nyquist @ A; the cell volume scales rows and nyquist once per
     call.  The samples' dtype decides the path.  A real f, float64
-    samples, takes its z sums as one real product on the interleaved
-    float view of the z table, with no complex copy of the samples.  Its
-    z sums and the tables of k are those of -k conjugated, and so are A
-    and, as the rows are real, R: a real f takes the complex (nx, ny) @
-    (ny, N) product and the real one once per pair, at its -k node, and
-    the k node conjugates them in place, then costs a gather, u and the
-    rank-one term.  A complex f, such as d_z f, takes the complex z
-    product and both x products at every node.
+    samples, has z sums and tables at k that are those of -k conjugated,
+    and so are A and, as the rows are real, R.  So a real f takes the z
+    sums of the block's -k nodes alone, (nx*ny, nz) @ (nz, B), as one real
+    product on the interleaved float view of their z phases, with no
+    complex copy of the samples, and the complex (nx, ny) @ (ny, N)
+    product and the real one once per pair, at its -k node; the k node
+    conjugates them in place, then costs a gather, u and the rank-one
+    term.  A complex f, such as d_z f, takes the complex z product over
+    both nodes of each pair and both x products at every node.
     """
     _check_pass(f, tgrid)
     ts = tgrid.nodes
@@ -245,13 +289,22 @@ def node_terms(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, term) -> np
     nyquist *= f.cell_volume / n
     # flat positions of R[(m - n) mod N, m]
     gather = n * circulant_view(np.arange(n)) + np.arange(n)[:, None]
-    fz = _z_sums(f.samples, np.exp(np.outer(zs, 2j * np.pi * ts)))
+    ez = np.exp(np.outer(zs, 2j * np.pi * ts))
     real = not np.iscomplexobj(f.samples)
+    # z-sum columns per pair: a real f reads only those of its -k nodes
+    width = 1 if real else 2
     values = [None] * len(ts)
 
-    def node(k, first, P, E, XY, R, A):
+    def block(pairs, Z, XY, R, A):
+        cols = [j for pair in pairs for j in pair[:width]]
+        _z_sums(f.samples, ez, cols, Z[:, : len(cols)])
+
+    def node(k, b, first, P, E, Z, XY, R, A):
         if first or not real:
-            np.matmul(np.multiply(fz[:, k].reshape(nx, ny), P, out=XY), E, out=A)
+            # a real f's block holds column b, pair b's -k node; a complex
+            # f's holds pair b's -k and k nodes at 2b and 2b + 1
+            fz = Z[:, width * b + (not first)].reshape(nx, ny)
+            np.matmul(np.multiply(fz, P, out=XY), E, out=A)
             np.matmul(rows.T, A.view(float), out=R.view(float))
         else:
             # A and R still hold the products of -t_k
@@ -265,7 +318,8 @@ def node_terms(f: SampledFunction3D, tgrid: TGrid, grid: GridSpec1D, term) -> np
         coef[:, 1::2] -= u[:, None]
         values[k] = term(k, coef)
 
-    _split(tgrid, factors, node, ((nx, ny), (n, n), (nx, n)))
+    shapes = ((nx * ny, width * len(_blocks(tgrid)[0])), (nx, ny), (n, n), (nx, n))
+    _split(tgrid, factors, block, node, shapes)
     return np.array(values)
 
 
@@ -284,7 +338,10 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     G's float view (_box_tables), and the conjugated phase tables of t,
     which are the tables of -t: D @ E^T, an (nx, N) @ (N, ny) complex
     product, times P, so the tables of node j serve its mirror 2K - 1 - j.
-    The z axis is one (nx*ny, K) @ (K, nz) product for the whole lattice.
+    The z axis is one (nx*ny, 2K) @ (2K, nz) product for the whole
+    lattice, which the workers split by rows of the box into as many runs
+    as the lattice has blocks, so a one-pair lattice starts no thread and
+    no bit depends on the core count.
     A lattice whose phases overflow on the box is a ValueError
     (_check_phases).
     """
@@ -303,7 +360,7 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
     cnyquist = np.conj(nyquist) / n
     table = np.empty((len(ts), nx * ny), dtype=complex)
 
-    def node(j, first, P, E, G, D):
+    def node(j, b, first, P, E, G, D):
         np.take(F.mats[-1 - j], gather, out=G, mode="clip")
         np.matmul(rows, G.view(float), out=D.view(float))
         D += np.multiply.outer(cnyquist, (signs @ G.view(float)).view(complex))
@@ -311,9 +368,18 @@ def inverse_transform_grid(F: OperatorField, box, counts, grid: GridSpec1D) -> n
         # the operand order of a complex product sets its last bits
         np.multiply(X, P, out=X)
 
-    _split(F.tgrid, factors, node, ((n, n), (nx, n)))
+    _split(F.tgrid, factors, lambda pairs, G, D: None, node, ((n, n), (nx, n)))
     ez = F.tgrid.delta * np.exp(np.outer(-2j * np.pi * ts, zs))
-    return (table.T @ ez).reshape(nx, ny, nz)
+    out = np.empty((nx * ny, nz), dtype=complex)
+    # the z product by rows of the box, as many runs as the lattice has blocks
+    bounds = np.linspace(0, nx * ny, len(_blocks(F.tgrid)) + 1).astype(int)
+
+    def z_rows(share):
+        for lo, hi in share:
+            np.matmul(table[:, lo:hi].T, ez, out=out[lo:hi])
+
+    run_split(zip(bounds[:-1], bounds[1:]), z_rows, tuple)
+    return out.reshape(nx, ny, nz)
 
 
 def fourier_coefficient(
@@ -325,12 +391,14 @@ def fourier_coefficient(
     circulant shift kernels, as node_terms does on the one-pair lattice
     TGrid(|t|, 1), whose node int(t > 0) is t; "direct" is the literal
     per-sample sum kept as the reference path.  Both produce the same
-    quadrature.
+    quadrature, and both refuse an f that is not one SampledFunction3D
+    with the same ValueError.
     """
     if method == "fast":
         _check_t(t)
         return node_terms(f, TGrid(abs(t), 1), grid, lambda k, coef: coef)[int(t > 0)]
     if method == "direct":
+        _check_f(f)
         return _coefficient_direct(f, t, grid)
     raise ValueError(f"unknown method {method!r}")
 

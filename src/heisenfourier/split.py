@@ -1,8 +1,10 @@
 """Independent work dealt across the CPUs the process may run on.
 
 run_split is the package's only thread code.  The group Fourier transform
-and the dual convolution deal the lattice's node pairs (-k, k) through
-it: a pair shares its phase tables, or its terms' ratios.  Each worker
+deals blocks of consecutive node pairs (-k, k) through it, whose nodes
+share a z product and a pair's phase tables, and the rows of its
+inverse's z product; the dual convolution deals the node pairs, whose
+terms share their ratios.  Each worker
 gets a fixed share, items[w::workers], so which worker computes an item
 depends only on the worker count, and callers that keep each item's
 arithmetic inside one worker get the same bits on any core count.  The
@@ -33,19 +35,19 @@ def run_split(items, work, scratch) -> None:
     workers is _worker_count(len(items)).  scratch() runs in the calling
     thread, once per worker, before any thread starts.  It holds what a
     worker writes per node or term and the state that several of them share,
-    such as a node pair's phase tables or a ratio's Dirichlet rows; the
-    arithmetic that builds that state uses plain temporaries.  A worker's own
-    buffers sit in its per-thread malloc arena and can raise peak RSS.  A
-    caller's own large arrays can do the same: glibc raises its mmap
-    threshold to the size of each freed mmapped block up to 32 MB, so after
-    a freed transform z table of one column per |t| (25 MB at the transform
-    benchmark's scale) the workers' 1 MB per-node arrays come from their
-    arenas and stay resident: that benchmark's peak RSS went from 322 to 343
-    MB.  The temporaries are small and freed at once: at that scale, 272 KiB
-    of phase-table exponentials per node pair, none over 96 KiB, left peak
-    RSS at 351.0-351.1 MB, against 351.0-352.2 MB as scratch.  An exception
-    in any worker is raised here once every worker has stopped, so a caller
-    never sees a partly written result.
+    such as a block's z sums, a node pair's phase tables or a ratio's
+    Dirichlet rows; the arithmetic that builds that state uses plain
+    temporaries.  A large array that a worker allocates itself sits in its
+    per-thread malloc arena, and glibc raises its mmap threshold to the size
+    of each freed mmapped block up to 32 MB, so later arrays of the same
+    size stay resident there too.  So such buffers are scratch: at the
+    transform benchmark's scale a forward block's z sums take 3 MB per
+    worker, and the benchmark's peak RSS went from 271.1 to 270.0-270.2 MB
+    when they replaced the whole lattice's 50 MB z table of the calling
+    thread; with each worker allocating its block's z sums itself it read
+    274.4 and 278.4 MB.  The temporaries are small and freed at once.  An
+    exception in any worker is raised here once every worker has stopped,
+    so a caller never sees a partly written result.
     """
     items = list(items)
     workers = _worker_count(len(items))

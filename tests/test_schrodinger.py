@@ -291,6 +291,17 @@ def test_lattice_passes_take_one_function_and_a_tgrid(inputs, message):
         forward_field(bad_f, bad_tg, grid)
 
 
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_coefficient_paths_refuse_what_is_not_one_function(method):
+    """Both paths of fourier_coefficient run the lattice passes' check of
+    f, so the literal sum does not fail inside on a missing attribute."""
+    f = sample_family(CANON, (1.5, 1.5, 1.5), (4, 4, 4))
+    grid = GridSpec1D(8, 2.0)
+    for bad, name in (((f, f), "tuple"), ([f], "list"), (f.samples, "ndarray")):
+        with pytest.raises(ValueError, match=f"f must be one SampledFunction3D, got {name}"):
+            fourier_coefficient(bad, 0.5, grid, method=method)
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -419,16 +430,22 @@ def test_real_z_sums_match_the_complex_product():
     """The real product on the float view of the z table against the
     complex product of the samples cast to complex.  Both are bit for bit
     equal on some BLAS builds, but the two GEMMs may block their sums
-    differently, so the comparison is to a tolerance."""
+    differently, so the comparison is to a tolerance.  A block's columns,
+    in the order a block takes them, are those columns of the product."""
     f = sample_family(CANON, BOX, (16, 24, 44))
     zs = f.axes[2]
     ez = np.exp(np.outer(zs, 2j * np.pi * TGrid(0.125, 32).nodes))
     want = f.samples.reshape(16 * 24, 44).astype(complex) @ ez
-    got = _z_sums(f.samples, ez)
-    assert got.dtype == complex and got.shape == want.shape
+    got = np.empty_like(want)
+    _z_sums(f.samples, ez, range(64), got)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-15
+    cols = [31, 30, 29, 28]
+    block = np.empty((16 * 24, 4), dtype=complex)
+    _z_sums(f.samples, ez, cols, block)
+    assert np.max(np.abs(block - want[:, cols])) / np.max(np.abs(want)) < 1e-15
     g = SampledFunction3D(BOX, (16, 24, 44), f.samples * (1.0 + 0.5j))
-    assert np.array_equal(_z_sums(g.samples, ez), g.samples.reshape(16 * 24, 44) @ ez)
+    _z_sums(g.samples, ez, range(64), got)
+    assert np.array_equal(got, g.samples.reshape(16 * 24, 44) @ ez)
 
 
 def test_real_forward_field_makes_no_complex_copy_of_its_samples():

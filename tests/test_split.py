@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heisenfourier import schrodinger, split
-from heisenfourier.derivation import derivation_nodes
+from heisenfourier.derivation import d_z, derivation_nodes
 from heisenfourier.field import TGrid
 from heisenfourier.grid import GridSpec1D
 from heisenfourier.group import GaussianPoly, Poly3, sample_family
@@ -124,9 +124,36 @@ def test_derivation_builds_each_phase_table_pair_once(monkeypatch):
     assert sorted(calls) == sorted(2 * sorted(set(-np.abs(TG.nodes))))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_real_f_takes_the_z_sums_of_its_minus_k_nodes_alone(monkeypatch, workers):
+    """Each block of consecutive pairs takes one z product: a real f's
+    over the -k node of each pair, whose k node conjugates, a complex
+    f's (d_z f) over both nodes of each pair.  TG's five pairs make the
+    blocks (1, 2, 3) and (4, 5) on any worker count."""
+    monkeypatch.setattr(split, "_worker_count", lambda n_items: workers)
+    z_sums = schrodinger._z_sums
+    calls = []
+
+    def recorded(samples, ez, cols, out):
+        calls.append(list(cols))
+        z_sums(samples, ez, cols, out)
+
+    monkeypatch.setattr(schrodinger, "_z_sums", recorded)
+    f = sample_family(F_ODD, BOX, COUNTS)
+    blocks = (TG.pairs[:3], TG.pairs[3:])
+    forward_field(f, TG, GRID)
+    assert sorted(calls) == sorted([neg for neg, _ in pairs] for pairs in blocks)
+    calls.clear()
+    forward_field(d_z(f), TG, GRID)
+    assert sorted(calls) == sorted([j for pair in pairs for j in pair] for pairs in blocks)
+
+
 def test_transform_scratch_is_the_table_pair_and_the_node_buffers(monkeypatch):
-    """A worker's scratch is P, E and what each node writes; the
-    exponentials that build a |t| group's tables are temporaries."""
+    """A worker's scratch is P, E, the z sums of one block and what each
+    node writes; the exponentials that build a pair's tables are
+    temporaries.  A real f's block holds one z-sum column per pair, a
+    complex f's (d_z f) two; TG's five pairs make blocks of three.  The
+    inverse's z product by rows of the box takes no scratch."""
     f = sample_family(F_ODD, BOX, COUNTS)
     nx, ny, _ = COUNTS
     n = GRID.n_points
@@ -140,10 +167,14 @@ def test_transform_scratch_is_the_table_pair_and_the_node_buffers(monkeypatch):
     monkeypatch.setattr(schrodinger, "run_split", recorded)
     field = forward_field(f, TG, GRID)
     inverse_transform_grid(field, BOX, COUNTS, GRID)
+    forward_field(d_z(f), TG, GRID)
     tables = [(nx, ny), (ny, n)]
-    forward = tables + [(nx, ny), (n, n), (nx, n)]  # XY, S, A
+    nodes = [(nx, ny), (n, n), (nx, n)]  # XY, R, A
+    forward = tables + [(nx * ny, 3)] + nodes
     inverse = tables + [(n, n), (nx, n)]  # G, D
-    assert handed == [[(sh, np.dtype(complex)) for sh in want] for want in (forward, inverse)]
+    complex_forward = tables + [(nx * ny, 6)] + nodes
+    want = [forward, inverse, [], complex_forward]
+    assert handed == [[(sh, np.dtype(complex)) for sh in shapes] for shapes in want]
 
 
 def test_run_split_deals_round_robin_with_scratch_from_the_caller(monkeypatch):
